@@ -111,10 +111,6 @@ class _Tracker:
         )
 
 
-def _evaluate_batch(problem: Problem, positions: np.ndarray) -> np.ndarray:
-    return np.array([problem.evaluate(p) for p in positions])
-
-
 def _uniform(problem: Problem, rng: np.random.Generator, count: int) -> np.ndarray:
     span = problem.upper - problem.lower
     return problem.lower + span * rng.random((count, problem.dim))
@@ -132,7 +128,7 @@ def _run_random_search(problem: Problem, config: BaselineConfig) -> RunTrace:
     tracker = _Tracker(problem, time.perf_counter())
     for size in _batch_sizes(config.budget, config.batch_size):
         positions = _uniform(problem, rng, size)
-        tracker.observe_batch(positions, _evaluate_batch(problem, positions))
+        tracker.observe_batch(positions, problem.evaluate_batch(positions))
     return tracker.trace(ALGORITHM_RANDOM, config.seed)
 
 
@@ -145,7 +141,7 @@ def _run_sa(problem: Problem, config: BaselineConfig) -> RunTrace:
 
     # Calibration batch: uniform sample, start from its best point.
     positions = _uniform(problem, rng, sizes[0])
-    fitnesses = _evaluate_batch(problem, positions)
+    fitnesses = problem.evaluate_batch(positions)
     tracker.observe_batch(positions, fitnesses)
     current = np.array(tracker.best_position)
     current_fit = tracker.best_fitness
@@ -186,7 +182,7 @@ def _run_pso(problem: Problem, config: BaselineConfig) -> RunTrace:
     swarm = min(config.pso_swarm, config.budget)
     positions = _uniform(problem, rng, swarm)
     velocities = np.zeros_like(positions)
-    fitnesses = _evaluate_batch(problem, positions)
+    fitnesses = problem.evaluate_batch(positions)
     tracker.observe_batch(positions, fitnesses)
     pbest_pos = positions.copy()
     pbest_fit = fitnesses.copy()
@@ -204,12 +200,14 @@ def _run_pso(problem: Problem, config: BaselineConfig) -> RunTrace:
         )
         positions = np.clip(positions + velocities, problem.lower, problem.upper)
         # Partial last batch evaluates a prefix of the swarm only.
-        fitnesses = _evaluate_batch(problem, positions[:count])
+        fitnesses = problem.evaluate_batch(positions[:count])
         tracker.observe_batch(positions[:count], fitnesses)
-        for i in range(count):
-            if is_better(float(fitnesses[i]), float(pbest_fit[i]), problem.sense):
-                pbest_fit[i] = fitnesses[i]
-                pbest_pos[i] = positions[i]
+        if problem.sense is Sense.MINIMIZE:
+            better = fitnesses < pbest_fit[:count]
+        else:
+            better = fitnesses > pbest_fit[:count]
+        pbest_fit[:count][better] = fitnesses[better]
+        pbest_pos[:count][better] = positions[:count][better]
         gbest = np.array(tracker.best_position)
         remaining -= count
     return tracker.trace(ALGORITHM_PSO, config.seed)

@@ -35,7 +35,7 @@ from .persist import (
     write_summary,
     write_trace,
 )
-from .problem import ConfigError
+from .problem import ConfigError, EvaluationError
 from .stats import pairwise_compare, summarize
 
 ALGORITHM_LAB = "lab"
@@ -134,33 +134,38 @@ def cmd_list_problems(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_one(args: argparse.Namespace, problem, seed: int):
+    if args.algo == ALGORITHM_LAB:
+        config = LabConfig(
+            num_groups=args.groups,
+            group_size=args.group_size,
+            max_iterations=args.iters,
+            stall_window=args.stall_window,
+            stall_epsilon=args.stall_epsilon,
+            greedy_acceptance=args.greedy,
+            seed=seed,
+        )
+        return run(problem, config)
+    # Same spend as a full-length population run by default.
+    budget = args.budget or args.groups * args.group_size * (args.iters + 1)
+    return run_baseline(
+        problem, BaselineConfig(algorithm=args.algo, budget=budget, seed=seed)
+    )
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     problems = _resolve_selector(args.problem)
     out_root = _out_root(args.out)
-    lab_evaluations = args.groups * args.group_size * (args.iters + 1)
     for name, factory in problems:
         traces = []
         for i in range(args.runs):
             run_seed = args.seed + i
-            problem = factory(run_seed)
-            if args.algo == ALGORITHM_LAB:
-                config = LabConfig(
-                    num_groups=args.groups,
-                    group_size=args.group_size,
-                    max_iterations=args.iters,
-                    stall_window=args.stall_window,
-                    stall_epsilon=args.stall_epsilon,
-                    greedy_acceptance=args.greedy,
-                    seed=run_seed,
-                )
-                traces.append(run(problem, config))
-            else:
-                # Same spend as a full-length population run by default.
-                budget = args.budget if args.budget else lab_evaluations
-                config = BaselineConfig(
-                    algorithm=args.algo, budget=budget, seed=run_seed
-                )
-                traces.append(run_baseline(problem, config))
+            try:
+                traces.append(_run_one(args, factory(run_seed), run_seed))
+            except EvaluationError as exc:
+                raise EvaluationError(
+                    f"{name} [{args.algo}] seed {run_seed}: {exc}", exc.position
+                ) from exc
         run_dir = out_root / f"{_slug(name)}__{args.algo}"
         for trace in traces:
             write_trace(trace, run_dir / f"trace_seed{trace.seed}.csv")
@@ -186,17 +191,28 @@ def cmd_compare(args: argparse.Namespace) -> int:
             s = read_summary(f)
             by_algo.setdefault(s.algorithm, []).append(s)
         for algo, items in by_algo.items():
-            label = algo
-            k = 1
-            while any((s.problem, label) in accepted for s in items):
-                k += 1
-                label = f"{algo}@{k}"
-            if label != algo:
-                relabeled.append(f"{algo} from {root} -> {label}")
+            # The k-th summary of a problem under this root goes to copy
+            # k, so duplicates within a root are relabeled like across roots.
+            copies: list[list] = []
+            seen: dict[str, int] = {}
             for s in items:
-                if label != s.algorithm:
-                    s = dataclasses.replace(s, algorithm=label)
-                accepted[(s.problem, s.algorithm)] = s
+                k = seen.get(s.problem, 0)
+                seen[s.problem] = k + 1
+                if k == len(copies):
+                    copies.append([])
+                copies[k].append(s)
+            for copy in copies:
+                label = algo
+                k = 1
+                while any((s.problem, label) in accepted for s in copy):
+                    k += 1
+                    label = f"{algo}@{k}"
+                if label != algo:
+                    relabeled.append(f"{algo} from {root} -> {label}")
+                for s in copy:
+                    accepted[(s.problem, label)] = dataclasses.replace(
+                        s, algorithm=label
+                    )
     if not accepted:
         print("error: no summary.json files found", file=sys.stderr)
         return 2
@@ -300,8 +316,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except EvaluationError as exc:
+        position = ", ".join(f"{v!r}" for v in exc.position.tolist())
+        print(f"error: {exc} at position ({position})", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

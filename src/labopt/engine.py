@@ -3,7 +3,7 @@
 A society of ``num_groups * group_size`` individuals is split into
 groups.  After ranking, the best member of each group is its leader,
 the second best its advocate, and the rest are believers.  Groups are
-then ordered globally so that ``groups[0]`` holds the global leader.
+then ordered globally so that the first group holds the global leader.
 
 Each iteration every individual moves to a fresh convex combination of
 role-specific anchors:
@@ -15,105 +15,49 @@ role-specific anchors:
 Weights are redrawn independently for every individual on every
 iteration.  All moves are computed from the iteration-start snapshot
 and applied synchronously, after which both rankings are rebuilt.
+
+The population is held in three arrays indexed by individual id:
+``pos`` (positions), ``fit`` (fitness) and ``order``, whose rows list
+each group's member ids best-first with the rows in group rank order.
+One step draws every weight in one block, builds every proposal by
+broadcasting and evaluates them in one batch, in ``order.ravel()``
+order.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import (
-    ConfigError,
-    Problem,
-    Sense,
-    clamp_to_bounds,
-    is_better,
-    oriented,
-)
+from .problem import ConfigError, Problem, Sense, is_better, oriented
 
 # Weight sums are checked against this; normalization error is a few ulp.
 _WEIGHT_SUM_TOL = 1e-12
 
 
-class Role(Enum):
-    LEADER = "leader"
-    ADVOCATE = "advocate"
-    BELIEVER = "believer"
+@dataclass
+class State:
+    """The population and its run state.
 
-
-@dataclass(frozen=True)
-class RoleWeights:
-    """Convex-combination weights for one position update.
-
-    Three weights for a leader move, two for advocate and believer
-    moves.  They are strictly decreasing and sum to one.
+    ``pos`` has shape ``(population, dim)`` and ``fit`` shape
+    ``(population,)``, both indexed by individual id; ids never change
+    and break fitness ties.  ``order`` has shape ``(num_groups,
+    group_size)``: row ``g`` holds the ids of the ``g``-th ranked group,
+    leader first, then advocate, then believers.
     """
 
-    w1: float
-    w2: float
-    w3: float | None = None
-
-    def __post_init__(self) -> None:
-        ws = [self.w1, self.w2] + ([self.w3] if self.w3 is not None else [])
-        if any(not 0.0 < w < 1.0 for w in ws):
-            raise ConfigError(f"weights must lie strictly inside (0, 1): {ws}")
-        if any(a <= b for a, b in zip(ws, ws[1:])):
-            raise ConfigError(f"weights must be strictly decreasing: {ws}")
-        if abs(sum(ws) - 1.0) > _WEIGHT_SUM_TOL:
-            raise ConfigError(f"weights must sum to 1: {ws}")
-
-
-@dataclass
-class Individual:
-    """A candidate solution with a stable identity.
-
-    The id never changes; it breaks fitness ties deterministically.
-    """
-
-    id: int
-    position: np.ndarray
-    fitness: float
-
-
-@dataclass
-class Group:
-    """One group, kept sorted best-first after each ranking pass."""
-
-    members: list[Individual]
-    group_index: int = 0
-
-    @property
-    def leader(self) -> Individual:
-        return self.members[0]
-
-    @property
-    def advocate(self) -> Individual:
-        return self.members[1]
-
-    @property
-    def believers(self) -> list[Individual]:
-        return self.members[2:]
-
-
-@dataclass
-class Society:
-    """The whole population plus its run state."""
-
-    groups: list[Group]
-    iteration: int
-    rng_seed: int
+    pos: np.ndarray
+    fit: np.ndarray
+    order: np.ndarray
     rng: np.random.Generator
+    iteration: int
     n_evaluations: int
 
     @property
-    def global_best(self) -> Individual:
-        """The global leader, i.e. the leader of the first-ranked group."""
-        return self.groups[0].leader
-
-    def individuals(self) -> list[Individual]:
-        return [ind for g in self.groups for ind in g.members]
+    def best(self) -> int:
+        """Id of the global leader, the leader of the first-ranked group."""
+        return int(self.order[0, 0])
 
 
 @dataclass(frozen=True)
@@ -195,180 +139,198 @@ TERMINATION_STALLED = "stalled"
 TERMINATION_BUDGET = "budget_exhausted"
 
 
-def sample_weights(role: Role, rng: np.random.Generator) -> RoleWeights:
-    """Draw fresh update weights for one individual.
+def weights_valid(leader: np.ndarray, u: np.ndarray) -> bool:
+    """The weight contract, checked for every group at once.
 
-    Leader moves use three uniforms normalized to unit sum and sorted
-    in decreasing order; ties trigger a redraw.  Advocate and believer
-    moves draw ``u`` from (0.5, 1) and use ``(u, 1 - u)``, which is
-    decreasing and sums to one exactly.
+    Leader triples lie strictly inside (0, 1), strictly decrease and
+    sum to one; ``u`` lies strictly inside (0.5, 1), so ``(u, 1 - u)``
+    strictly decreases and sums to one exactly.
     """
-    if role is Role.LEADER:
+    w1, w2, w3 = leader.T
+    unit_sum = np.abs(w1 + w2 + w3 - 1.0) <= _WEIGHT_SUM_TOL
+    return bool(
+        ((w1 < 1.0) & (w1 > w2) & (w2 > w3) & (w3 > 0.0) & unit_sum).all()
+        and ((u > 0.5) & (u < 1.0)).all()
+    )
+
+
+def _draw_weights_sequentially(
+    rng: np.random.Generator, num_groups: int, group_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    # Per group: three leader uniforms, redrawn together while one is
+    # zero or the normalized triple has a tie; then one advocate and
+    # group_size - 2 believer draws from (0.5, 1), each redrawn alone
+    # when it hits an end of the interval.
+    leader = np.empty((num_groups, 3))
+    u = np.empty((num_groups, group_size - 1))
+    for g in range(num_groups):
         while True:
             draws = rng.uniform(0.0, 1.0, size=3)
             if np.any(draws <= 0.0):
                 continue
             w = np.sort(draws / draws.sum())[::-1]
             if w[0] > w[1] > w[2] > 0.0:
-                return RoleWeights(float(w[0]), float(w[1]), float(w[2]))
-    while True:
-        u = float(rng.uniform(0.5, 1.0))
-        if 0.5 < u < 1.0:
-            return RoleWeights(u, 1.0 - u)
+                break
+        leader[g] = w
+        for k in range(group_size - 1):
+            while True:
+                u[g, k] = rng.uniform(0.5, 1.0)
+                if 0.5 < u[g, k] < 1.0:
+                    break
+    if not weights_valid(leader, u):
+        raise ConfigError(f"update weights break the weight contract: {leader}")
+    return leader, u
 
 
-def believer_mean(group: Group) -> np.ndarray:
-    """Arithmetic mean position of the group's believers only."""
-    return np.mean([b.position for b in group.believers], axis=0)
+def draw_weights(
+    rng: np.random.Generator, num_groups: int, group_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one step's update weights for every group.
 
+    Returns the leader weights, shape ``(num_groups, 3)``: three
+    uniforms normalized to unit sum and sorted in decreasing order.
+    And ``u``, shape ``(num_groups, group_size - 1)``: column 0 is the
+    advocate's and the rest are the believers' draws from (0.5, 1); a
+    move with ``u`` uses the weights ``(u, 1 - u)``.
 
-def update_leader(
-    group: Group,
-    global_leader: Individual,
-    weights: RoleWeights,
-    problem: Problem,
-) -> np.ndarray:
-    """Candidate position for a group leader.
-
-    For the first-ranked group the global leader is the leader itself,
-    so the move anchors on its own position.
+    The whole step is one ``rng.random`` block, consumed in the order
+    of a per-group draw: leader, advocate, believers.  A zero leader
+    draw, a tie or a ``u`` on an end of its interval means a redraw,
+    which shifts the stream; then the generator is rewound and the
+    step is drawn again one weight at a time.
     """
-    if weights.w3 is None:
-        raise ConfigError("leader update requires three weights")
-    mix = (
-        weights.w1 * global_leader.position
-        + weights.w2 * group.advocate.position
-        + weights.w3 * believer_mean(group)
-    )
-    return clamp_to_bounds(mix, problem)
+    saved = rng.bit_generator.state
+    block = rng.random((num_groups, group_size + 2))
+    draws = block[:, :3]
+    leader = np.sort(draws / draws.sum(axis=1, keepdims=True), axis=1)[:, ::-1]
+    u = 0.5 + 0.5 * block[:, 3:]  # bit-equal to rng.uniform(0.5, 1.0)
+    if (draws > 0.0).all() and weights_valid(leader, u):
+        return leader, u
+    rng.bit_generator.state = saved
+    return _draw_weights_sequentially(rng, num_groups, group_size)
 
 
-def update_advocate(group: Group, weights: RoleWeights, problem: Problem) -> np.ndarray:
-    """Candidate position for a group's advocate."""
-    mix = weights.w1 * group.leader.position + weights.w2 * believer_mean(group)
-    return clamp_to_bounds(mix, problem)
+def rank(state: State, sense: Sense) -> None:
+    """Rebuild ``order``: members best-first, then groups by leader.
+
+    Members sort by (oriented fitness, id) and groups by their leader's
+    (oriented fitness, id).  The sorts are plain Python: at these sizes
+    numpy's argsort or lexsort gains nothing, and their first call
+    loads sort kernels that raise the process's peak memory.
+    """
+    key = state.fit.tolist()
+    if sense is Sense.MAXIMIZE:
+        key = [-v for v in key]
+    rows = [sorted(row, key=lambda i: (key[i], i)) for row in state.order.tolist()]
+    rows.sort(key=lambda row: (key[row[0]], row[0]))
+    state.order = np.array(rows)
 
 
-def update_believer(group: Group, weights: RoleWeights, problem: Problem) -> np.ndarray:
-    """Candidate position for one believer (same anchors for all of them)."""
-    mix = weights.w1 * group.leader.position + weights.w2 * group.advocate.position
-    return clamp_to_bounds(mix, problem)
-
-
-def rank_group(group: Group, sense: Sense) -> None:
-    """Sort members best-first; equal fitness falls back to lower id."""
-    group.members.sort(key=lambda ind: (oriented(ind.fitness, sense), ind.id))
-
-
-def rank_global(society: Society, sense: Sense) -> None:
-    """Order groups by leader quality and refresh their indices."""
-    society.groups.sort(
-        key=lambda g: (oriented(g.leader.fitness, sense), g.leader.id)
-    )
-    for pos, group in enumerate(society.groups):
-        group.group_index = pos + 1
-
-
-def initialize_society(problem: Problem, config: LabConfig, seed: int) -> Society:
+def init(problem: Problem, config: LabConfig, seed: int) -> State:
     """Sample, evaluate, and rank the initial population.
 
     Individuals are drawn uniformly over the box and dealt into
-    ``num_groups`` groups of ``group_size``; both ranking passes are
-    applied before the society is returned.
+    ``num_groups`` groups of ``group_size`` by id; both ranking passes
+    are applied before the state is returned.
     """
     config.validate()
     rng = np.random.default_rng(seed)
     pop = config.population
-    positions = rng.uniform(problem.lower, problem.upper, size=(pop, problem.dim))
-    individuals = [
-        Individual(i, positions[i].copy(), problem.evaluate(positions[i]))
-        for i in range(pop)
-    ]
-    groups = [
-        Group(individuals[g * config.group_size : (g + 1) * config.group_size])
-        for g in range(config.num_groups)
-    ]
-    society = Society(
-        groups=groups,
-        iteration=0,
-        rng_seed=seed,
+    pos = rng.uniform(problem.lower, problem.upper, size=(pop, problem.dim))
+    state = State(
+        pos=pos,
+        fit=problem.evaluate_batch(pos),
+        order=np.arange(pop).reshape(config.num_groups, config.group_size),
         rng=rng,
+        iteration=0,
         n_evaluations=pop,
     )
-    for group in society.groups:
-        rank_group(group, problem.sense)
-    rank_global(society, problem.sense)
-    return society
+    rank(state, problem.sense)
+    return state
 
 
-def step(society: Society, problem: Problem, config: LabConfig) -> Society:
-    """Advance the society by one synchronous iteration.
+def believer_mean(state: State) -> np.ndarray:
+    """Mean position of each group's believers, shape ``(num_groups, dim)``."""
+    return np.mean(state.pos[state.order[:, 2:]], axis=1)
+
+
+def propose(
+    state: State, problem: Problem, leader_w: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Every member's clamped candidate position, in ``order.ravel()`` order.
+
+    ``leader_w`` and ``u`` are laid out as ``draw_weights`` returns
+    them.  The first-ranked group's leader is the global leader, so its
+    move anchors on its own position.
+    """
+    num_groups, group_size = state.order.shape
+    if leader_w.shape != (num_groups, 3) or u.shape != (num_groups, group_size - 1):
+        raise ConfigError(
+            "need three leader weights and group_size - 1 values of u per group"
+        )
+    pos, order = state.pos, state.order
+    lead = pos[order[:, 0]]
+    adv = pos[order[:, 1]]
+    bmean = believer_mean(state)
+    mix = np.empty((num_groups, group_size, problem.dim))
+    mix[:, 0] = (
+        leader_w[:, 0:1] * pos[order[0, 0]]
+        + leader_w[:, 1:2] * adv
+        + leader_w[:, 2:3] * bmean
+    )
+    mix[:, 1] = u[:, 0:1] * lead + (1.0 - u[:, 0:1]) * bmean
+    ub = u[:, 1:, None]
+    mix[:, 2:] = ub * lead[:, None] + (1.0 - ub) * adv[:, None]
+    return np.clip(mix, problem.lower, problem.upper).reshape(-1, problem.dim)
+
+
+def step(state: State, problem: Problem, config: LabConfig) -> State:
+    """Advance the population by one synchronous iteration.
 
     All candidate positions are computed from the current (unmutated)
-    society, then evaluated and applied.  With greedy acceptance an
-    individual keeps its old position unless the candidate is strictly
-    better; otherwise candidates replace unconditionally.  Every
-    individual is re-evaluated each iteration, so the evaluation count
-    grows by the population size regardless of acceptance.
+    state, then evaluated in one batch and applied.  With greedy
+    acceptance an individual keeps its old position unless the
+    candidate is strictly better; otherwise candidates replace
+    unconditionally.  Every individual is re-evaluated each iteration,
+    so the evaluation count grows by the population size regardless of
+    acceptance.
     """
-    sense = problem.sense
-    rng = society.rng
-    global_leader = society.global_best
+    proposals = propose(state, problem, *draw_weights(state.rng, *state.order.shape))
+    ids = state.order.ravel()
+    fit = problem.evaluate_batch(proposals)
+    state.n_evaluations += len(ids)
+    if config.greedy_acceptance:
+        old = state.fit[ids]
+        keep = fit < old if problem.sense is Sense.MINIMIZE else fit > old
+        ids, proposals, fit = ids[keep], proposals[keep], fit[keep]
+    state.pos[ids] = proposals
+    state.fit[ids] = fit
 
-    proposals: list[tuple[Individual, np.ndarray]] = []
-    for group in society.groups:
-        proposals.append(
-            (
-                group.leader,
-                update_leader(group, global_leader, sample_weights(Role.LEADER, rng), problem),
-            )
-        )
-        proposals.append(
-            (
-                group.advocate,
-                update_advocate(group, sample_weights(Role.ADVOCATE, rng), problem),
-            )
-        )
-        for believer in group.believers:
-            proposals.append(
-                (
-                    believer,
-                    update_believer(group, sample_weights(Role.BELIEVER, rng), problem),
-                )
-            )
-
-    evaluated = [(ind, pos, problem.evaluate(pos)) for ind, pos in proposals]
-    society.n_evaluations += len(evaluated)
-
-    for ind, pos, fit in evaluated:
-        if config.greedy_acceptance and not is_better(fit, ind.fitness, sense):
-            continue
-        ind.position = pos
-        ind.fitness = fit
-
-    for group in society.groups:
-        rank_group(group, sense)
-    rank_global(society, sense)
-    society.iteration += 1
-    return society
+    rank(state, problem.sense)
+    state.iteration += 1
+    return state
 
 
-def _improved_less_than(series: list[float], window: int, epsilon: float) -> bool:
-    # series holds oriented best-so-far values, one per iteration, index 0
-    # being the initial population.  The window is only compared against
-    # post-step iterations so initialization luck does not count.
-    t = len(series) - 1
+def _stalled(history: list[list[float]], window: int, epsilon: float) -> bool:
+    # history rows hold oriented best-so-far values, one row per
+    # iteration, row 0 being the initial population.  The window is
+    # only compared against post-step iterations so initialization luck
+    # does not count.
+    t = len(history) - 1
     if t - window < 1:
         return False
-    return (series[t - window] - series[t]) < epsilon
+    return all(a - b < epsilon for a, b in zip(history[t - window], history[t]))
 
 
 def run(problem: Problem, config: LabConfig | None = None) -> RunTrace:
     """Run LAB on a problem and return its trace.
 
     The run stops at ``max_iterations``, or earlier when neither the
-    global best nor any group leader has improved by at least
-    ``stall_epsilon`` over the last ``stall_window`` iterations.
+    global best nor the best leader of any group rank has improved by
+    at least ``stall_epsilon`` over the last ``stall_window``
+    iterations.  The per-rank series follow rank slots, not groups:
+    slot ``k`` is whichever group ranks ``k``-th after each step, and
+    its series is the best leader fitness ever seen in that slot.
 
     Parameters
     ----------
@@ -389,55 +351,40 @@ def run(problem: Problem, config: LabConfig | None = None) -> RunTrace:
     sense = problem.sense
     start = time.perf_counter()
 
-    society = initialize_society(problem, config, config.seed)
+    state = init(problem, config, config.seed)
+    best_fitness = float(state.fit[state.best])
+    best_position = state.pos[state.best].copy()
+    history: list[list[float]] = []
+    records: list[IterationRecord] = []
 
-    best_ind = society.global_best
-    best_fitness = best_ind.fitness
-    best_position = best_ind.position.copy()
-
-    # Oriented best-so-far series: one global, one per group slot.
-    global_series = [oriented(best_fitness, sense)]
-    leader_series: list[list[float]] = [
-        [oriented(g.leader.fitness, sense)] for g in society.groups
-    ]
-
-    def snapshot() -> IterationRecord:
-        return IterationRecord(
-            iteration=society.iteration,
-            global_best=society.global_best.fitness,
-            leaders=tuple(g.leader.fitness for g in society.groups),
-            best_so_far=best_fitness,
-            elapsed_seconds=time.perf_counter() - start,
-        )
-
-    records = [snapshot()]
-    termination = TERMINATION_MAX_ITERATIONS
-    while society.iteration < config.max_iterations:
-        step(society, problem, config)
-
-        current = society.global_best
-        if is_better(current.fitness, best_fitness, sense):
-            best_fitness = current.fitness
-            best_position = current.position.copy()
-
-        global_series.append(oriented(best_fitness, sense))
-        for slot, group in enumerate(society.groups):
-            prev = leader_series[slot][-1]
-            leader_series[slot].append(
-                min(prev, oriented(group.leader.fitness, sense))
+    def observe() -> None:
+        leaders = state.fit[state.order[:, 0]].tolist()
+        current = [oriented(v, sense) for v in leaders]
+        if history:
+            current = [min(a, b) for a, b in zip(history[-1][1:], current)]
+        history.append([oriented(best_fitness, sense), *current])
+        records.append(
+            IterationRecord(
+                iteration=state.iteration,
+                global_best=leaders[0],
+                leaders=tuple(leaders),
+                best_so_far=best_fitness,
+                elapsed_seconds=time.perf_counter() - start,
             )
-        records.append(snapshot())
-
-        if society.iteration >= config.max_iterations:
-            termination = TERMINATION_MAX_ITERATIONS
-            break
-        stalled = _improved_less_than(
-            global_series, config.stall_window, config.stall_epsilon
-        ) and all(
-            _improved_less_than(series, config.stall_window, config.stall_epsilon)
-            for series in leader_series
         )
-        if stalled:
+
+    observe()
+    termination = TERMINATION_MAX_ITERATIONS
+    while state.iteration < config.max_iterations:
+        step(state, problem, config)
+        current = float(state.fit[state.best])
+        if is_better(current, best_fitness, sense):
+            best_fitness = current
+            best_position = state.pos[state.best].copy()
+        observe()
+        if state.iteration < config.max_iterations and _stalled(
+            history, config.stall_window, config.stall_epsilon
+        ):
             termination = TERMINATION_STALLED
             break
 
@@ -449,6 +396,6 @@ def run(problem: Problem, config: LabConfig | None = None) -> RunTrace:
         records=tuple(records),
         best_fitness=best_fitness,
         best_position=tuple(float(v) for v in best_position),
-        n_evaluations=society.n_evaluations,
+        n_evaluations=state.n_evaluations,
         termination=termination,
     )

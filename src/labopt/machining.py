@@ -92,6 +92,7 @@ class MachiningSpec:
             upper=np.asarray(self.upper),
             sense=self.sense,
             objective=self.evaluate,
+            vectorized=True,
         )
 
 

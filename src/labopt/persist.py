@@ -181,16 +181,14 @@ def write_convergence(traces: Sequence[RunTrace], path: str | Path) -> Path:
     matrix = np.array(series)  # runs x iterations
     header = ["iteration"] + [f"seed{t.seed}" for t in traces]
     header += ["median", "q25", "q75"]
+    median = np.median(matrix, axis=0)
+    q25 = np.quantile(matrix, 0.25, axis=0)
+    q75 = np.quantile(matrix, 0.75, axis=0)
     lines = [",".join(header)]
     for it in range(length):
-        col = matrix[:, it]
         row = [str(it)]
-        row += [_fmt(v) for v in col]
-        row += [
-            _fmt(np.median(col)),
-            _fmt(np.quantile(col, 0.25)),
-            _fmt(np.quantile(col, 0.75)),
-        ]
+        row += [_fmt(v) for v in matrix[:, it]]
+        row += [_fmt(median[it]), _fmt(q25[it]), _fmt(q75[it])]
         lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n", newline="\n")
     return path

@@ -55,6 +55,9 @@ class Problem:
         Whether the objective is minimized or maximized.
     objective : callable
         Maps a length-``dim`` vector to a real number.
+    vectorized : bool
+        When true, ``objective`` also maps an ``(m, dim)`` array to
+        ``m`` values, and ``evaluate_batch`` makes one call per batch.
     """
 
     name: str
@@ -63,6 +66,7 @@ class Problem:
     upper: np.ndarray
     sense: Sense
     objective: Callable[[np.ndarray], float]
+    vectorized: bool = False
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -89,6 +93,27 @@ class Problem:
                 f"objective of '{self.name}' returned {value!r}", x
             )
         return value
+
+    def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
+        """Evaluate every row of ``X``, rejecting non-finite results.
+
+        Rows are evaluated in order, one objective call each unless the
+        objective is vectorized.  The error names the first bad row.
+        """
+        X = np.asarray(X, dtype=float)
+        if self.vectorized:
+            values = np.asarray(self.objective(X), dtype=float)
+        else:
+            values = np.array([float(self.objective(x)) for x in X])
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            i = int(bad[0])
+            raise EvaluationError(
+                f"objective of '{self.name}' returned {float(values[i])!r} "
+                f"(batch row {i})",
+                X[i],
+            )
+        return values
 
     def contains(self, x: np.ndarray, atol: float = 0.0) -> bool:
         """True when ``x`` lies inside the box (within ``atol`` slack)."""

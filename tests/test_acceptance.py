@@ -15,14 +15,7 @@ import pytest
 from labopt import cli, machining
 from labopt.baselines import ALGORITHM_RANDOM, BaselineConfig, run_baseline
 from labopt.benchmarks import build_problem, get as get_benchmark
-from labopt.engine import (
-    LabConfig,
-    Role,
-    initialize_society,
-    run,
-    sample_weights,
-    step,
-)
+from labopt.engine import LabConfig, draw_weights, init, run, step
 from labopt.machining import grid_oracle, machining_registry
 from labopt.persist import read_summary, read_trace
 from labopt.problem import Sense, clamp_to_bounds, is_better, oriented
@@ -50,39 +43,35 @@ def test_engine_property_suite():
         directions = dir_rng.normal(size=(64, problem.dim))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
 
-        society = initialize_society(problem, config, config.seed)
+        state = init(problem, config, config.seed)
         population = config.population
         prev_widths = None
         for t in range(config.max_iterations + 1):
-            individuals = society.individuals()
-            assert len(individuals) == population
-            positions = np.array([ind.position for ind in individuals])
+            assert state.pos.shape == (population, problem.dim)
+            assert sorted(state.order.ravel().tolist()) == list(range(population))
+            positions = state.pos
 
             # feasibility: in the box, and clamping is a no-op
-            assert all(problem.contains(ind.position) for ind in individuals)
-            for ind in individuals:
-                assert np.array_equal(
-                    clamp_to_bounds(ind.position, problem), ind.position
-                )
+            assert all(problem.contains(x) for x in positions)
+            for x in positions:
+                assert np.array_equal(clamp_to_bounds(x, problem), x)
 
             # role ordering inside each group, best leader first globally
-            for group in society.groups:
-                fits = [oriented(m.fitness, problem.sense) for m in group.members]
+            for row in state.order:
+                fits = [oriented(v, problem.sense) for v in state.fit[row].tolist()]
                 assert fits == sorted(fits)
-                assert group.leader is group.members[0]
-                assert group.advocate is group.members[1]
-                assert len(group.believers) == config.group_size - 2
+            # column 0 leaders, column 1 advocates, the rest believers
+            assert state.order.shape == (config.num_groups, config.group_size)
+            assert state.order[:, 2:].shape[1] == config.group_size - 2
             leader_fits = [
-                oriented(g.leader.fitness, problem.sense) for g in society.groups
+                oriented(v, problem.sense)
+                for v in state.fit[state.order[:, 0]].tolist()
             ]
             assert leader_fits == sorted(leader_fits)
-            assert society.global_best is society.groups[0].leader
-            assert [g.group_index for g in society.groups] == list(
-                range(1, config.num_groups + 1)
-            )
+            assert state.best == state.order[0, 0]
 
             # every evaluation is accounted for
-            assert society.n_evaluations == population * (t + 1)
+            assert state.n_evaluations == population * (t + 1)
 
             # recombination never leaves the current convex hull
             widths = support_widths(positions, directions)
@@ -91,18 +80,17 @@ def test_engine_property_suite():
             prev_widths = widths
 
             if t < config.max_iterations:
-                step(society, problem, config)
+                step(state, problem, config)
 
     # weight sampler: ordered, strictly inside (0, 1), unit sum
     rng = np.random.default_rng(99)
-    for _ in range(100_000):
-        w = sample_weights(Role.LEADER, rng)
-        assert 0.0 < w.w3 < w.w2 < w.w1 < 1.0
-        assert abs(w.w1 + w.w2 + w.w3 - 1.0) <= 1e-12
-    for _ in range(10_000):
-        w = sample_weights(Role.BELIEVER, rng)
-        assert 0.5 <= w.w1 < 1.0
-        assert w.w1 + w.w2 == 1.0
+    w, _ = draw_weights(rng, 100_000, 3)
+    assert np.all((0.0 < w[:, 2]) & (w[:, 2] < w[:, 1]) & (w[:, 1] < w[:, 0]))
+    assert np.all(w[:, 0] < 1.0)
+    assert np.all(np.abs(w[:, 0] + w[:, 1] + w[:, 2] - 1.0) <= 1e-12)
+    _, u = draw_weights(rng, 10_000, 3)
+    assert np.all((0.5 <= u) & (u < 1.0))
+    assert np.all(u + (1.0 - u) == 1.0)
 
 
 # --- 2. desk-scale optima on the classic test functions --------------------

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from labopt import cli
@@ -164,6 +165,26 @@ def test_compare_relabels_duplicate_algorithms(tmp_path, capsys):
     assert (row["wins_a"], row["wins_b"], row["ties"]) == (0, 0, 1)
 
 
+def test_compare_relabels_duplicates_within_one_root(tmp_path, capsys):
+    # two F10 lab runs under one root used to overwrite each other
+    root = tmp_path / "root"
+    for sub, seed in (("x", "0"), ("y", "100")):
+        assert run_cli(
+            ["run", "--problem", "F10", "--runs", "6", "--iters", "10",
+             "--seed", seed, "--out", str(root / sub)]
+        ) == 0
+    assert run_cli(
+        ["run", "--problem", "F10", "--algo", "random_search", "--runs", "6",
+         "--budget", "220", "--out", str(root / "x")]
+    ) == 0
+    capsys.readouterr()
+    assert run_cli(["compare", str(root), "--out", str(tmp_path / "cmp")]) == 0
+    text = capsys.readouterr().out
+    assert f"note: duplicate algorithm label, lab from {root} -> lab@2" in text
+    report = json.loads((tmp_path / "cmp" / "report.json").read_text())
+    assert report["algorithms"] == ["lab", "lab@2", "random_search"]
+
+
 def test_compare_without_summaries_exits_2(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     assert run_cli(["compare", str(tmp_path / "empty")]) == 2
@@ -197,3 +218,29 @@ def test_oracle_refinement_improves(tmp_path):
 def test_oracle_rejects_benchmarks(tmp_path, capsys):
     assert run_cli(["oracle", "--problem", "F10", "--out", str(tmp_path)]) == 2
     assert "machining models only" in capsys.readouterr().err
+
+
+def test_nonfinite_objective_exits_2_naming_problem_seed_and_position(
+    tmp_path, capsys, monkeypatch
+):
+    real_build = cli.benchmarks.build_problem
+
+    def nan_build(spec_id, dim=None, noise_seed=None):
+        problem = real_build(spec_id, dim=dim, noise_seed=noise_seed)
+        problem.objective = lambda x: float("nan")
+        return problem
+
+    monkeypatch.setattr(cli.benchmarks, "build_problem", nan_build)
+    code = run_cli(
+        ["run", "--problem", "F10", "--runs", "2", "--seed", "3",
+         "--out", str(tmp_path)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    problem = real_build("F10")
+    first = np.random.default_rng(3).uniform(problem.lower, problem.upper, (20, 2))[0]
+    position = ", ".join(repr(v) for v in first.tolist())
+    assert err.startswith("error: F10 [lab] seed 3: ")
+    assert "returned nan (batch row 0)" in err
+    assert err.rstrip().endswith(f"at position ({position})")
+    assert "Traceback" not in err

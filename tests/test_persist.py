@@ -149,6 +149,43 @@ def test_convergence_table_pads_short_runs(tmp_path):
         write_convergence([], tmp_path / "empty.csv")
 
 
+def test_convergence_stats_equal_per_row_numpy_calls(tmp_path):
+    # the stats columns are computed for all rows at once; each must be
+    # bit-equal to np.median / np.quantile of that row alone
+    rng = np.random.default_rng(21)
+    for trial in range(40):
+        runs = int(rng.integers(1, 9))
+        traces = []
+        for seed in range(runs):
+            n = int(rng.integers(1, 30))
+            values = np.round(rng.normal(size=n), int(rng.integers(0, 4)))
+            traces.append(
+                RunTrace(
+                    problem="p",
+                    algorithm="alg",
+                    sense=Sense.MINIMIZE,
+                    seed=seed,
+                    records=tuple(
+                        IterationRecord(i, v, (), v, 0.0)
+                        for i, v in enumerate(values.tolist())
+                    ),
+                    best_fitness=float(values[-1]),
+                    best_position=(0.0,),
+                    n_evaluations=n,
+                    termination=TERMINATION_MAX_ITERATIONS,
+                )
+            )
+        path = write_convergence(traces, tmp_path / f"c{trial}.csv")
+        for line in path.read_text().splitlines()[1:]:
+            cells = [float(v) for v in line.split(",")[1:]]
+            col = np.array(cells[:runs])
+            assert cells[runs:] == [
+                float(np.median(col)),
+                float(np.quantile(col, 0.25)),
+                float(np.quantile(col, 0.75)),
+            ]
+
+
 def comparison_report():
     rng = np.random.default_rng(3)
     summaries = []

@@ -83,6 +83,29 @@ def test_nonfinite_objective_value_raises_with_position():
         p.evaluate(np.array([0.0, 0.0]))
 
 
+def test_evaluate_batch_equals_evaluate_row_by_row():
+    X = np.array([[0.5, -1.5], [-1.0, 2.0], [0.1, 0.2]])
+    loop = make_problem()
+    assert loop.evaluate_batch(X).tolist() == [loop.evaluate(x) for x in X]
+    vec = make_problem(
+        objective=lambda X: np.sum(np.asarray(X) ** 2, axis=-1), vectorized=True
+    )
+    assert vec.evaluate_batch(X).tolist() == [loop.evaluate(x) for x in X]
+
+
+@pytest.mark.parametrize("vectorized", [False, True])
+def test_evaluate_batch_names_the_first_nonfinite_row(vectorized):
+    # nan wherever the first coordinate is positive, for a point or a batch
+    def objective(X):
+        return np.where(np.asarray(X)[..., 0] > 0.0, np.nan, 0.0)
+
+    p = make_problem(objective=objective, vectorized=vectorized)
+    with pytest.raises(EvaluationError) as err:
+        p.evaluate_batch(np.array([[-0.5, 0.0], [0.25, 0.5], [0.75, 0.0]]))
+    assert np.array_equal(err.value.position, [0.25, 0.5])
+    assert "returned nan (batch row 1)" in str(err.value)
+
+
 def test_contains_with_and_without_slack():
     p = make_problem()
     assert p.contains([0.0, 0.0])
