@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -28,6 +29,22 @@ def test_list_problems_json(capsys):
     assert len(data["benchmarks"]) == 27
     assert len(data["machining"]) == 23
     assert data["benchmarks"][0]["id"] == "F1"
+
+
+# sha256 of both list-problems outputs, frozen on the catalogs as they
+# were before the lookups were indexed; any change to either catalog's
+# contents or formatting shows up here.
+LIST_PROBLEMS_SHA256 = {
+    "text": "35435ff07d2dc6d684ef57271f82da1818fc3cbccb14bf18dcaf3655a6466b2c",
+    "json": "0d43f104f7c421aea1e5be23b468c3c8a5c43a6a2931e9c14ab3deb3b8b85e71",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(LIST_PROBLEMS_SHA256))
+def test_list_problems_output_is_frozen(capsys, fmt):
+    assert run_cli(["list-problems", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == LIST_PROBLEMS_SHA256[fmt]
 
 
 def test_run_writes_expected_files(tmp_path, capsys):
