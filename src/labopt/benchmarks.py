@@ -405,6 +405,9 @@ class BenchmarkSpec:
     ``known_minimizer`` are reference values where an analytic optimum
     (or a well-established numeric one) exists; they are None for the
     Langermann functions, whose exact optima are not tabulated.
+    ``objective`` is the function :func:`build_problem` wraps; for
+    Quartic it is the noise-free core, since every built Problem gets
+    its own seeded noise stream.
     """
 
     id: str
@@ -415,7 +418,12 @@ class BenchmarkSpec:
     upper: float
     known_best: float | None
     known_minimizer: tuple[float, ...] | None
-    problem: Problem
+    objective: Callable[[np.ndarray], float]
+
+    @property
+    def problem(self) -> Problem:
+        """A fresh Problem at the canonical dimension."""
+        return build_problem(self.id)
 
 
 # Entries whose implementation really is additively separable.  Foxholes
@@ -424,18 +432,7 @@ class BenchmarkSpec:
 SEPARABLE_IDS = ("F7", "F32", "F33", "F44", "F45", "F47")
 
 # Scalable families accept a dimension override in build_problem.
-_SCALABLE = {
-    "F5": ackley,
-    "F13": dixon_price,
-    "F18": griewank,
-    "F33": rastrigin,
-    "F37": schwefel_1_2,
-    "F38": schwefel_2_22,
-    "F44": sphere,
-    "F45": step2,
-    "F47": sumsquares,
-    "F50": zakharov,
-}
+_SCALABLE = ("F5", "F13", "F18", "F33", "F37", "F38", "F44", "F45", "F47", "F50")
 
 _QUARTIC_NOISE_SEED = 0
 
@@ -465,143 +462,71 @@ _KOWALIK_MIN = (
 )
 
 
-def _rows(quartic_noise_seed: int, quartic_noise: bool):
-    origin = lambda d: tuple([0.0] * d)  # noqa: E731
-    return [
+def _origin(dim: int) -> tuple[float, ...]:
+    return (0.0,) * dim
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
+# Built once at import; specs are immutable, Problems are built per call.
+_SPECS = tuple(
+    BenchmarkSpec(*row)
+    for row in (
         ("F1", "Foxholes", "MS", 2, -65.536, 65.536, _FOXHOLES_BEST, (-32.0, -32.0), foxholes),
-        ("F5", "Ackley", "MN", 30, -32.0, 32.0, 0.0, origin(30), ackley),
-        ("F7", "Bohachevsky1", "MS", 2, -100.0, 100.0, 0.0, origin(2), bohachevsky1),
-        ("F8", "Bohachevsky2", "MN", 2, -100.0, 100.0, 0.0, origin(2), bohachevsky2),
-        ("F9", "Bohachevsky3", "MN", 2, -100.0, 100.0, 0.0, origin(2), bohachevsky3),
+        ("F5", "Ackley", "MN", 30, -32.0, 32.0, 0.0, _origin(30), ackley),
+        ("F7", "Bohachevsky1", "MS", 2, -100.0, 100.0, 0.0, _origin(2), bohachevsky1),
+        ("F8", "Bohachevsky2", "MN", 2, -100.0, 100.0, 0.0, _origin(2), bohachevsky2),
+        ("F9", "Bohachevsky3", "MN", 2, -100.0, 100.0, 0.0, _origin(2), bohachevsky3),
         ("F10", "Booth", "MS", 2, -10.0, 10.0, 0.0, (1.0, 3.0), booth),
-        (
-            "F13",
-            "Dixon-Price",
-            "UN",
-            30,
-            -10.0,
-            10.0,
-            0.0,
-            tuple(float(v) for v in dixon_price_minimizer(30)),
-            dixon_price,
-        ),
-        (
-            "F15",
-            "Fletcher",
-            "MN",
-            2,
-            -3.1416,
-            3.1416,
-            0.0,
-            tuple(float(v) for v in FLETCHER_ALPHA[2]),
-            make_fletcher(2),
-        ),
-        (
-            "F16",
-            "Fletcher",
-            "MN",
-            5,
-            -3.1416,
-            3.1416,
-            0.0,
-            tuple(float(v) for v in FLETCHER_ALPHA[5]),
-            make_fletcher(5),
-        ),
-        (
-            "F17",
-            "Fletcher",
-            "MN",
-            10,
-            -3.1416,
-            3.1416,
-            0.0,
-            tuple(float(v) for v in FLETCHER_ALPHA[10]),
-            make_fletcher(10),
-        ),
-        ("F18", "Griewank", "MN", 30, -600.0, 600.0, 0.0, origin(30), griewank),
+        ("F13", "Dixon-Price", "UN", 30, -10.0, 10.0, 0.0,
+         _floats(dixon_price_minimizer(30)), dixon_price),
+        ("F15", "Fletcher", "MN", 2, -3.1416, 3.1416, 0.0,
+         _floats(FLETCHER_ALPHA[2]), make_fletcher(2)),
+        ("F16", "Fletcher", "MN", 5, -3.1416, 3.1416, 0.0,
+         _floats(FLETCHER_ALPHA[5]), make_fletcher(5)),
+        ("F17", "Fletcher", "MN", 10, -3.1416, 3.1416, 0.0,
+         _floats(FLETCHER_ALPHA[10]), make_fletcher(10)),
+        ("F18", "Griewank", "MN", 30, -600.0, 600.0, 0.0, _origin(30), griewank),
         ("F19", "Hartman3", "MN", 3, 0.0, 1.0, _HARTMAN3_BEST, _HARTMAN3_MIN, hartman3),
         ("F20", "Hartman6", "MN", 6, 0.0, 1.0, _HARTMAN6_BEST, _HARTMAN6_MIN, hartman6),
         ("F21", "Kowalik", "MN", 4, -5.0, 5.0, _KOWALIK_BEST, _KOWALIK_MIN, kowalik),
         ("F23", "Langermann5", "MN", 5, 0.0, 10.0, None, None, make_langermann(5)),
         ("F24", "Langermann10", "MN", 10, 0.0, 10.0, None, None, make_langermann(10)),
-        ("F25", "Matyas", "UN", 2, -10.0, 10.0, 0.0, origin(2), matyas),
-        (
-            "F32",
-            "Quartic",
-            "US",
-            30,
-            -1.28,
-            1.28,
-            0.0,
-            origin(30),
-            QuarticObjective(quartic_noise_seed, noisy=quartic_noise),
-        ),
-        ("F33", "Rastrigin", "MS", 30, -5.12, 5.12, 0.0, origin(30), rastrigin),
-        ("F35", "Schaffer", "MN", 2, -100.0, 100.0, 0.0, origin(2), schaffer),
-        ("F37", "Schwefel_1_2", "UN", 30, -100.0, 100.0, 0.0, origin(30), schwefel_1_2),
-        ("F38", "Schwefel_2_22", "UN", 30, -10.0, 10.0, 0.0, origin(30), schwefel_2_22),
-        (
-            "F43",
-            "Six-hump camelback",
-            "MN",
-            2,
-            -5.0,
-            5.0,
-            _CAMELBACK_BEST,
-            _CAMELBACK_MIN,
-            six_hump_camelback,
-        ),
-        ("F44", "Sphere2", "US", 30, -100.0, 100.0, 0.0, origin(30), sphere),
-        ("F45", "Step2", "US", 30, -100.0, 100.0, 0.0, origin(30), step2),
-        ("F47", "Sumsquares", "US", 30, -10.0, 10.0, 0.0, origin(30), sumsquares),
-        ("F50", "Zakharov", "UN", 10, -5.0, 10.0, 0.0, origin(10), zakharov),
-    ]
+        ("F25", "Matyas", "UN", 2, -10.0, 10.0, 0.0, _origin(2), matyas),
+        ("F32", "Quartic", "US", 30, -1.28, 1.28, 0.0, _origin(30), quartic),
+        ("F33", "Rastrigin", "MS", 30, -5.12, 5.12, 0.0, _origin(30), rastrigin),
+        ("F35", "Schaffer", "MN", 2, -100.0, 100.0, 0.0, _origin(2), schaffer),
+        ("F37", "Schwefel_1_2", "UN", 30, -100.0, 100.0, 0.0, _origin(30), schwefel_1_2),
+        ("F38", "Schwefel_2_22", "UN", 30, -10.0, 10.0, 0.0, _origin(30), schwefel_2_22),
+        ("F43", "Six-hump camelback", "MN", 2, -5.0, 5.0, _CAMELBACK_BEST, _CAMELBACK_MIN,
+         six_hump_camelback),
+        ("F44", "Sphere2", "US", 30, -100.0, 100.0, 0.0, _origin(30), sphere),
+        ("F45", "Step2", "US", 30, -100.0, 100.0, 0.0, _origin(30), step2),
+        ("F47", "Sumsquares", "US", 30, -10.0, 10.0, 0.0, _origin(30), sumsquares),
+        ("F50", "Zakharov", "UN", 10, -5.0, 10.0, 0.0, _origin(10), zakharov),
+    )
+)
+_BY_ID = {spec.id: spec for spec in _SPECS}
 
 
-def registry(
-    quartic_noise_seed: int = _QUARTIC_NOISE_SEED, quartic_noise: bool = True
-) -> list[BenchmarkSpec]:
-    """Build the full 27-entry catalog.
+def registry() -> list[BenchmarkSpec]:
+    """The full 27-entry catalog, in table order.
 
-    Each call constructs fresh objective instances, so the Quartic
-    noise stream always starts from its seed and repeated experiments
-    stay reproducible.
+    Specs hold no evaluation state; each ``.problem`` read builds a
+    fresh Problem, so the Quartic noise stream always starts from its
+    seed and repeated experiments stay reproducible.
     """
-    specs = []
-    for id_, name, tags, dim, lo, hi, best, minimizer, fn in _rows(
-        quartic_noise_seed, quartic_noise
-    ):
-        problem = Problem(
-            name=id_,
-            dim=dim,
-            lower=np.full(dim, lo),
-            upper=np.full(dim, hi),
-            sense=Sense.MINIMIZE,
-            objective=fn,
-        )
-        specs.append(
-            BenchmarkSpec(
-                id=id_,
-                name=name,
-                tags=tags,
-                dim=dim,
-                lower=lo,
-                upper=hi,
-                known_best=best,
-                known_minimizer=minimizer,
-                problem=problem,
-            )
-        )
-    return specs
+    return list(_SPECS)
 
 
 def get(spec_id: str) -> BenchmarkSpec:
     """Look up one catalog entry by id (case-insensitive)."""
-    wanted = spec_id.upper()
-    for spec in registry():
-        if spec.id == wanted:
-            return spec
-    raise KeyError(f"unknown benchmark id {spec_id!r}")
+    try:
+        return _BY_ID[spec_id.upper()]
+    except KeyError:
+        raise KeyError(f"unknown benchmark id {spec_id!r}") from None
 
 
 def build_problem(
@@ -616,30 +541,28 @@ def build_problem(
     reproducible per seed.
     """
     spec = get(spec_id)
-    if dim is not None and dim != spec.dim:
-        fn = _SCALABLE.get(spec.id)
-        if fn is None:
-            raise ValueError(f"benchmark {spec.id} has a fixed dimension of {spec.dim}")
-        if dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {dim}")
-        return Problem(
-            name=f"{spec.id}@{dim}",
-            dim=dim,
-            lower=np.full(dim, spec.lower),
-            upper=np.full(dim, spec.upper),
-            sense=Sense.MINIMIZE,
-            objective=fn,
+    name = spec.id
+    if dim is None or dim == spec.dim:
+        dim = spec.dim
+    elif spec.id not in _SCALABLE:
+        raise ValueError(f"benchmark {spec.id} has a fixed dimension of {spec.dim}")
+    elif dim < 1:
+        raise ValueError(f"dimension must be >= 1, got {dim}")
+    else:
+        name = f"{spec.id}@{dim}"
+    objective = spec.objective
+    if spec.id == "F32":
+        objective = QuarticObjective(
+            _QUARTIC_NOISE_SEED if noise_seed is None else noise_seed
         )
-    if spec.id == "F32" and noise_seed is not None:
-        return Problem(
-            name=spec.id,
-            dim=spec.dim,
-            lower=np.full(spec.dim, spec.lower),
-            upper=np.full(spec.dim, spec.upper),
-            sense=Sense.MINIMIZE,
-            objective=QuarticObjective(noise_seed),
-        )
-    return spec.problem
+    return Problem(
+        name=name,
+        dim=dim,
+        lower=np.full(dim, spec.lower),
+        upper=np.full(dim, spec.upper),
+        sense=Sense.MINIMIZE,
+        objective=objective,
+    )
 
 
 def catalog() -> list[dict]:

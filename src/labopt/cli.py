@@ -157,18 +157,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     problems = _resolve_selector(args.problem)
     out_root = _out_root(args.out)
     for name, factory in problems:
+        run_dir = out_root / f"{_slug(name)}__{args.algo}"
         traces = []
         for i in range(args.runs):
             run_seed = args.seed + i
             try:
-                traces.append(_run_one(args, factory(run_seed), run_seed))
+                trace = _run_one(args, factory(run_seed), run_seed)
             except EvaluationError as exc:
                 raise EvaluationError(
                     f"{name} [{args.algo}] seed {run_seed}: {exc}", exc.position
                 ) from exc
-        run_dir = out_root / f"{_slug(name)}__{args.algo}"
-        for trace in traces:
-            write_trace(trace, run_dir / f"trace_seed{trace.seed}.csv")
+            # Written as each seed finishes, so a later failure keeps it.
+            write_trace(trace, run_dir / f"trace_seed{run_seed}.csv")
+            traces.append(trace)
         summary = summarize(traces)
         write_summary(summary, run_dir / "summary.json")
         write_convergence(traces, run_dir / "convergence.csv")

@@ -9,6 +9,7 @@ reported in the summary JSON instead.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .engine import IterationRecord, RunTrace
 from .problem import Sense
-from .stats import ComparisonReport, RunSummary, WilcoxonResult
+from .stats import ComparisonReport, ProblemTest, RunSummary
 
 
 def _fmt(x: float) -> str:
@@ -194,16 +195,16 @@ def write_convergence(traces: Sequence[RunTrace], path: str | Path) -> Path:
     return path
 
 
-def _result_dict(r: WilcoxonResult) -> dict:
-    return {
-        "t_plus": r.t_plus,
-        "t_minus": r.t_minus,
-        "n_effective": r.n_effective,
-        "p_value": r.p_value,
-        "verdict": r.verdict,
-        "degenerate": r.degenerate,
-        "method": r.method,
-    }
+def _per_problem_row(t: ProblemTest) -> str:
+    """One per-problem verdict line, shared by report.txt and per_problem.csv."""
+    r = t.result
+    return ",".join(
+        [
+            t.problem, t.algo_a, t.algo_b,
+            _fmt(r.t_plus), _fmt(r.t_minus), str(r.n_effective),
+            _fmt(r.p_value), r.method, r.verdict,
+        ]
+    )
 
 
 def _report_dict(report: ComparisonReport) -> dict:
@@ -217,7 +218,7 @@ def _report_dict(report: ComparisonReport) -> dict:
                 "problem": t.problem,
                 "algo_a": t.algo_a,
                 "algo_b": t.algo_b,
-                **_result_dict(t.result),
+                **asdict(t.result),
             }
             for t in report.per_problem
         ],
@@ -228,7 +229,7 @@ def _report_dict(report: ComparisonReport) -> dict:
                 "wins_a": row.wins_a,
                 "wins_b": row.wins_b,
                 "ties": row.ties,
-                "overall": _result_dict(row.overall),
+                "overall": asdict(row.overall),
             }
             for row in report.pairwise
         ],
@@ -250,20 +251,10 @@ def format_report_text(report: ComparisonReport) -> str:
         "",
         "per-problem verdicts",
         "problem,algo_a,algo_b,t_plus,t_minus,n_eff,p_value,method,verdict",
+        *(_per_problem_row(t) for t in report.per_problem),
+        "",
+        "pairwise counts",
     ]
-    for t in report.per_problem:
-        r = t.result
-        lines.append(
-            ",".join(
-                [
-                    t.problem, t.algo_a, t.algo_b,
-                    _fmt(r.t_plus), _fmt(r.t_minus), str(r.n_effective),
-                    _fmt(r.p_value), r.method, r.verdict,
-                ]
-            )
-        )
-    lines.append("")
-    lines.append("pairwise counts")
     for row in report.pairwise:
         r = row.overall
         lines.append(
@@ -289,18 +280,10 @@ def write_comparison(report: ComparisonReport, out_dir: str | Path) -> dict[str,
         newline="\n",
     )
 
-    per_lines = ["problem,algo_a,algo_b,t_plus,t_minus,n_effective,p_value,method,verdict"]
-    for t in report.per_problem:
-        r = t.result
-        per_lines.append(
-            ",".join(
-                [
-                    t.problem, t.algo_a, t.algo_b,
-                    _fmt(r.t_plus), _fmt(r.t_minus), str(r.n_effective),
-                    _fmt(r.p_value), r.method, r.verdict,
-                ]
-            )
-        )
+    per_lines = [
+        "problem,algo_a,algo_b,t_plus,t_minus,n_effective,p_value,method,verdict",
+        *(_per_problem_row(t) for t in report.per_problem),
+    ]
     paths["per_problem_csv"] = out / "per_problem.csv"
     paths["per_problem_csv"].write_text("\n".join(per_lines) + "\n", newline="\n")
 

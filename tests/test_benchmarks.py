@@ -231,6 +231,24 @@ def test_registry_rebuilds_fresh_noise_stream():
     assert first == second  # same registry seed, fresh stream each call
 
 
+def test_every_build_returns_a_fresh_problem():
+    # Quartic noise restarts from its seed on every build and every read
+    x = np.full(30, 0.3)
+    built = [build_problem("F32").evaluate(x) for _ in range(2)]
+    read = [[s for s in registry() if s.id == "F32"][0].problem.evaluate(x) for _ in range(2)]
+    assert built[0] == built[1] == read[0] == read[1]
+    # changes to one returned Problem never reach the next one
+    for make in (lambda: build_problem("F10"), lambda: benchmarks.get("F10").problem):
+        first = make()
+        first.lower[:] = 5.0
+        first.lower = np.full(2, 7.0)
+        first.objective = lambda x: float("nan")
+        second = make()
+        assert second is not first
+        assert np.all(second.lower == -10.0)
+        assert second.evaluate(np.array([1.0, 3.0])) == 0.0
+
+
 def test_build_problem_dim_override_for_scalable_families():
     p = build_problem("F44", dim=5)
     assert p.name == "F44@5"

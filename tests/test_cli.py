@@ -261,3 +261,27 @@ def test_nonfinite_objective_exits_2_naming_problem_seed_and_position(
     assert "returned nan (batch row 0)" in err
     assert err.rstrip().endswith(f"at position ({position})")
     assert "Traceback" not in err
+
+
+def test_failed_seed_keeps_finished_traces_and_writes_no_summary(
+    tmp_path, capsys, monkeypatch
+):
+    real_build = cli.benchmarks.build_problem
+
+    def nan_on_seed_1(spec_id, dim=None, noise_seed=None):
+        problem = real_build(spec_id, dim=dim, noise_seed=noise_seed)
+        if noise_seed == 1:
+            problem.objective = lambda x: float("nan")
+        return problem
+
+    monkeypatch.setattr(cli.benchmarks, "build_problem", nan_on_seed_1)
+    code = run_cli(["run", "--problem", "F10", "--runs", "2", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: F10 [lab] seed 1: ")
+    run_dir = tmp_path / "F10__lab"
+    assert sorted(p.name for p in run_dir.iterdir()) == ["trace_seed0.csv"]
+    # the kept trace is the one a clean run of seed 0 writes
+    monkeypatch.setattr(cli.benchmarks, "build_problem", real_build)
+    assert run_cli(["run", "--problem", "F10", "--out", str(tmp_path / "clean")]) == 0
+    clean = tmp_path / "clean" / "F10__lab" / "trace_seed0.csv"
+    assert (run_dir / "trace_seed0.csv").read_bytes() == clean.read_bytes()

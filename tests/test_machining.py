@@ -204,6 +204,8 @@ def test_vectorized_evaluation_equals_scalar_loop():
         assert vec.shape == (25,)
         scalar = np.array([spec.evaluate(p) for p in pts])
         assert np.array_equal(vec, scalar), spec.key
+        grid = spec.evaluate(pts[:21].reshape(7, 3, spec.dim))
+        assert np.array_equal(grid, vec[:21].reshape(7, 3)), spec.key
 
 
 def test_evaluate_rejects_out_of_box_and_bad_shape():
