@@ -12,6 +12,7 @@ Booth both contain cross terms); see the notes on ``SEPARABLE_IDS``.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -22,12 +23,6 @@ from .problem import Problem, Sense
 
 # ---------------------------------------------------------------------------
 # coefficient tables
-
-
-def _check_dim(x: np.ndarray, dim: int, name: str) -> None:
-    if x.shape != (dim,):
-        raise ValueError(f"{name} expects dimension {dim}, got shape {x.shape}")
-
 
 # Shekel's Foxholes (De Jong F5): 25 wells on a 5x5 lattice.
 _FOXHOLES_OFFSETS = (-32.0, -16.0, 0.0, 16.0, 32.0)
@@ -171,70 +166,116 @@ FLETCHER_ALPHA = {
 
 # ---------------------------------------------------------------------------
 # objective functions
+#
+# Every objective maps ``(..., dim)`` points to one value per point (a
+# float for a single point), so a whole population is one call.  The
+# batched values are bit-for-bit those of the one-point formulas they
+# replaced, which the golden traces pin.  Where numpy's array kernels
+# round differently from the scalar code, the scalar routine is kept:
+# - a power of one coordinate, or of a per-point scalar, goes through
+#   libm ``pow`` element by element (``_pow``); numpy's SIMD array power
+#   can differ from it in the last bit (on an AVX-512 CPU, for about
+#   0.1% of ``x**2`` and 3% of ``x**4`` draws).  Powers of whole
+#   coordinate arrays were array powers before and stay so;
+# - Ackley applies ``math.exp`` to its per-point sums, since numpy's
+#   SIMD ``exp`` also differs from libm's in the last bit;
+# - Fletcher multiplies each point's ``sin``/``cos`` vector by its
+#   matrices with ``np.matmul`` over a trailing vector axis, one gemv
+#   per point; ``np.sin(X) @ a.T`` sums the products in another order.
 
 
-def foxholes(x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    _check_dim(x, 2, "foxholes")
-    denom = np.arange(1.0, 26.0) + np.sum((x - FOXHOLES_A) ** 6, axis=1)
-    return 1.0 / (1.0 / 500.0 + np.sum(1.0 / denom))
+def _batched(dim: int | None = None):
+    """Serve ``(..., dim)`` input from a formula over ``(m, dim)`` rows.
+
+    The formula always sees a C-contiguous 2-D array, so each row
+    reduces exactly as a lone point would.  A fixed ``dim`` is checked
+    against the last axis.
+    """
+
+    def wrap(formula):
+        @functools.wraps(formula)
+        def objective(x: np.ndarray) -> np.ndarray | float:
+            x = np.asarray(x, dtype=float)
+            if x.ndim == 0 or (dim is not None and x.shape[-1] != dim):
+                raise ValueError(
+                    f"{formula.__name__} expects points of shape (..., {dim or 'dim'}), "
+                    f"got shape {x.shape}"
+                )
+            values = formula(np.ascontiguousarray(x.reshape(-1, x.shape[-1])))
+            return float(values[0]) if x.ndim == 1 else values.reshape(x.shape[:-1])
+
+        return objective
+
+    return wrap
 
 
-def ackley(x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    return float(
-        -20.0 * math.exp(-0.2 * math.sqrt(np.sum(x**2) / n))
-        - math.exp(np.sum(np.cos(2.0 * math.pi * x)) / n)
-        + 20.0
-        + math.e
+def _pow(a: np.ndarray, k: int) -> np.ndarray:
+    """``a ** k`` element by element through libm ``pow``."""
+    return np.array([v**k for v in a.tolist()])
+
+
+@_batched(2)
+def foxholes(x: np.ndarray) -> np.ndarray:
+    denom = np.arange(1.0, 26.0) + np.sum((x[:, None, :] - FOXHOLES_A) ** 6, axis=-1)
+    return 1.0 / (1.0 / 500.0 + np.sum(1.0 / denom, axis=-1))
+
+
+@_batched()
+def ackley(x: np.ndarray) -> np.ndarray:
+    n = x.shape[-1]
+    sq = np.sqrt(np.sum(x**2, axis=-1) / n).tolist()
+    cs = (np.sum(np.cos(2.0 * math.pi * x), axis=-1) / n).tolist()
+    return np.array(
+        [-20.0 * math.exp(-0.2 * s) - math.exp(c) + 20.0 + math.e for s, c in zip(sq, cs)]
     )
 
 
-def bohachevsky1(x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    _check_dim(x, 2, "bohachevsky1")
-    return float(
-        x[0] ** 2
-        + 2.0 * x[1] ** 2
-        - 0.3 * math.cos(3.0 * math.pi * x[0])
-        - 0.4 * math.cos(4.0 * math.pi * x[1])
+@_batched(2)
+def bohachevsky1(x: np.ndarray) -> np.ndarray:
+    x1, x2 = x.T
+    return (
+        _pow(x1, 2)
+        + 2.0 * _pow(x2, 2)
+        - 0.3 * np.cos(3.0 * math.pi * x1)
+        - 0.4 * np.cos(4.0 * math.pi * x2)
         + 0.7
     )
 
 
-def bohachevsky2(x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    _check_dim(x, 2, "bohachevsky2")
-    return float(
-        x[0] ** 2
-        + 2.0 * x[1] ** 2
-        - 0.3 * math.cos(3.0 * math.pi * x[0]) * math.cos(4.0 * math.pi * x[1])
+@_batched(2)
+def bohachevsky2(x: np.ndarray) -> np.ndarray:
+    x1, x2 = x.T
+    return (
+        _pow(x1, 2)
+        + 2.0 * _pow(x2, 2)
+        - 0.3 * np.cos(3.0 * math.pi * x1) * np.cos(4.0 * math.pi * x2)
         + 0.3
     )
 
 
-def bohachevsky3(x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    _check_dim(x, 2, "bohachevsky3")
-    return float(
-        x[0] ** 2
-        + 2.0 * x[1] ** 2
-        - 0.3 * math.cos(3.0 * math.pi * x[0] + 4.0 * math.pi * x[1])
+@_batched(2)
+def bohachevsky3(x: np.ndarray) -> np.ndarray:
+    x1, x2 = x.T
+    return (
+        _pow(x1, 2)
+        + 2.0 * _pow(x2, 2)
+        - 0.3 * np.cos(3.0 * math.pi * x1 + 4.0 * math.pi * x2)
         + 0.3
     )
 
 
-def booth(x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    _check_dim(x, 2, "booth")
-    return float((x[0] + 2.0 * x[1] - 7.0) ** 2 + (2.0 * x[0] + x[1] - 5.0) ** 2)
+@_batched(2)
+def booth(x: np.ndarray) -> np.ndarray:
+    x1, x2 = x.T
+    return _pow(x1 + 2.0 * x2 - 7.0, 2) + _pow(2.0 * x1 + x2 - 5.0, 2)
 
 
-def dixon_price(x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    idx = np.arange(2.0, x.size + 1.0)
-    return float((x[0] - 1.0) ** 2 + np.sum(idx * (2.0 * x[1:] ** 2 - x[:-1]) ** 2))
+@_batched()
+def dixon_price(x: np.ndarray) -> np.ndarray:
+    idx = np.arange(2.0, x.shape[-1] + 1.0)
+    return _pow(x[:, 0] - 1.0, 2) + np.sum(
+        idx * (2.0 * x[:, 1:] ** 2 - x[:, :-1]) ** 2, axis=-1
+    )
 
 
 def dixon_price_minimizer(dim: int) -> np.ndarray:
@@ -243,77 +284,74 @@ def dixon_price_minimizer(dim: int) -> np.ndarray:
     return 2.0 ** (-(2.0**i - 2.0) / 2.0**i)
 
 
-def make_fletcher(dim: int) -> Callable[[np.ndarray], float]:
+def make_fletcher(dim: int) -> Callable[[np.ndarray], np.ndarray | float]:
     """Fletcher-Powell objective for one of the frozen dimensions."""
     a, b, alpha = FLETCHER_A[dim], FLETCHER_B[dim], FLETCHER_ALPHA[dim]
     target = a @ np.sin(alpha) + b @ np.cos(alpha)
 
-    def fletcher(x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        _check_dim(x, dim, f"fletcher{dim}")
-        current = a @ np.sin(x) + b @ np.cos(x)
-        return float(np.sum((target - current) ** 2))
+    @_batched(dim)
+    def fletcher(x: np.ndarray) -> np.ndarray:
+        current = (
+            np.matmul(a, np.sin(x)[..., None])[..., 0]
+            + np.matmul(b, np.cos(x)[..., None])[..., 0]
+        )
+        return np.sum((target - current) ** 2, axis=-1)
 
     return fletcher
 
 
-def griewank(x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    idx = np.sqrt(np.arange(1.0, x.size + 1.0))
-    return float(np.sum(x**2) / 4000.0 - np.prod(np.cos(x / idx)) + 1.0)
+@_batched()
+def griewank(x: np.ndarray) -> np.ndarray:
+    idx = np.sqrt(np.arange(1.0, x.shape[-1] + 1.0))
+    return np.sum(x**2, axis=-1) / 4000.0 - np.prod(np.cos(x / idx), axis=-1) + 1.0
 
 
-def _hartman(x: np.ndarray, a: np.ndarray, p: np.ndarray) -> float:
-    inner = np.sum(a * (x - p) ** 2, axis=1)
-    return float(-np.sum(HARTMAN_C * np.exp(-inner)))
+def _hartman(x: np.ndarray, a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    inner = np.sum(a * (x[:, None, :] - p) ** 2, axis=-1)
+    return -np.sum(HARTMAN_C * np.exp(-inner), axis=-1)
 
 
-def hartman3(x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    _check_dim(x, 3, "hartman3")
+@_batched(3)
+def hartman3(x: np.ndarray) -> np.ndarray:
     return _hartman(x, HARTMAN3_A, HARTMAN3_P)
 
 
-def hartman6(x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    _check_dim(x, 6, "hartman6")
+@_batched(6)
+def hartman6(x: np.ndarray) -> np.ndarray:
     return _hartman(x, HARTMAN6_A, HARTMAN6_P)
 
 
-def kowalik(x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    _check_dim(x, 4, "kowalik")
+@_batched(4)
+def kowalik(x: np.ndarray) -> np.ndarray:
     b = KOWALIK_B
-    model = x[0] * (b**2 + b * x[1]) / (b**2 + b * x[2] + x[3])
-    return float(np.sum((KOWALIK_A - model) ** 2))
+    model = x[:, 0:1] * (b**2 + b * x[:, 1:2]) / (b**2 + b * x[:, 2:3] + x[:, 3:4])
+    return np.sum((KOWALIK_A - model) ** 2, axis=-1)
 
 
-def make_langermann(dim: int) -> Callable[[np.ndarray], float]:
+def make_langermann(dim: int) -> Callable[[np.ndarray], np.ndarray | float]:
     """Five-site Langermann objective on the first ``dim`` columns."""
     a = LANGERMANN_A[:, :dim]
 
-    def langermann(x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        _check_dim(x, dim, f"langermann{dim}")
-        sq = np.sum((x - a) ** 2, axis=1)
-        return float(-np.sum(LANGERMANN_C * np.exp(-sq / math.pi) * np.cos(math.pi * sq)))
+    @_batched(dim)
+    def langermann(x: np.ndarray) -> np.ndarray:
+        sq = np.sum((x[:, None, :] - a) ** 2, axis=-1)
+        return -np.sum(
+            LANGERMANN_C * np.exp(-sq / math.pi) * np.cos(math.pi * sq), axis=-1
+        )
 
     return langermann
 
 
-def matyas(x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    _check_dim(x, 2, "matyas")
-    return float(0.26 * (x[0] ** 2 + x[1] ** 2) - 0.48 * x[0] * x[1])
+@_batched(2)
+def matyas(x: np.ndarray) -> np.ndarray:
+    x1, x2 = x.T
+    return 0.26 * (_pow(x1, 2) + _pow(x2, 2)) - 0.48 * x1 * x2
 
 
-def quartic(x: np.ndarray, rng: np.random.Generator | None = None) -> float:
-    """Weighted fourth powers plus, when an rng is given, uniform noise."""
-    x = np.asarray(x, dtype=float)
-    value = float(np.sum(np.arange(1.0, x.size + 1.0) * x**4))
-    if rng is not None:
-        value += float(rng.uniform(0.0, 1.0))
-    return value
+@_batched()
+def quartic(x: np.ndarray) -> np.ndarray:
+    """Weighted fourth powers, without noise."""
+    return np.sum(np.arange(1.0, x.shape[-1] + 1.0) * x**4, axis=-1)
 
 
 class QuarticObjective:
@@ -321,8 +359,10 @@ class QuarticObjective:
 
     The standard form adds uniform(0, 1) noise to every evaluation.
     Instances own their generator, so a fresh instance replays the same
-    noise sequence, keeping runs reproducible.  ``noisy=False`` gives
-    the deterministic core, which the invariant tests rely on.
+    noise sequence, keeping runs reproducible; a batch draws its noise
+    in row order, as that many single evaluations would.
+    ``noisy=False`` gives the deterministic core, which the invariant
+    tests rely on.
     """
 
     def __init__(self, seed: int = 0, noisy: bool = True) -> None:
@@ -330,66 +370,68 @@ class QuarticObjective:
         self.noisy = noisy
         self._rng = np.random.default_rng(seed)
 
-    def __call__(self, x: np.ndarray) -> float:
-        return quartic(x, self._rng if self.noisy else None)
+    def __call__(self, x: np.ndarray) -> np.ndarray | float:
+        values = quartic(x)
+        if self.noisy:
+            values = values + self._rng.uniform(0.0, 1.0, size=np.shape(values))
+        return values
 
 
-def rastrigin(x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    return float(np.sum(x**2 - 10.0 * np.cos(2.0 * math.pi * x) + 10.0))
+@_batched()
+def rastrigin(x: np.ndarray) -> np.ndarray:
+    return np.sum(x**2 - 10.0 * np.cos(2.0 * math.pi * x) + 10.0, axis=-1)
 
 
-def schaffer(x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    _check_dim(x, 2, "schaffer")
-    sq = x[0] ** 2 + x[1] ** 2
-    return float(0.5 + (math.sin(math.sqrt(sq)) ** 2 - 0.5) / (1.0 + 0.001 * sq) ** 2)
+@_batched(2)
+def schaffer(x: np.ndarray) -> np.ndarray:
+    x1, x2 = x.T
+    sq = _pow(x1, 2) + _pow(x2, 2)
+    return 0.5 + (_pow(np.sin(np.sqrt(sq)), 2) - 0.5) / _pow(1.0 + 0.001 * sq, 2)
 
 
-def schwefel_1_2(x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    return float(np.sum(np.cumsum(x) ** 2))
+@_batched()
+def schwefel_1_2(x: np.ndarray) -> np.ndarray:
+    return np.sum(np.cumsum(x, axis=-1) ** 2, axis=-1)
 
 
-def schwefel_2_22(x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
+@_batched()
+def schwefel_2_22(x: np.ndarray) -> np.ndarray:
     ax = np.abs(x)
-    return float(np.sum(ax) + np.prod(ax))
+    return np.sum(ax, axis=-1) + np.prod(ax, axis=-1)
 
 
-def six_hump_camelback(x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    _check_dim(x, 2, "six_hump_camelback")
-    x1, x2 = x
-    return float(
-        4.0 * x1**2
-        - 2.1 * x1**4
-        + x1**6 / 3.0
+@_batched(2)
+def six_hump_camelback(x: np.ndarray) -> np.ndarray:
+    x1, x2 = x.T
+    return (
+        4.0 * _pow(x1, 2)
+        - 2.1 * _pow(x1, 4)
+        + _pow(x1, 6) / 3.0
         + x1 * x2
-        - 4.0 * x2**2
-        + 4.0 * x2**4
+        - 4.0 * _pow(x2, 2)
+        + 4.0 * _pow(x2, 4)
     )
 
 
-def sphere(x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    return float(np.sum(x**2))
+@_batched()
+def sphere(x: np.ndarray) -> np.ndarray:
+    return np.sum(x**2, axis=-1)
 
 
-def step2(x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    return float(np.sum(np.floor(x + 0.5) ** 2))
+@_batched()
+def step2(x: np.ndarray) -> np.ndarray:
+    return np.sum(np.floor(x + 0.5) ** 2, axis=-1)
 
 
-def sumsquares(x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    return float(np.sum(np.arange(1.0, x.size + 1.0) * x**2))
+@_batched()
+def sumsquares(x: np.ndarray) -> np.ndarray:
+    return np.sum(np.arange(1.0, x.shape[-1] + 1.0) * x**2, axis=-1)
 
 
-def zakharov(x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    s = np.sum(0.5 * np.arange(1.0, x.size + 1.0) * x)
-    return float(np.sum(x**2) + s**2 + s**4)
+@_batched()
+def zakharov(x: np.ndarray) -> np.ndarray:
+    s = np.sum(0.5 * np.arange(1.0, x.shape[-1] + 1.0) * x, axis=-1)
+    return np.sum(x**2, axis=-1) + _pow(s, 2) + _pow(s, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +604,7 @@ def build_problem(
         upper=np.full(dim, spec.upper),
         sense=Sense.MINIMIZE,
         objective=objective,
+        vectorized=True,
     )
 
 

@@ -289,7 +289,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--budget", type=int, default=0,
-        help="baseline evaluation budget; 0 means match the population run",
+        help="baseline evaluation budget; 0 means the population run's maximum "
+        "spend, groups*group_size*(iters+1)",
     )
     p_run.add_argument("--out", help="output root (default LABOPT_OUT or ./out)")
     p_run.set_defaults(func=cmd_run)

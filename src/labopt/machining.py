@@ -17,6 +17,7 @@ the intended pairing would change the optimization problem.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +57,14 @@ class MachiningSpec:
     def dim(self) -> int:
         return len(self.var_names)
 
+    @cached_property
+    def _box(self) -> tuple[np.ndarray, np.ndarray]:
+        """The variable box as read-only arrays, converted once per spec."""
+        box = np.array(self.lower), np.array(self.upper)
+        for bound in box:
+            bound.flags.writeable = False
+        return box
+
     def evaluate(self, x: np.ndarray) -> np.ndarray | float:
         """Evaluate the model at one point or an array of points.
 
@@ -68,8 +77,7 @@ class MachiningSpec:
             raise ValueError(
                 f"{self.key} expects {self.dim} variables, got shape {x.shape}"
             )
-        lo = np.asarray(self.lower)
-        hi = np.asarray(self.upper)
+        lo, hi = self._box
         if np.any(x < lo) or np.any(x > hi):
             raise ValueError(f"input outside the {self.key} variable box")
         out = np.zeros(x.shape[:-1])

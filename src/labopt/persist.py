@@ -9,6 +9,7 @@ reported in the summary JSON instead.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
@@ -24,8 +25,23 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _ensure_parent(path: Path) -> None:
+def _write_text(path: str | Path, text: str) -> Path:
+    """Replace the file at ``path`` with ``text``, creating its directory.
+
+    The text goes to a temporary file beside ``path`` that then replaces
+    it in one ``os.replace``, so a write that fails part way leaves any
+    earlier file intact and no partial file behind.
+    """
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="\n") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return path
 
 
 def write_trace(trace: RunTrace, path: str | Path) -> Path:
@@ -35,8 +51,6 @@ def write_trace(trace: RunTrace, path: str | Path) -> Path:
     ``iteration,global_best,leader_g1..leader_gG,best_so_far`` and one
     row per recorded iteration.  Baseline runs have no leader columns.
     """
-    path = Path(path)
-    _ensure_parent(path)
     n_leaders = len(trace.records[0].leaders) if trace.records else 0
     leader_cols = [f"leader_g{i + 1}" for i in range(n_leaders)]
     lines = [
@@ -60,8 +74,7 @@ def write_trace(trace: RunTrace, path: str | Path) -> Path:
             _fmt(rec.best_so_far),
         ]
         lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n", newline="\n")
-    return path
+    return _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_trace(path: str | Path) -> RunTrace:
@@ -135,13 +148,9 @@ def _summary_dict(s: RunSummary) -> dict:
 
 
 def write_summary(summary: RunSummary, path: str | Path) -> Path:
-    path = Path(path)
-    _ensure_parent(path)
-    path.write_text(
-        json.dumps(_summary_dict(summary), indent=2, sort_keys=True) + "\n",
-        newline="\n",
+    return _write_text(
+        path, json.dumps(_summary_dict(summary), indent=2, sort_keys=True) + "\n"
     )
-    return path
 
 
 def read_summary(path: str | Path) -> RunSummary:
@@ -171,8 +180,6 @@ def write_convergence(traces: Sequence[RunTrace], path: str | Path) -> Path:
     """
     if not traces:
         raise ValueError("need at least one trace")
-    path = Path(path)
-    _ensure_parent(path)
     length = max(len(t.records) for t in traces)
     series = []
     for t in traces:
@@ -191,8 +198,7 @@ def write_convergence(traces: Sequence[RunTrace], path: str | Path) -> Path:
         row += [_fmt(v) for v in matrix[:, it]]
         row += [_fmt(median[it]), _fmt(q25[it]), _fmt(q75[it])]
         lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n", newline="\n")
-    return path
+    return _write_text(path, "\n".join(lines) + "\n")
 
 
 def _per_problem_row(t: ProblemTest) -> str:
@@ -271,21 +277,20 @@ def write_comparison(report: ComparisonReport, out_dir: str | Path) -> dict[str,
     Returns the paths written, keyed by artifact name.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
 
-    paths["report_json"] = out / "report.json"
-    paths["report_json"].write_text(
+    paths["report_json"] = _write_text(
+        out / "report.json",
         json.dumps(_report_dict(report), indent=2, sort_keys=True) + "\n",
-        newline="\n",
     )
 
     per_lines = [
         "problem,algo_a,algo_b,t_plus,t_minus,n_effective,p_value,method,verdict",
         *(_per_problem_row(t) for t in report.per_problem),
     ]
-    paths["per_problem_csv"] = out / "per_problem.csv"
-    paths["per_problem_csv"].write_text("\n".join(per_lines) + "\n", newline="\n")
+    paths["per_problem_csv"] = _write_text(
+        out / "per_problem.csv", "\n".join(per_lines) + "\n"
+    )
 
     pair_lines = ["algo_a,algo_b,wins_a,wins_b,ties,overall_p,overall_verdict,overall_method"]
     for row in report.pairwise:
@@ -299,18 +304,13 @@ def write_comparison(report: ComparisonReport, out_dir: str | Path) -> dict[str,
                 ]
             )
         )
-    paths["pairwise_csv"] = out / "pairwise.csv"
-    paths["pairwise_csv"].write_text("\n".join(pair_lines) + "\n", newline="\n")
+    paths["pairwise_csv"] = _write_text(
+        out / "pairwise.csv", "\n".join(pair_lines) + "\n"
+    )
 
-    paths["report_txt"] = out / "report.txt"
-    paths["report_txt"].write_text(format_report_text(report), newline="\n")
+    paths["report_txt"] = _write_text(out / "report.txt", format_report_text(report))
     return paths
 
 
 def write_oracle(payload: dict, path: str | Path) -> Path:
-    path = Path(path)
-    _ensure_parent(path)
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", newline="\n"
-    )
-    return path
+    return _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

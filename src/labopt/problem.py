@@ -57,7 +57,8 @@ class Problem:
         Maps a length-``dim`` vector to a real number.
     vectorized : bool
         When true, ``objective`` also maps an ``(m, dim)`` array to
-        ``m`` values, and ``evaluate_batch`` makes one call per batch.
+        ``m`` values, each bit-equal to evaluating its row alone, and
+        ``evaluate_batch`` makes one call per batch.
     """
 
     name: str
@@ -98,9 +99,15 @@ class Problem:
         """Evaluate every row of ``X``, rejecting non-finite results.
 
         Rows are evaluated in order, one objective call each unless the
-        objective is vectorized.  The error names the first bad row.
+        objective is vectorized.  ``X`` must have shape ``(m, dim)``.
+        The error names the first bad row.
         """
         X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            raise ValueError(
+                f"problem '{self.name}' evaluates (m, {self.dim}) batches, "
+                f"got shape {X.shape}"
+            )
         if self.vectorized:
             values = np.asarray(self.objective(X), dtype=float)
         else:

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from labopt import benchmarks
+from labopt import benchmarks, machining
 from labopt.benchmarks import (
     QuarticObjective,
     SEPARABLE_IDS,
@@ -383,3 +385,58 @@ def test_objective_values_are_frozen():
         assert np.array_equal(make().evaluate_batch(points), values), name
         digests[name] = hashlib.sha256(values.tobytes()).hexdigest()
     assert digests == FROZEN_OBJECTIVE_DIGESTS
+
+
+def _catalog_problem(name, dim, noise_seed):
+    """A fresh Problem for a benchmark id or a machining key."""
+    if name in benchmarks._BY_ID:
+        if name not in benchmarks._SCALABLE:
+            dim = None
+        return build_problem(name, dim=dim, noise_seed=noise_seed)
+    return machining.get(name).problem
+
+
+CATALOG_NAMES = [spec.id for spec in registry()] + [
+    spec.key for spec in machining.machining_registry()
+]
+
+
+@st.composite
+def catalog_batches(draw):
+    """A catalog problem and a batch of random, corner, clamped and collapsed points."""
+    name = draw(st.sampled_from(CATALOG_NAMES))
+    dim = draw(st.one_of(st.none(), st.integers(1, 12)))
+    seed = draw(st.integers(0, 2**32 - 1))
+
+    def make():
+        return _catalog_problem(name, dim, noise_seed=seed % 1000)
+
+    p = make()
+    lo, hi, d = p.lower, p.upper, p.dim
+    span = hi - lo
+    rng = np.random.default_rng(seed)
+    m = draw(st.integers(1, 40))
+    base = lo + span * rng.random(d)
+    rows = {
+        "random": lambda: lo + span * rng.random(d),
+        "corner": lambda: np.where(rng.integers(0, 2, d) == 1, hi, lo),
+        "clamped": lambda: np.clip(lo + span * (2.0 * rng.random(d) - 0.5), lo, hi),
+        "collapsed": lambda: np.clip(base + 1e-12 * span * rng.standard_normal(d), lo, hi),
+    }
+    kinds = draw(st.lists(st.sampled_from(sorted(rows)), min_size=m, max_size=m))
+    return make, np.array([rows[kind]() for kind in kinds])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(catalog_batches())
+def test_batch_evaluation_equals_point_evaluation_bitwise(case):
+    make, X = case
+    batch = make().evaluate_batch(X)
+    single = make()  # a fresh build replays the same Quartic noise
+    points = np.array([single.evaluate(x) for x in X])
+    assert batch.shape == (len(X),)
+    assert batch.tobytes() == points.tobytes()
+    d = X.shape[1]
+    for wrong in (X[:, : d - 1], np.hstack([X, X[:, :1]])):
+        with pytest.raises(ValueError):
+            make().evaluate_batch(wrong)

@@ -237,6 +237,11 @@ def test_oracle_rejects_benchmarks(tmp_path, capsys):
     assert "machining models only" in capsys.readouterr().err
 
 
+def nan_per_point(x):
+    """A batched objective, like the catalog's, that is NaN at every point."""
+    return np.full(np.shape(x)[:-1], np.nan)
+
+
 def test_nonfinite_objective_exits_2_naming_problem_seed_and_position(
     tmp_path, capsys, monkeypatch
 ):
@@ -244,7 +249,7 @@ def test_nonfinite_objective_exits_2_naming_problem_seed_and_position(
 
     def nan_build(spec_id, dim=None, noise_seed=None):
         problem = real_build(spec_id, dim=dim, noise_seed=noise_seed)
-        problem.objective = lambda x: float("nan")
+        problem.objective = nan_per_point
         return problem
 
     monkeypatch.setattr(cli.benchmarks, "build_problem", nan_build)
@@ -271,7 +276,7 @@ def test_failed_seed_keeps_finished_traces_and_writes_no_summary(
     def nan_on_seed_1(spec_id, dim=None, noise_seed=None):
         problem = real_build(spec_id, dim=dim, noise_seed=noise_seed)
         if noise_seed == 1:
-            problem.objective = lambda x: float("nan")
+            problem.objective = nan_per_point
         return problem
 
     monkeypatch.setattr(cli.benchmarks, "build_problem", nan_on_seed_1)

@@ -1,9 +1,12 @@
+import dataclasses
+import errno
 import json
 import math
 
 import numpy as np
 import pytest
 
+from labopt import persist
 from labopt.baselines import ALGORITHM_RANDOM, BaselineConfig, run_baseline
 from labopt.benchmarks import build_problem
 from labopt.engine import IterationRecord, LabConfig, RunTrace, run, TERMINATION_MAX_ITERATIONS
@@ -103,6 +106,42 @@ def test_read_trace_rejects_malformed_files(tmp_path):
     headerless.write_text("# problem=p\n0,1.0,1.0\n")
     with pytest.raises(ValueError, match="before header"):
         read_trace(headerless)
+
+
+class DiskFullHalfway:
+    """A text file whose write stores half of the text, then fails."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, text):
+        self.f.write(text[: len(text) // 2])
+        self.f.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_write_keeps_the_earlier_file_and_leaves_no_partial_file(
+    tmp_path, monkeypatch
+):
+    path = write_trace(small_lab_trace(seed=1), tmp_path / "run" / "trace.csv")
+    before = path.read_bytes()
+    later = small_lab_trace(seed=2)
+    with monkeypatch.context() as m:
+        m.setattr(persist, "open", lambda *a, **k: DiskFullHalfway(open(*a, **k)),
+                  raising=False)
+        for target in (path, tmp_path / "run" / "new.csv"):
+            with pytest.raises(OSError):
+                write_trace(later, target)
+    with pytest.raises(UnicodeEncodeError):
+        write_trace(dataclasses.replace(later, problem="F10\udc80"), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in (tmp_path / "run").iterdir()] == ["trace.csv"]
 
 
 def test_summary_round_trip(tmp_path):
