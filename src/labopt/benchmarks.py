@@ -460,7 +460,7 @@ class BenchmarkSpec:
     upper: float
     known_best: float | None
     known_minimizer: tuple[float, ...] | None
-    objective: Callable[[np.ndarray], float]
+    objective: Callable[[np.ndarray], np.ndarray | float]
 
     @property
     def problem(self) -> Problem:

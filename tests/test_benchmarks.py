@@ -15,6 +15,7 @@ from labopt.benchmarks import (
     dixon_price_minimizer,
     registry,
 )
+from labopt.engine import LabConfig, run
 from labopt.problem import Sense
 
 # id, name, tags, dim, lower, upper, known_best
@@ -65,6 +66,18 @@ def test_every_entry_builds_a_consistent_problem():
         assert np.all(p.lower == spec.lower)
         assert np.all(p.upper == spec.upper)
         assert p.name == spec.id
+
+
+def test_each_lab_step_is_one_objective_call():
+    for spec in registry():
+        p = spec.problem
+        assert p.vectorized, spec.id
+        batch_sizes = []
+        objective = p.objective
+        p.objective = lambda x, f=objective: batch_sizes.append(len(x)) or f(x)
+        trace = run(p, LabConfig(max_iterations=3, seed=0))
+        population = LabConfig().population
+        assert batch_sizes == [population] * (trace.n_evaluations // population), spec.id
 
 
 def test_known_minimizers_reproduce_known_best():
