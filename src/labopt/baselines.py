@@ -9,17 +9,12 @@ convergence curves line up against equal-budget runs.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (
-    IterationRecord,
-    RunTrace,
-    TERMINATION_BUDGET,
-)
-from .problem import Problem, ConfigError, Sense, clamp_to_bounds, is_better
+from .engine import Recorder, RunTrace, TERMINATION_BUDGET
+from .problem import Problem, ConfigError, Sense, clamp_to_bounds, is_better, oriented
 
 ALGORITHM_RANDOM = "random_search"
 ALGORITHM_SA = "sa"
@@ -68,47 +63,13 @@ class BaselineConfig:
             raise ConfigError("pso_swarm must be at least 2")
 
 
-class _Tracker:
-    """Accumulates batch records and the best point seen so far."""
-
-    def __init__(self, problem: Problem, start: float) -> None:
-        self.problem = problem
-        self.start = start
-        self.records: list[IterationRecord] = []
-        self.best_fitness: float | None = None
-        self.best_position: np.ndarray | None = None
-        self.n_evaluations = 0
-
-    def observe_batch(self, positions: np.ndarray, fitnesses: np.ndarray) -> None:
-        sense = self.problem.sense
-        idx = int(np.argmax(fitnesses) if sense is Sense.MAXIMIZE else np.argmin(fitnesses))
-        batch_best = float(fitnesses[idx])
-        if self.best_fitness is None or is_better(batch_best, self.best_fitness, sense):
-            self.best_fitness = batch_best
-            self.best_position = np.array(positions[idx], dtype=float)
-        self.n_evaluations += len(fitnesses)
-        self.records.append(
-            IterationRecord(
-                iteration=len(self.records),
-                global_best=batch_best,
-                leaders=(),
-                best_so_far=self.best_fitness,
-                elapsed_seconds=time.perf_counter() - self.start,
-            )
-        )
-
-    def trace(self, algorithm: str, seed: int) -> RunTrace:
-        return RunTrace(
-            problem=self.problem.name,
-            algorithm=algorithm,
-            sense=self.problem.sense,
-            seed=seed,
-            records=tuple(self.records),
-            best_fitness=self.best_fitness,
-            best_position=tuple(float(v) for v in self.best_position),
-            n_evaluations=self.n_evaluations,
-            termination=TERMINATION_BUDGET,
-        )
+def _observe_batch(
+    recorder: Recorder, positions: np.ndarray, fitnesses: np.ndarray
+) -> None:
+    """Record one evaluation batch by its best point."""
+    sense = recorder.problem.sense
+    idx = int(np.argmax(fitnesses) if sense is Sense.MAXIMIZE else np.argmin(fitnesses))
+    recorder.observe(float(fitnesses[idx]), positions[idx])
 
 
 def _uniform(problem: Problem, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -125,16 +86,16 @@ def _batch_sizes(budget: int, batch: int) -> list[int]:
 
 def _run_random_search(problem: Problem, config: BaselineConfig) -> RunTrace:
     rng = np.random.default_rng(config.seed)
-    tracker = _Tracker(problem, time.perf_counter())
+    recorder = Recorder(problem)
     for size in _batch_sizes(config.budget, config.batch_size):
         positions = _uniform(problem, rng, size)
-        tracker.observe_batch(positions, problem.evaluate_batch(positions))
-    return tracker.trace(ALGORITHM_RANDOM, config.seed)
+        _observe_batch(recorder, positions, problem.evaluate_batch(positions))
+    return recorder.trace(ALGORITHM_RANDOM, config.seed, config.budget, TERMINATION_BUDGET)
 
 
 def _run_sa(problem: Problem, config: BaselineConfig) -> RunTrace:
     rng = np.random.default_rng(config.seed)
-    tracker = _Tracker(problem, time.perf_counter())
+    recorder = Recorder(problem)
     span = problem.upper - problem.lower
     step = config.sa_step_fraction * span
     sizes = _batch_sizes(config.budget, config.batch_size)
@@ -142,9 +103,9 @@ def _run_sa(problem: Problem, config: BaselineConfig) -> RunTrace:
     # Calibration batch: uniform sample, start from its best point.
     positions = _uniform(problem, rng, sizes[0])
     fitnesses = problem.evaluate_batch(positions)
-    tracker.observe_batch(positions, fitnesses)
-    current = np.array(tracker.best_position)
-    current_fit = tracker.best_fitness
+    _observe_batch(recorder, positions, fitnesses)
+    current = np.array(recorder.best_position)
+    current_fit = recorder.best_fitness
     if config.sa_initial_temperature is not None:
         temperature = config.sa_initial_temperature
     else:
@@ -163,30 +124,27 @@ def _run_sa(problem: Problem, config: BaselineConfig) -> RunTrace:
                 accept = True
             else:
                 # Oriented uphill gap is >= 0 in either sense.
-                if problem.sense is Sense.MAXIMIZE:
-                    delta = current_fit - fit
-                else:
-                    delta = fit - current_fit
+                delta = oriented(fit, problem.sense) - oriented(current_fit, problem.sense)
                 accept = rng.random() < np.exp(-delta / temperature)
             if accept:
                 current = proposal
                 current_fit = fit
-        tracker.observe_batch(batch_pos, batch_fit)
+        _observe_batch(recorder, batch_pos, batch_fit)
         temperature *= config.sa_cooling
-    return tracker.trace(ALGORITHM_SA, config.seed)
+    return recorder.trace(ALGORITHM_SA, config.seed, config.budget, TERMINATION_BUDGET)
 
 
 def _run_pso(problem: Problem, config: BaselineConfig) -> RunTrace:
     rng = np.random.default_rng(config.seed)
-    tracker = _Tracker(problem, time.perf_counter())
+    recorder = Recorder(problem)
     swarm = min(config.pso_swarm, config.budget)
     positions = _uniform(problem, rng, swarm)
     velocities = np.zeros_like(positions)
     fitnesses = problem.evaluate_batch(positions)
-    tracker.observe_batch(positions, fitnesses)
+    _observe_batch(recorder, positions, fitnesses)
     pbest_pos = positions.copy()
     pbest_fit = fitnesses.copy()
-    gbest = np.array(tracker.best_position)
+    gbest = np.array(recorder.best_position)
 
     remaining = config.budget - swarm
     while remaining > 0:
@@ -201,16 +159,13 @@ def _run_pso(problem: Problem, config: BaselineConfig) -> RunTrace:
         positions = np.clip(positions + velocities, problem.lower, problem.upper)
         # Partial last batch evaluates a prefix of the swarm only.
         fitnesses = problem.evaluate_batch(positions[:count])
-        tracker.observe_batch(positions[:count], fitnesses)
-        if problem.sense is Sense.MINIMIZE:
-            better = fitnesses < pbest_fit[:count]
-        else:
-            better = fitnesses > pbest_fit[:count]
+        _observe_batch(recorder, positions[:count], fitnesses)
+        better = is_better(fitnesses, pbest_fit[:count], problem.sense)
         pbest_fit[:count][better] = fitnesses[better]
         pbest_pos[:count][better] = positions[:count][better]
-        gbest = np.array(tracker.best_position)
+        gbest = np.array(recorder.best_position)
         remaining -= count
-    return tracker.trace(ALGORITHM_PSO, config.seed)
+    return recorder.trace(ALGORITHM_PSO, config.seed, config.budget, TERMINATION_BUDGET)
 
 
 _RUNNERS = {

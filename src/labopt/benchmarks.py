@@ -604,7 +604,6 @@ def build_problem(
         upper=np.full(dim, spec.upper),
         sense=Sense.MINIMIZE,
         objective=objective,
-        vectorized=True,
     )
 
 

@@ -26,7 +26,8 @@ order.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -106,7 +107,6 @@ class IterationRecord:
     global_best: float
     leaders: tuple[float, ...]
     best_so_far: float
-    elapsed_seconds: float
 
 
 @dataclass(frozen=True)
@@ -117,6 +117,8 @@ class RunTrace:
     leader and may regress when ``greedy_acceptance`` is off;
     ``best_so_far`` never regresses.  Fitness values are reported in
     the user's sense (maximization values are not negated).
+    ``runtime_seconds`` is the run's wall time, initialization
+    included; it is not persisted and takes no part in equality.
     """
 
     problem: str
@@ -128,10 +130,61 @@ class RunTrace:
     best_position: tuple[float, ...]
     n_evaluations: int
     termination: str
+    runtime_seconds: float = field(default=0.0, compare=False)
 
     @property
     def iterations(self) -> int:
         return self.records[-1].iteration
+
+
+class Recorder:
+    """One run's records, its best point so far and its wall time.
+
+    The clock starts when the recorder is made.  ``observe`` is called
+    once after initialization and once per step, with that step's best
+    point; ``trace`` builds the finished run.
+    """
+
+    def __init__(self, problem: Problem) -> None:
+        self.problem = problem
+        self.records: list[IterationRecord] = []
+        self.best_fitness: float | None = None
+        self.best_position: np.ndarray | None = None
+        self._start = time.perf_counter()
+
+    def observe(
+        self, fitness: float, position: np.ndarray, leaders: Sequence[float] = ()
+    ) -> None:
+        """Record one step whose best point is ``position``, of value ``fitness``."""
+        if self.best_fitness is None or is_better(
+            fitness, self.best_fitness, self.problem.sense
+        ):
+            self.best_fitness = fitness
+            self.best_position = np.array(position, dtype=float)
+        self.records.append(
+            IterationRecord(
+                iteration=len(self.records),
+                global_best=fitness,
+                leaders=tuple(leaders),
+                best_so_far=self.best_fitness,
+            )
+        )
+
+    def trace(
+        self, algorithm: str, seed: int, n_evaluations: int, termination: str
+    ) -> RunTrace:
+        return RunTrace(
+            problem=self.problem.name,
+            algorithm=algorithm,
+            sense=self.problem.sense,
+            seed=seed,
+            records=tuple(self.records),
+            best_fitness=self.best_fitness,
+            best_position=tuple(float(v) for v in self.best_position),
+            n_evaluations=n_evaluations,
+            termination=termination,
+            runtime_seconds=time.perf_counter() - self._start,
+        )
 
 
 TERMINATION_MAX_ITERATIONS = "max_iterations"
@@ -300,8 +353,7 @@ def step(state: State, problem: Problem, config: LabConfig) -> State:
     fit = problem.evaluate_batch(proposals)
     state.n_evaluations += len(ids)
     if config.greedy_acceptance:
-        old = state.fit[ids]
-        keep = fit < old if problem.sense is Sense.MINIMIZE else fit > old
+        keep = is_better(fit, state.fit[ids], problem.sense)
         ids, proposals, fit = ids[keep], proposals[keep], fit[keep]
     state.pos[ids] = proposals
     state.fit[ids] = fit
@@ -349,38 +401,22 @@ def run(problem: Problem, config: LabConfig | None = None) -> RunTrace:
         config = LabConfig()
     config.validate()
     sense = problem.sense
-    start = time.perf_counter()
-
+    recorder = Recorder(problem)
     state = init(problem, config, config.seed)
-    best_fitness = float(state.fit[state.best])
-    best_position = state.pos[state.best].copy()
     history: list[list[float]] = []
-    records: list[IterationRecord] = []
 
     def observe() -> None:
         leaders = state.fit[state.order[:, 0]].tolist()
+        recorder.observe(leaders[0], state.pos[state.best], leaders)
         current = [oriented(v, sense) for v in leaders]
         if history:
             current = [min(a, b) for a, b in zip(history[-1][1:], current)]
-        history.append([oriented(best_fitness, sense), *current])
-        records.append(
-            IterationRecord(
-                iteration=state.iteration,
-                global_best=leaders[0],
-                leaders=tuple(leaders),
-                best_so_far=best_fitness,
-                elapsed_seconds=time.perf_counter() - start,
-            )
-        )
+        history.append([oriented(recorder.best_fitness, sense), *current])
 
     observe()
     termination = TERMINATION_MAX_ITERATIONS
     while state.iteration < config.max_iterations:
         step(state, problem, config)
-        current = float(state.fit[state.best])
-        if is_better(current, best_fitness, sense):
-            best_fitness = current
-            best_position = state.pos[state.best].copy()
         observe()
         if state.iteration < config.max_iterations and _stalled(
             history, config.stall_window, config.stall_epsilon
@@ -388,14 +424,4 @@ def run(problem: Problem, config: LabConfig | None = None) -> RunTrace:
             termination = TERMINATION_STALLED
             break
 
-    return RunTrace(
-        problem=problem.name,
-        algorithm="lab",
-        sense=sense,
-        seed=config.seed,
-        records=tuple(records),
-        best_fitness=best_fitness,
-        best_position=tuple(float(v) for v in best_position),
-        n_evaluations=state.n_evaluations,
-        termination=termination,
-    )
+    return recorder.trace("lab", config.seed, state.n_evaluations, termination)

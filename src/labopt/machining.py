@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .problem import Problem, Sense
+from .problem import Problem, Sense, is_better
 
 Term = tuple[float, tuple[float, ...]]
 
@@ -100,7 +100,6 @@ class MachiningSpec:
             upper=np.asarray(self.upper),
             sense=self.sense,
             objective=self.evaluate,
-            vectorized=True,
         )
 
 
@@ -436,11 +435,7 @@ def grid_oracle(
         values = spec.evaluate(block)
         idx = int(np.argmax(values) if spec.sense is Sense.MAXIMIZE else np.argmin(values))
         value = float(np.ravel(values)[idx])
-        if (
-            best_value is None
-            or (spec.sense is Sense.MAXIMIZE and value > best_value)
-            or (spec.sense is Sense.MINIMIZE and value < best_value)
-        ):
+        if best_value is None or is_better(value, best_value, spec.sense):
             best_value = value
             best_point = block[idx].copy()
     return best_value, best_point

@@ -80,8 +80,8 @@ def write_trace(trace: RunTrace, path: str | Path) -> Path:
 def read_trace(path: str | Path) -> RunTrace:
     """Parse a trace CSV back into a RunTrace.
 
-    Timing is not persisted, so reloaded records carry 0.0 elapsed
-    seconds.
+    Timing is not persisted, so a reloaded trace keeps the default
+    ``runtime_seconds`` of 0.0.
     """
     meta: dict[str, str] = {}
     records: list[IterationRecord] = []
@@ -105,7 +105,6 @@ def read_trace(path: str | Path) -> RunTrace:
                 global_best=float(cells[1]),
                 leaders=tuple(float(v) for v in cells[2 : 2 + n_leaders]),
                 best_so_far=float(cells[2 + n_leaders]),
-                elapsed_seconds=0.0,
             )
         )
     required = {
@@ -130,27 +129,9 @@ def read_trace(path: str | Path) -> RunTrace:
     )
 
 
-def _summary_dict(s: RunSummary) -> dict:
-    return {
-        "problem": s.problem,
-        "algorithm": s.algorithm,
-        "sense": s.sense.value,
-        "num_runs": s.num_runs,
-        "seeds": list(s.seeds),
-        "best": s.best,
-        "mean": s.mean,
-        "std_dev": s.std_dev,
-        "mean_runtime_seconds": s.mean_runtime_seconds,
-        "mean_function_evaluations": s.mean_function_evaluations,
-        "finals": list(s.finals),
-        "runtimes": list(s.runtimes),
-    }
-
-
 def write_summary(summary: RunSummary, path: str | Path) -> Path:
-    return _write_text(
-        path, json.dumps(_summary_dict(summary), indent=2, sort_keys=True) + "\n"
-    )
+    d = {**asdict(summary), "sense": summary.sense.value}
+    return _write_text(path, json.dumps(d, indent=2, sort_keys=True) + "\n")
 
 
 def read_summary(path: str | Path) -> RunSummary:

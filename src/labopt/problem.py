@@ -54,11 +54,10 @@ class Problem:
     sense : Sense
         Whether the objective is minimized or maximized.
     objective : callable
-        Maps a length-``dim`` vector to a real number.
-    vectorized : bool
-        When true, ``objective`` also maps an ``(m, dim)`` array to
-        ``m`` values, each bit-equal to evaluating its row alone, and
-        ``evaluate_batch`` makes one call per batch.
+        Maps points of shape ``(..., dim)`` to values of shape
+        ``(...)``: one real number for a ``(dim,)`` point, ``m`` values
+        for an ``(m, dim)`` batch, each bit-equal to evaluating its row
+        alone.
     """
 
     name: str
@@ -66,8 +65,7 @@ class Problem:
     lower: np.ndarray
     upper: np.ndarray
     sense: Sense
-    objective: Callable[[np.ndarray], float]
-    vectorized: bool = False
+    objective: Callable[[np.ndarray], np.ndarray | float]
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -87,7 +85,7 @@ class Problem:
             )
 
     def evaluate(self, x: np.ndarray) -> float:
-        """Evaluate the objective, rejecting non-finite results."""
+        """Evaluate one ``(dim,)`` point, rejecting non-finite results."""
         value = float(self.objective(np.asarray(x, dtype=float)))
         if not math.isfinite(value):
             raise EvaluationError(
@@ -96,11 +94,11 @@ class Problem:
         return value
 
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
-        """Evaluate every row of ``X``, rejecting non-finite results.
+        """Evaluate every row of ``X`` in one objective call.
 
-        Rows are evaluated in order, one objective call each unless the
-        objective is vectorized.  ``X`` must have shape ``(m, dim)``.
-        The error names the first bad row.
+        ``X`` must have shape ``(m, dim)`` and the objective must return
+        shape ``(m,)``.  Non-finite results are rejected; the error
+        names the first bad row.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dim:
@@ -108,10 +106,12 @@ class Problem:
                 f"problem '{self.name}' evaluates (m, {self.dim}) batches, "
                 f"got shape {X.shape}"
             )
-        if self.vectorized:
-            values = np.asarray(self.objective(X), dtype=float)
-        else:
-            values = np.array([float(self.objective(x)) for x in X])
+        values = np.asarray(self.objective(X), dtype=float)
+        if values.shape != (len(X),):
+            raise ValueError(
+                f"objective of '{self.name}' returned shape {values.shape} "
+                f"for a batch of {len(X)} points"
+            )
         bad = np.flatnonzero(~np.isfinite(values))
         if len(bad):
             i = int(bad[0])
@@ -141,5 +141,5 @@ def oriented(value: float, sense: Sense) -> float:
 
 
 def is_better(a: float, b: float, sense: Sense) -> bool:
-    """Strictly better under the problem's sense."""
+    """Strictly better under the problem's sense (elementwise on arrays)."""
     return a < b if sense is Sense.MINIMIZE else a > b

@@ -72,7 +72,7 @@ def summarize(traces: Sequence[RunTrace]) -> RunSummary:
         ):
             raise ValueError("summarize expects runs of one problem and algorithm")
     finals = tuple(t.best_fitness for t in traces)
-    runtimes = tuple(t.records[-1].elapsed_seconds for t in traces)
+    runtimes = tuple(t.runtime_seconds for t in traces)
     best = finals[0]
     for f in finals[1:]:
         if is_better(f, best, first.sense):

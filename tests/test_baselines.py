@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labopt.baselines import (
     ALGORITHM_PSO,
@@ -11,7 +13,7 @@ from labopt.baselines import (
     BaselineConfig,
     run_baseline,
 )
-from labopt.engine import TERMINATION_BUDGET
+from labopt.engine import TERMINATION_BUDGET, LabConfig, run
 from labopt.problem import ConfigError, Problem, Sense
 
 
@@ -22,7 +24,7 @@ def sphere(dim: int = 2, half_width: float = 5.0) -> Problem:
         lower=np.full(dim, -half_width),
         upper=np.full(dim, half_width),
         sense=Sense.MINIMIZE,
-        objective=lambda x: float(np.sum(x * x)),
+        objective=lambda x: np.sum(x * x, axis=-1),
     )
 
 
@@ -30,8 +32,9 @@ def counting_sphere(dim: int = 2) -> tuple[Problem, list[int]]:
     calls = [0]
 
     def objective(x):
-        calls[0] += 1
-        return float(np.sum(x * x))
+        # counts points: SA evaluates one (dim,) point at a time
+        calls[0] += int(np.prod(np.shape(x)[:-1]))
+        return np.sum(x * x, axis=-1)
 
     return (
         Problem(
@@ -87,6 +90,77 @@ def test_trace_contract(algorithm):
     assert trace.best_fitness == problem.evaluate(np.array(trace.best_position))
 
 
+# Objectives over z, the point rescaled to [-2, 2] per coordinate.
+SHAPES = {
+    "wiggly": lambda z: np.sum(np.sin(3 * z) + 0.1 * z * z, axis=-1),
+    "tied": lambda z: np.round(np.sum(z * z, axis=-1)),
+    "constant": lambda z: np.full(np.shape(z)[:-1], 2.5),
+}
+
+
+@st.composite
+def random_runs(draw):
+    """An algorithm, its config, and a problem with a random box and sense."""
+    dim = draw(st.integers(1, 6))
+    lower = np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=dim, max_size=dim)))
+    span = 10.0 ** np.array(
+        draw(st.lists(st.floats(-9.0, 9.0), min_size=dim, max_size=dim))
+    )
+    shape = SHAPES[draw(st.sampled_from(sorted(SHAPES)))]
+    problem = Problem(
+        name="random",
+        dim=dim,
+        lower=lower,
+        upper=lower + span,
+        sense=draw(st.sampled_from(Sense)),
+        objective=lambda x: shape(4.0 * (x - lower) / span - 2.0),
+    )
+    algorithm = draw(st.sampled_from(("lab", *BASELINE_ALGORITHMS)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if algorithm == "lab":
+        config = LabConfig(
+            num_groups=draw(st.integers(2, 5)),
+            group_size=draw(st.integers(3, 7)),
+            max_iterations=draw(st.integers(1, 30)),
+            stall_window=draw(st.integers(1, 10)),
+            seed=seed,
+        )
+    else:
+        config = BaselineConfig(
+            algorithm=algorithm,
+            budget=draw(st.integers(1, 250)),
+            batch_size=draw(st.integers(1, 30)),
+            pso_swarm=draw(st.integers(2, 30)),
+            seed=seed,
+        )
+    return problem, config
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(random_runs())
+def test_trace_contract_over_random_shapes_boxes_and_senses(case):
+    problem, config = case
+    if isinstance(config, LabConfig):
+        trace = run(problem, config)
+        assert trace.n_evaluations == config.population * (trace.iterations + 1)
+    else:
+        trace = run_baseline(problem, config)
+        assert trace.n_evaluations == config.budget
+    series = [r.best_so_far for r in trace.records]
+    if problem.sense is Sense.MAXIMIZE:
+        assert all(b >= a for a, b in zip(series, series[1:]))
+    else:
+        assert all(b <= a for a, b in zip(series, series[1:]))
+    best = np.array(trace.best_position)
+    assert (
+        trace.best_fitness.hex()
+        == series[-1].hex()
+        == problem.evaluate(best).hex()
+    )
+    assert problem.contains(best)
+    assert [r.iteration for r in trace.records] == list(range(len(trace.records)))
+
+
 @pytest.mark.parametrize("algorithm", BASELINE_ALGORITHMS)
 def test_best_so_far_is_monotone_both_senses(algorithm):
     for sense in (Sense.MINIMIZE, Sense.MAXIMIZE):
@@ -96,7 +170,7 @@ def test_best_so_far_is_monotone_both_senses(algorithm):
             lower=np.full(3, -4.0),
             upper=np.full(3, 4.0),
             sense=sense,
-            objective=lambda x: float(np.sum(np.sin(3 * x) + 0.1 * x * x)),
+            objective=lambda x: np.sum(np.sin(3 * x) + 0.1 * x * x, axis=-1),
         )
         trace = run_baseline(problem, BaselineConfig(algorithm=algorithm, budget=200, seed=5))
         series = [r.best_so_far for r in trace.records]
@@ -141,7 +215,7 @@ def test_sa_flat_calibration_falls_back_to_unit_temperature():
         lower=np.full(2, -1.0),
         upper=np.full(2, 1.0),
         sense=Sense.MINIMIZE,
-        objective=lambda x: 7.0,
+        objective=lambda x: np.full(np.shape(x)[:-1], 7.0),
     )
     auto = run_baseline(flat, BaselineConfig(algorithm=ALGORITHM_SA, budget=90, seed=4))
     explicit = run_baseline(
@@ -162,7 +236,9 @@ def test_sa_temperature_changes_acceptance_path():
         lower=np.full(2, -3.0),
         upper=np.full(2, 3.0),
         sense=Sense.MINIMIZE,
-        objective=lambda x: float(np.sum(x * x) + np.sin(9 * x[0]) + np.cos(7 * x[1])),
+        objective=lambda x: (
+            np.sum(x * x, axis=-1) + np.sin(9 * x[..., 0]) + np.cos(7 * x[..., 1])
+        ),
     )
     hot = run_baseline(
         problem,

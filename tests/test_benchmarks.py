@@ -71,7 +71,6 @@ def test_every_entry_builds_a_consistent_problem():
 def test_each_lab_step_is_one_objective_call():
     for spec in registry():
         p = spec.problem
-        assert p.vectorized, spec.id
         batch_sizes = []
         objective = p.objective
         p.objective = lambda x, f=objective: batch_sizes.append(len(x)) or f(x)

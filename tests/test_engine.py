@@ -19,7 +19,7 @@ from labopt.problem import ConfigError, EvaluationError, Problem, Sense
 
 
 def sphere(x):
-    return float(np.sum(x**2))
+    return np.sum(x**2, axis=-1)
 
 
 def box_problem(dim=2, half=10.0, sense=Sense.MINIMIZE, objective=sphere, name="sq"):
@@ -158,7 +158,7 @@ def test_rank_group_orders_by_fitness():
 
 
 def test_rank_group_breaks_ties_by_lower_id():
-    p = box_problem(dim=1, half=10.0, objective=lambda x: 1.0)
+    p = box_problem(dim=1, half=10.0, objective=lambda x: np.full(np.shape(x)[:-1], 1.0))
     state = make_state([[[0.0]] * 10 + [[3.0], [1.0], [2.0]]], p)
     state.order = np.array([[12, 10, 11]])
     rank(state, Sense.MINIMIZE)
@@ -392,8 +392,10 @@ def test_step_propagates_evaluation_errors():
     calls = {"n": 0}
 
     def sometimes_nan(x):
-        calls["n"] += 1
-        return float("nan") if calls["n"] > 20 else sphere(x)
+        # every point after the 20th evaluates to nan
+        numbers = calls["n"] + 1 + np.arange(len(x))
+        calls["n"] += len(x)
+        return np.where(numbers > 20, np.nan, sphere(x))
 
     p = box_problem(objective=sometimes_nan)
     cfg = LabConfig()
@@ -474,7 +476,7 @@ def test_run_single_iteration_limit():
 
 
 def test_constant_objective_stalls_after_window_plus_one():
-    p = box_problem(objective=lambda x: 4.25)
+    p = box_problem(objective=lambda x: np.full(np.shape(x)[:-1], 4.25))
     cfg = LabConfig(seed=0, stall_window=20)
     trace = run(p, cfg)
     assert trace.termination == TERMINATION_STALLED
@@ -483,14 +485,14 @@ def test_constant_objective_stalls_after_window_plus_one():
 
 
 def test_stall_window_length_controls_stopping_time():
-    p = box_problem(objective=lambda x: 0.0)
+    p = box_problem(objective=lambda x: np.full(np.shape(x)[:-1], 0.0))
     trace = run(p, LabConfig(seed=0, stall_window=7))
     assert trace.iterations == 8
     assert trace.termination == TERMINATION_STALLED
 
 
 def test_zero_epsilon_disables_stall():
-    p = box_problem(objective=lambda x: 1.0)
+    p = box_problem(objective=lambda x: np.full(np.shape(x)[:-1], 1.0))
     trace = run(p, LabConfig(seed=0, stall_epsilon=0.0))
     assert trace.termination == TERMINATION_MAX_ITERATIONS
     assert trace.iterations == 100

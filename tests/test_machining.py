@@ -226,7 +226,6 @@ def test_problem_wrapper_round_trips():
         assert p.sense is spec.sense
         mid = (np.array(spec.lower) + np.array(spec.upper)) / 2.0
         assert p.evaluate(mid) == spec.evaluate(mid)
-        assert p.vectorized
         batch = np.array([spec.lower, mid, spec.upper])
         assert p.evaluate_batch(batch).tolist() == [p.evaluate(x) for x in batch]
 

@@ -52,7 +52,7 @@ def test_trace_round_trip_preserves_every_double(tmp_path):
     path = write_trace(trace, tmp_path / "t.csv")
     back = read_trace(path)
     assert strip_timing(back) == strip_timing(trace)
-    assert all(r.elapsed_seconds == 0.0 for r in back.records)
+    assert back.runtime_seconds == 0.0
 
 
 def test_trace_rewrite_is_byte_identical(tmp_path):
@@ -82,8 +82,8 @@ def test_awkward_floats_survive(tmp_path):
         sense=Sense.MINIMIZE,
         seed=0,
         records=(
-            IterationRecord(0, math.pi, (1e-308, -0.0), math.pi, 0.3),
-            IterationRecord(1, 2.0 / 3.0, (1.1e300, 5e-324), 2.0 / 3.0, 0.6),
+            IterationRecord(0, math.pi, (1e-308, -0.0), math.pi),
+            IterationRecord(1, 2.0 / 3.0, (1.1e300, 5e-324), 2.0 / 3.0),
         ),
         best_fitness=2.0 / 3.0,
         best_position=(0.1 + 0.2, -1.0 / 3.0),
@@ -163,7 +163,7 @@ def test_convergence_table_pads_short_runs(tmp_path):
             sense=Sense.MINIMIZE,
             seed=seed,
             records=tuple(
-                IterationRecord(i, v, (), v, 0.0) for i, v in enumerate(series)
+                IterationRecord(i, v, (), v) for i, v in enumerate(series)
             ),
             best_fitness=series[-1],
             best_position=(0.0,),
@@ -205,7 +205,7 @@ def test_convergence_stats_equal_per_row_numpy_calls(tmp_path):
                     sense=Sense.MINIMIZE,
                     seed=seed,
                     records=tuple(
-                        IterationRecord(i, v, (), v, 0.0)
+                        IterationRecord(i, v, (), v)
                         for i, v in enumerate(values.tolist())
                     ),
                     best_fitness=float(values[-1]),
@@ -240,11 +240,12 @@ def comparison_report():
                             algorithm=algo,
                             sense=Sense.MINIMIZE,
                             seed=i,
-                            records=(IterationRecord(0, f, (), f, 0.1),),
+                            records=(IterationRecord(0, f, (), f),),
                             best_fitness=f,
                             best_position=(0.0,),
                             n_evaluations=10,
                             termination=TERMINATION_MAX_ITERATIONS,
+                            runtime_seconds=0.1,
                         )
                         for i, f in enumerate(finals)
                     ]

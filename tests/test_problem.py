@@ -13,7 +13,7 @@ from labopt.problem import (
 
 
 def square(x):
-    return float(np.sum(x**2))
+    return np.sum(x**2, axis=-1)
 
 
 def make_problem(**kw):
@@ -73,37 +73,46 @@ def test_equal_bounds_rejected():
 
 
 def test_nonfinite_objective_value_raises_with_position():
-    p = make_problem(objective=lambda x: float("nan"))
+    p = make_problem(objective=lambda x: np.full(np.shape(x)[:-1], np.nan))
     with pytest.raises(EvaluationError) as err:
         p.evaluate(np.array([0.25, 0.5]))
     assert np.array_equal(err.value.position, [0.25, 0.5])
 
-    p = make_problem(objective=lambda x: float("inf"))
+    p = make_problem(objective=lambda x: np.full(np.shape(x)[:-1], np.inf))
     with pytest.raises(EvaluationError):
         p.evaluate(np.array([0.0, 0.0]))
 
 
 def test_evaluate_batch_equals_evaluate_row_by_row():
     X = np.array([[0.5, -1.5], [-1.0, 2.0], [0.1, 0.2]])
-    loop = make_problem()
-    assert loop.evaluate_batch(X).tolist() == [loop.evaluate(x) for x in X]
-    vec = make_problem(
-        objective=lambda X: np.sum(np.asarray(X) ** 2, axis=-1), vectorized=True
-    )
-    assert vec.evaluate_batch(X).tolist() == [loop.evaluate(x) for x in X]
+    p = make_problem()
+    assert p.evaluate_batch(X).tolist() == [p.evaluate(x) for x in X]
 
 
-@pytest.mark.parametrize("vectorized", [False, True])
-def test_evaluate_batch_names_the_first_nonfinite_row(vectorized):
+def test_evaluate_batch_names_the_first_nonfinite_row():
     # nan wherever the first coordinate is positive, for a point or a batch
     def objective(X):
         return np.where(np.asarray(X)[..., 0] > 0.0, np.nan, 0.0)
 
-    p = make_problem(objective=objective, vectorized=vectorized)
+    p = make_problem(objective=objective)
     with pytest.raises(EvaluationError) as err:
         p.evaluate_batch(np.array([[-0.5, 0.0], [0.25, 0.5], [0.75, 0.0]]))
     assert np.array_equal(err.value.position, [0.25, 0.5])
     assert "returned nan (batch row 1)" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "objective",
+    [
+        lambda X: float(np.sum(X)),  # one value for the whole batch
+        lambda X: np.sum(X, axis=-1)[1:],  # one value too few
+    ],
+    ids=["scalar", "short"],
+)
+def test_evaluate_batch_rejects_a_result_of_the_wrong_shape(objective):
+    p = make_problem(name="wrong-shape", objective=objective)
+    with pytest.raises(ValueError, match="'wrong-shape'"):
+        p.evaluate_batch(np.array([[-0.5, 0.0], [0.25, 0.5], [0.75, 0.0]]))
 
 
 def test_contains_with_and_without_slack():

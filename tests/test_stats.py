@@ -215,12 +215,13 @@ def make_trace(final, seed, problem="p1", algorithm="alg", sense=Sense.MINIMIZE,
         sense=sense,
         seed=seed,
         records=(
-            IterationRecord(0, final, (final,), final, runtime),
+            IterationRecord(0, final, (final,), final),
         ),
         best_fitness=final,
         best_position=(0.0, 0.0),
         n_evaluations=evals,
         termination=TERMINATION_MAX_ITERATIONS,
+        runtime_seconds=runtime,
     )
 
 
