@@ -89,14 +89,16 @@ def test_evaluate_batch_equals_evaluate_row_by_row():
     assert p.evaluate_batch(X).tolist() == [p.evaluate(x) for x in X]
 
 
-def test_evaluate_batch_names_the_first_nonfinite_row():
+@pytest.mark.parametrize("as_list", [False, True])
+def test_evaluate_batch_names_the_first_nonfinite_row(as_list):
     # nan wherever the first coordinate is positive, for a point or a batch
     def objective(X):
         return np.where(np.asarray(X)[..., 0] > 0.0, np.nan, 0.0)
 
     p = make_problem(objective=objective)
+    batch = [[-0.5, 0.0], [0.25, 0.5], [0.75, 0.0]]
     with pytest.raises(EvaluationError) as err:
-        p.evaluate_batch(np.array([[-0.5, 0.0], [0.25, 0.5], [0.75, 0.0]]))
+        p.evaluate_batch(batch if as_list else np.array(batch))
     assert np.array_equal(err.value.position, [0.25, 0.5])
     assert "returned nan (batch row 1)" in str(err.value)
 
