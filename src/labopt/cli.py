@@ -90,9 +90,7 @@ def _resolve_selector(selector: str) -> list[tuple[str, ProblemFactory]]:
     try:
         spec = benchmarks.get(base)
         dim = int(dim_text) if dim_text else None
-        name = spec.id if dim is None or dim == spec.dim else f"{spec.id}@{dim}"
-        if dim is not None:
-            benchmarks.build_problem(spec.id, dim=dim)  # fail fast on bad dims
+        name = benchmarks.build_problem(spec.id, dim=dim).name
         return [(name, _benchmark_factory(spec.id, dim))]
     except KeyError:
         pass

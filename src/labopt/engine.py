@@ -207,34 +207,6 @@ def weights_valid(leader: np.ndarray, u: np.ndarray) -> bool:
     )
 
 
-def _draw_weights_sequentially(
-    rng: np.random.Generator, num_groups: int, group_size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    # Per group: three leader uniforms, redrawn together while one is
-    # zero or the normalized triple has a tie; then one advocate and
-    # group_size - 2 believer draws from (0.5, 1), each redrawn alone
-    # when it hits an end of the interval.
-    leader = np.empty((num_groups, 3))
-    u = np.empty((num_groups, group_size - 1))
-    for g in range(num_groups):
-        while True:
-            draws = rng.uniform(0.0, 1.0, size=3)
-            if np.any(draws <= 0.0):
-                continue
-            w = np.sort(draws / draws.sum())[::-1]
-            if w[0] > w[1] > w[2] > 0.0:
-                break
-        leader[g] = w
-        for k in range(group_size - 1):
-            while True:
-                u[g, k] = rng.uniform(0.5, 1.0)
-                if 0.5 < u[g, k] < 1.0:
-                    break
-    if not weights_valid(leader, u):
-        raise ConfigError(f"update weights break the weight contract: {leader}")
-    return leader, u
-
-
 def draw_weights(
     rng: np.random.Generator, num_groups: int, group_size: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -247,20 +219,21 @@ def draw_weights(
     move with ``u`` uses the weights ``(u, 1 - u)``.
 
     The whole step is one ``rng.random`` block, consumed in the order
-    of a per-group draw: leader, advocate, believers.  A zero leader
-    draw, a tie or a ``u`` on an end of its interval means a redraw,
-    which shifts the stream; then the generator is rewound and the
-    step is drawn again one weight at a time.
+    of a per-group draw: leader, advocate, believers.  A block with a
+    zero leader draw, a tie or a ``u`` on an end of its interval is
+    redrawn whole.  Its entries are i.i.d. uniform, so rejecting the
+    block until every group passes conditions each leader triple and
+    each ``u`` on being valid, which is the distribution a per-weight
+    redraw gives; only the stream consumed after a rejection differs.
+    A rejection needs an event of about 2**-53 per draw.
     """
-    saved = rng.bit_generator.state
-    block = rng.random((num_groups, group_size + 2))
-    draws = block[:, :3]
-    leader = np.sort(draws / draws.sum(axis=1, keepdims=True), axis=1)[:, ::-1]
-    u = 0.5 + 0.5 * block[:, 3:]  # bit-equal to rng.uniform(0.5, 1.0)
-    if (draws > 0.0).all() and weights_valid(leader, u):
-        return leader, u
-    rng.bit_generator.state = saved
-    return _draw_weights_sequentially(rng, num_groups, group_size)
+    while True:
+        block = rng.random((num_groups, group_size + 2))
+        draws = block[:, :3]
+        leader = np.sort(draws / draws.sum(axis=1, keepdims=True), axis=1)[:, ::-1]
+        u = 0.5 + 0.5 * block[:, 3:]  # bit-equal to rng.uniform(0.5, 1.0)
+        if (draws > 0.0).all() and weights_valid(leader, u):
+            return leader, u
 
 
 def rank(state: State, sense: Sense) -> None:
@@ -399,7 +372,6 @@ def run(problem: Problem, config: LabConfig | None = None) -> RunTrace:
     """
     if config is None:
         config = LabConfig()
-    config.validate()
     sense = problem.sense
     recorder = Recorder(problem)
     state = init(problem, config, config.seed)

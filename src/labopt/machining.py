@@ -422,19 +422,19 @@ def grid_oracle(
         np.linspace(lo, hi, points_per_axis)
         for lo, hi in zip(spec.lower, spec.upper)
     ]
+    # One slab per value of the first axis keeps the evaluated block
+    # small.  The other columns hold the grid of the remaining axes,
+    # filled once; only column 0 changes from slab to slab.
+    block = np.empty((points_per_axis ** (spec.dim - 1), spec.dim))
+    for j, grid in enumerate(np.meshgrid(*axes[1:], indexing="ij"), start=1):
+        block[:, j] = grid.ravel()
     best_value: float | None = None
     best_point: np.ndarray | None = None
-    # Slab the first axis so the evaluated block stays small.
-    rest = np.meshgrid(*axes[1:], indexing="ij") if spec.dim > 1 else []
     for first in axes[0]:
-        if spec.dim == 1:
-            block = np.array([[first]])
-        else:
-            cols = [np.full(rest[0].shape, first)] + list(rest)
-            block = np.stack([c.ravel() for c in cols], axis=-1)
+        block[:, 0] = first
         values = spec.evaluate(block)
         idx = int(np.argmax(values) if spec.sense is Sense.MAXIMIZE else np.argmin(values))
-        value = float(np.ravel(values)[idx])
+        value = float(values[idx])
         if best_value is None or is_better(value, best_value, spec.sense):
             best_value = value
             best_point = block[idx].copy()

@@ -86,7 +86,13 @@ class Problem:
 
     def evaluate(self, x: np.ndarray) -> float:
         """Evaluate one ``(dim,)`` point, rejecting non-finite results."""
-        value = float(self.objective(np.asarray(x, dtype=float)))
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise ValueError(
+                f"problem '{self.name}' evaluates ({self.dim},) points, "
+                f"got shape {x.shape}"
+            )
+        value = float(self.objective(x))
         if not math.isfinite(value):
             raise EvaluationError(
                 f"objective of '{self.name}' returned {value!r}", x

@@ -202,15 +202,13 @@ def wilcoxon_two_sided(
     diffs = av - bv
     nonzero = diffs[diffs != 0.0]
     n = len(nonzero)
+    ranks = _doubled_midranks(np.abs(nonzero))
+    w_plus2 = int(ranks[nonzero > 0].sum())
+    w_minus2 = int(ranks[nonzero < 0].sum())
     if n < MIN_EFFECTIVE:
-        t_plus = t_minus = 0.0
-        if n > 0:
-            ranks = _doubled_midranks(np.abs(nonzero))
-            t_plus = float(ranks[nonzero > 0].sum()) / 2.0
-            t_minus = float(ranks[nonzero < 0].sum()) / 2.0
         return WilcoxonResult(
-            t_plus=t_plus,
-            t_minus=t_minus,
+            t_plus=w_plus2 / 2.0,
+            t_minus=w_minus2 / 2.0,
             n_effective=n,
             p_value=1.0,
             verdict=VERDICT_EQUAL,
@@ -218,9 +216,6 @@ def wilcoxon_two_sided(
             method=METHOD_DEGENERATE,
         )
 
-    ranks = _doubled_midranks(np.abs(nonzero))
-    w_plus2 = int(ranks[nonzero > 0].sum())
-    w_minus2 = int(ranks[nonzero < 0].sum())
     if n <= EXACT_LIMIT:
         p = _exact_two_sided_p(ranks, w_plus2)
         method = METHOD_EXACT

@@ -452,3 +452,7 @@ def test_batch_evaluation_equals_point_evaluation_bitwise(case):
     for wrong in (X[:, : d - 1], np.hstack([X, X[:, :1]])):
         with pytest.raises(ValueError):
             make().evaluate_batch(wrong)
+        with pytest.raises(ValueError):
+            make().evaluate(wrong[0])
+    with pytest.raises(ValueError):
+        make().evaluate(X)

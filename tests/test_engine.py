@@ -212,24 +212,18 @@ def test_initialize_is_deterministic_per_seed():
 class StubGenerator:
     """Serves fixed ``random`` blocks, then defers to a real generator.
 
-    A stubbed block still advances the real stream by its size.  The
-    bit generator state and every ``uniform`` call are the real
-    generator's, so rewinding works as on a real generator.
+    A stubbed block still advances the real stream by its size.
     """
 
     def __init__(self, blocks, real):
         self.blocks = list(blocks)
         self.real = real
-        self.bit_generator = real.bit_generator
 
     def random(self, size):
         drawn = self.real.random(size)
         if self.blocks:
             return np.asarray(self.blocks.pop(0), dtype=float).reshape(size)
         return drawn
-
-    def uniform(self, low, high, size=None):
-        return self.real.uniform(low, high, size)
 
 
 def replay_step(p, cfg, seed, block=None):
@@ -239,8 +233,10 @@ def replay_step(p, cfg, seed, block=None):
     ``uniform(0, 1, 3)`` for a leader (redrawn on a zero draw or a tie)
     and ``uniform(0.5, 1)`` for every other member, and mixes per group
     with per-group believer means.  With ``block``, the step's first
-    ``random`` block is replaced by it.  Returns the state after
-    ``step``, the expected positions by id and the mirror generator.
+    ``random`` block is replaced by it and the mirror skips one block,
+    so the replay is built from the next real block.  Returns the state
+    after ``step``, the expected positions by id and the mirror
+    generator.
     """
     state = init(p, cfg, seed=seed)
 
@@ -248,6 +244,7 @@ def replay_step(p, cfg, seed, block=None):
     mirror.bit_generator.state = state.rng.bit_generator.state
     if block is not None:
         state.rng = StubGenerator([block], state.rng)
+        mirror.random(np.shape(block))
 
     expected: dict[int, np.ndarray] = {}
     gstar = state.pos[state.best]
@@ -312,11 +309,11 @@ def test_step_replay_holds_for_other_shapes(num_groups, group_size, dim):
     [((1, 0), 0.0), ((1, slice(0, 2)), 0.25), ((2, slice(0, 3)), 0.3), ((0, 5), 0.0)],
     ids=["zero-leader-draw", "leader-tie", "leader-triple-tie", "u-on-its-end"],
 )
-def test_rejected_block_falls_back_to_sequential_draws(cell, value):
-    # A zero leader draw, a tie or u = 0.5 + 0.5 * 0 forces a redraw,
+def test_rejected_block_is_redrawn_whole(cell, value):
+    # A zero leader draw, a tie or u = 0.5 + 0.5 * 0 rejects the block,
     # which no seeded run reaches (about 2**-53 per draw).  The step
-    # must rewind the generator and draw one weight at a time, exactly
-    # like the sequential replay.
+    # must draw the next block whole and move exactly like the replay
+    # built from it.
     p = box_problem(dim=3)
     cfg = LabConfig(num_groups=3, group_size=4)
     block = np.random.default_rng(0).uniform(0.2, 0.8, (3, 6))
@@ -324,7 +321,7 @@ def test_rejected_block_falls_back_to_sequential_draws(cell, value):
     state, expected, mirror = replay_step(p, cfg, seed=7, block=block)
     for i in range(cfg.population):
         assert np.array_equal(state.pos[i], expected[i]), i
-    # the stream continues where the sequential replay left it
+    # the stream continues where the replay left it
     assert state.rng.random(1) == mirror.random(1)
 
 

@@ -230,9 +230,20 @@ def test_problem_wrapper_round_trips():
         assert p.evaluate_batch(batch).tolist() == [p.evaluate(x) for x in batch]
 
 
+# No catalog model has one variable; these cover grid_oracle's
+# single-column slabs in both senses.
+ONE_VARIABLE_SPECS = [
+    machining._spec(
+        "synthetic", "y", sense.value, sense, [("s1", "mm")], None, [0.5], [3.0],
+        [(sign * 2.0, (0,)), (sign * -3.1, (1,)), (sign * 1.0, (2,)), (sign * 0.4, (0.5,))],
+    )
+    for sign, sense in ((1.0, Sense.MINIMIZE), (-1.0, Sense.MAXIMIZE))
+]
+
+
 def test_grid_oracle_matches_nested_loop_reference():
     # independent slow oracle: pure-python loops and scalar powers
-    for spec in machining_registry():
+    for spec in machining_registry() + ONE_VARIABLE_SPECS:
         k = 7
         axes = [
             [lo + (hi - lo) * i / (k - 1) for i in range(k)]
