@@ -23,8 +23,8 @@ def _lab(make_problem, **config):
     return lambda seed: run(make_problem(seed), LabConfig(seed=seed, **config))
 
 
-def _baseline(algorithm, make_problem):
-    budget = LabConfig().population * (LabConfig().max_iterations + 1)
+def _baseline(algorithm, make_problem, budget=None):
+    budget = budget or LabConfig().population * (LabConfig().max_iterations + 1)
     return lambda seed: run_baseline(
         make_problem(seed),
         BaselineConfig(algorithm=algorithm, budget=budget, seed=seed),
@@ -62,6 +62,15 @@ CASES = {
             ("edm:MRR", _machining("edm:MRR")),
             ("F10", _benchmark("F10")),
             ("F19", _benchmark("F19")),
+        )
+    },
+    # 37 = 20 + 17: a partial last batch (PSO's prefix, SA's short stage)
+    **{
+        f"{algo}-37/{name}": _baseline(algo, make, budget=37)
+        for algo in ("random_search", "sa", "pso")
+        for name, make in (
+            ("edm:MRR", _machining("edm:MRR")),
+            ("F10", _benchmark("F10")),
         )
     },
 }
@@ -141,18 +150,30 @@ GOLDEN = {
         "7265d9c6d0be681ac831575fdc6aad0b2cb21c5a24f6a4da0845dd0bfbcf29c2",
     "lab/mql_turning:VBmax":
         "180d10834743f1cf33bac38509b05016a8a0d23997f502f03d3dc71747fac362",
+    "pso-37/F10":
+        "a2d6e807325678cfc1056acf6c3168a99cd7322c87f8cfb45d1563a3a83aec3f",
+    "pso-37/edm:MRR":
+        "e520b962a2e468bb748c25e3303eb825000b42fb083ce7bce6a97b25e6bb857f",
     "pso/F10":
         "de39e7b5b35603aa73d78f14282ebf80835f411e5ddd665233f8879e141a5506",
     "pso/F19":
         "0d5dcedd3d458c8e241322a4698364b77e3f06d78c3bead557151d8f74df3629",
     "pso/edm:MRR":
         "c9215d49701672354e3b02b52221704915552994b4b164fbfa5c3b61ddff82ce",
+    "random_search-37/F10":
+        "6c054851e5b135a04f2c0d41122c28308ebcdfe92a253f746187d2380d23a7bb",
+    "random_search-37/edm:MRR":
+        "272ba5fb95dc3e1650d0d7401410cc137d26b21e2070592cd508f28235916009",
     "random_search/F10":
         "116c1339342b4c173297926174e6f77dd5024a8faf0319795e05ef35c3123233",
     "random_search/F19":
         "e6643d3b1dcf52b3cd4be45c644d3cad19d72c1e84144803ee414b2bd1782634",
     "random_search/edm:MRR":
         "9c08803daf601e08bd3614b84452fe71ed2440494e5ae8dcf6ca105dee05891c",
+    "sa-37/F10":
+        "a44048d69d1f09a5d12f6d2b2226665ac2d1ba0c3a9b2a904288b028db056c37",
+    "sa-37/edm:MRR":
+        "df402d30edb95c69e1eb2b96f9e7510976a3fecce5849f07cca632e0df3b4ba2",
     "sa/F10":
         "f13bbded68e6b4773eb284aaead3fd812c4c1e4b2b11f54ce6e5865000e7332f",
     "sa/F19":
