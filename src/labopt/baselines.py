@@ -4,8 +4,9 @@ Three deliberately plain algorithms sharing the trace format of the
 main optimizer: uniform random search, simulated annealing with
 Gaussian moves and geometric cooling, and global-best particle swarm.
 All three spend exactly ``config.budget`` objective evaluations, no
-more and no less, recording one trace row per evaluation batch so
-convergence curves line up against equal-budget runs.
+more and no less, recording one trace row per batch of ``BATCH``
+evaluations, so their rows line up with the main optimizer's at its
+default population of 20.
 """
 from __future__ import annotations
 
@@ -22,45 +23,32 @@ ALGORITHM_PSO = "pso"
 
 BASELINE_ALGORITHMS = (ALGORITHM_RANDOM, ALGORITHM_SA, ALGORITHM_PSO)
 
+# Fixed settings of every run.  A batch of BATCH evaluations is one
+# trace row: random search's draws, one annealing temperature stage, or
+# one swarm step, so the swarm has BATCH particles (fewer only when the
+# whole budget is smaller).  SA moves with a Gaussian step of
+# SA_STEP_FRACTION of the box span per coordinate.
+BATCH = 20
+SA_COOLING = 0.95
+SA_STEP_FRACTION = 0.1
+PSO_INERTIA = 0.72
+PSO_COGNITIVE = 1.49
+PSO_SOCIAL = 1.49
+
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    """Settings shared by the reference optimizers.
-
-    ``batch_size`` controls trace granularity for random search and
-    the number of moves per temperature stage in annealing; particle
-    swarm batches are its swarm evaluations.  ``sa_initial_temperature``
-    of None means calibrate from the first batch: a tenth of the
-    fitness spread, falling back to 1.0 when the batch is flat.
-    """
+    """Which reference optimizer to run, for how many evaluations."""
 
     algorithm: str
     budget: int
     seed: int = 0
-    batch_size: int = 20
-    sa_initial_temperature: float | None = None
-    sa_cooling: float = 0.95
-    sa_step_fraction: float = 0.1
-    pso_swarm: int = 20
-    pso_inertia: float = 0.72
-    pso_cognitive: float = 1.49
-    pso_social: float = 1.49
 
     def validate(self) -> None:
         if self.algorithm not in BASELINE_ALGORITHMS:
             raise ConfigError(f"unknown baseline algorithm {self.algorithm!r}")
         if self.budget < 1:
             raise ConfigError("budget must be at least 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be at least 1")
-        if self.sa_initial_temperature is not None and self.sa_initial_temperature <= 0:
-            raise ConfigError("sa_initial_temperature must be positive")
-        if not 0.0 < self.sa_cooling < 1.0:
-            raise ConfigError("sa_cooling must be in (0, 1)")
-        if self.sa_step_fraction <= 0:
-            raise ConfigError("sa_step_fraction must be positive")
-        if self.pso_swarm < 2:
-            raise ConfigError("pso_swarm must be at least 2")
 
 
 def _observe_batch(
@@ -77,17 +65,17 @@ def _uniform(problem: Problem, rng: np.random.Generator, count: int) -> np.ndarr
     return problem.lower + span * rng.random((count, problem.dim))
 
 
-def _batch_sizes(budget: int, batch: int) -> list[int]:
-    sizes = [batch] * (budget // batch)
-    if budget % batch:
-        sizes.append(budget % batch)
+def _batch_sizes(budget: int) -> list[int]:
+    sizes = [BATCH] * (budget // BATCH)
+    if budget % BATCH:
+        sizes.append(budget % BATCH)
     return sizes
 
 
 def _run_random_search(problem: Problem, config: BaselineConfig) -> RunTrace:
     rng = np.random.default_rng(config.seed)
     recorder = Recorder(problem)
-    for size in _batch_sizes(config.budget, config.batch_size):
+    for size in _batch_sizes(config.budget):
         positions = _uniform(problem, rng, size)
         _observe_batch(recorder, positions, problem.evaluate_batch(positions))
     return recorder.trace(ALGORITHM_RANDOM, config.seed, config.budget, TERMINATION_BUDGET)
@@ -97,20 +85,18 @@ def _run_sa(problem: Problem, config: BaselineConfig) -> RunTrace:
     rng = np.random.default_rng(config.seed)
     recorder = Recorder(problem)
     span = problem.upper - problem.lower
-    step = config.sa_step_fraction * span
-    sizes = _batch_sizes(config.budget, config.batch_size)
+    step = SA_STEP_FRACTION * span
+    sizes = _batch_sizes(config.budget)
 
-    # Calibration batch: uniform sample, start from its best point.
+    # Calibration batch: uniform sample, start from its best point at a
+    # tenth of its fitness spread (1.0 if the batch is flat).
     positions = _uniform(problem, rng, sizes[0])
     fitnesses = problem.evaluate_batch(positions)
     _observe_batch(recorder, positions, fitnesses)
     current = np.array(recorder.best_position)
     current_fit = recorder.best_fitness
-    if config.sa_initial_temperature is not None:
-        temperature = config.sa_initial_temperature
-    else:
-        spread = float(np.max(fitnesses) - np.min(fitnesses))
-        temperature = 0.1 * spread if spread > 0 else 1.0
+    spread = float(np.max(fitnesses) - np.min(fitnesses))
+    temperature = 0.1 * spread if spread > 0 else 1.0
 
     for size in sizes[1:]:
         batch_pos = np.empty((size, problem.dim))
@@ -130,14 +116,15 @@ def _run_sa(problem: Problem, config: BaselineConfig) -> RunTrace:
                 current = proposal
                 current_fit = fit
         _observe_batch(recorder, batch_pos, batch_fit)
-        temperature *= config.sa_cooling
+        temperature *= SA_COOLING
     return recorder.trace(ALGORITHM_SA, config.seed, config.budget, TERMINATION_BUDGET)
 
 
 def _run_pso(problem: Problem, config: BaselineConfig) -> RunTrace:
     rng = np.random.default_rng(config.seed)
     recorder = Recorder(problem)
-    swarm = min(config.pso_swarm, config.budget)
+    sizes = _batch_sizes(config.budget)
+    swarm = sizes[0]
     positions = _uniform(problem, rng, swarm)
     velocities = np.zeros_like(positions)
     fitnesses = problem.evaluate_batch(positions)
@@ -146,15 +133,13 @@ def _run_pso(problem: Problem, config: BaselineConfig) -> RunTrace:
     pbest_fit = fitnesses.copy()
     gbest = np.array(recorder.best_position)
 
-    remaining = config.budget - swarm
-    while remaining > 0:
-        count = min(swarm, remaining)
+    for count in sizes[1:]:
         r1 = rng.random((swarm, problem.dim))
         r2 = rng.random((swarm, problem.dim))
         velocities = (
-            config.pso_inertia * velocities
-            + config.pso_cognitive * r1 * (pbest_pos - positions)
-            + config.pso_social * r2 * (gbest - positions)
+            PSO_INERTIA * velocities
+            + PSO_COGNITIVE * r1 * (pbest_pos - positions)
+            + PSO_SOCIAL * r2 * (gbest - positions)
         )
         positions = np.clip(positions + velocities, problem.lower, problem.upper)
         # Partial last batch evaluates a prefix of the swarm only.
@@ -164,7 +149,6 @@ def _run_pso(problem: Problem, config: BaselineConfig) -> RunTrace:
         pbest_fit[:count][better] = fitnesses[better]
         pbest_pos[:count][better] = positions[:count][better]
         gbest = np.array(recorder.best_position)
-        remaining -= count
     return recorder.trace(ALGORITHM_PSO, config.seed, config.budget, TERMINATION_BUDGET)
 
 

@@ -354,27 +354,21 @@ def quartic(x: np.ndarray) -> np.ndarray:
     return np.sum(np.arange(1.0, x.shape[-1] + 1.0) * x**4, axis=-1)
 
 
-class QuarticObjective:
-    """Quartic function with its own seeded noise stream.
+def make_noisy_quartic(seed: int) -> Callable[[np.ndarray], np.ndarray | float]:
+    """Quartic with its own seeded uniform(0, 1) noise stream.
 
     The standard form adds uniform(0, 1) noise to every evaluation.
-    Instances own their generator, so a fresh instance replays the same
+    Each closure owns its generator, so a fresh one replays the same
     noise sequence, keeping runs reproducible; a batch draws its noise
     in row order, as that many single evaluations would.
-    ``noisy=False`` gives the deterministic core, which the invariant
-    tests rely on.
     """
+    rng = np.random.default_rng(seed)
 
-    def __init__(self, seed: int = 0, noisy: bool = True) -> None:
-        self.seed = seed
-        self.noisy = noisy
-        self._rng = np.random.default_rng(seed)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray | float:
+    def noisy_quartic(x: np.ndarray) -> np.ndarray | float:
         values = quartic(x)
-        if self.noisy:
-            values = values + self._rng.uniform(0.0, 1.0, size=np.shape(values))
-        return values
+        return values + rng.uniform(0.0, 1.0, size=np.shape(values))
+
+    return noisy_quartic
 
 
 @_batched()
@@ -594,7 +588,7 @@ def build_problem(
         name = f"{spec.id}@{dim}"
     objective = spec.objective
     if spec.id == "F32":
-        objective = QuarticObjective(
+        objective = make_noisy_quartic(
             _QUARTIC_NOISE_SEED if noise_seed is None else noise_seed
         )
     return Problem(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -35,7 +36,7 @@ from .persist import (
     write_summary,
     write_trace,
 )
-from .problem import ConfigError, EvaluationError
+from .problem import ConfigError, EvaluationError, Problem
 from .stats import pairwise_compare, summarize
 
 ALGORITHM_LAB = "lab"
@@ -52,53 +53,41 @@ def _out_root(arg: str | None) -> Path:
     return Path(arg or os.environ.get("LABOPT_OUT", "out"))
 
 
-ProblemFactory = Callable[[int], "object"]
+def _resolve_selector(selector: str) -> list[tuple[str, Callable[[int], Problem]]]:
+    """Expand a problem selector into (name, per-seed problem builder) pairs.
 
-
-def _benchmark_factory(spec_id: str, dim: int | None) -> ProblemFactory:
-    def factory(seed: int):
-        return benchmarks.build_problem(spec_id, dim=dim, noise_seed=seed)
-
-    return factory
-
-
-def _machining_factory(key: str) -> ProblemFactory:
-    def factory(seed: int):
-        return machining.get(key).problem
-
-    return factory
-
-
-def _resolve_selector(selector: str) -> list[tuple[str, ProblemFactory]]:
-    """Expand a problem selector into (name, per-seed factory) pairs.
-
-    Factories take the run seed so the noisy benchmark can reseed its
+    Builders take the run seed so the noisy benchmark can reseed its
     noise stream per run; every other problem ignores the seed.
     """
     low = selector.lower()
     if low == "all-benchmarks":
         return [
-            (spec.id, _benchmark_factory(spec.id, None))
+            (spec.id, functools.partial(benchmarks.build_problem, spec.id, None))
             for spec in benchmarks.registry()
         ]
     if low == "all-machining":
         return [
-            (spec.key, _machining_factory(spec.key))
+            (spec.key, lambda seed, spec=spec: spec.problem)
             for spec in machining.machining_registry()
         ]
-    base, _, dim_text = selector.partition("@")
+    base, at, dim_text = selector.partition("@")
     try:
         spec = benchmarks.get(base)
-        dim = int(dim_text) if dim_text else None
+        if at and not dim_text.isdecimal():
+            raise ValueError(
+                f"bad dimension in problem {selector!r}; expected <id>@<dim> "
+                "with a positive integer <dim>"
+            )
+        dim = int(dim_text) if at else None
         name = benchmarks.build_problem(spec.id, dim=dim).name
-        return [(name, _benchmark_factory(spec.id, dim))]
+        return [(name, functools.partial(benchmarks.build_problem, spec.id, dim))]
     except KeyError:
         pass
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     try:
         mspec = machining.get(selector)
-        return [(mspec.key, _machining_factory(mspec.key))]
+        return [(mspec.key, lambda seed: mspec.problem)]
     except KeyError:
         raise ConfigError(
             f"unknown problem {selector!r}; see `labopt list-problems`"
@@ -152,15 +141,17 @@ def _run_one(args: argparse.Namespace, problem, seed: int):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.runs < 1:
+        raise ConfigError(f"--runs must be at least 1, got {args.runs}")
     problems = _resolve_selector(args.problem)
     out_root = _out_root(args.out)
-    for name, factory in problems:
+    for name, build in problems:
         run_dir = out_root / f"{_slug(name)}__{args.algo}"
         traces = []
         for i in range(args.runs):
             run_seed = args.seed + i
             try:
-                trace = _run_one(args, factory(run_seed), run_seed)
+                trace = _run_one(args, build(run_seed), run_seed)
             except EvaluationError as exc:
                 raise EvaluationError(
                     f"{name} [{args.algo}] seed {run_seed}: {exc}", exc.position

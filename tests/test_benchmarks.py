@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from labopt import benchmarks, machining
 from labopt.benchmarks import (
-    QuarticObjective,
     SEPARABLE_IDS,
     build_problem,
     dixon_price_minimizer,
+    make_noisy_quartic,
+    quartic,
     registry,
 )
 from labopt.engine import LabConfig, run
@@ -218,24 +219,24 @@ def test_langermann_values_are_reasonable():
 
 
 def test_quartic_noise_is_reproducible_per_seed():
-    a = QuarticObjective(seed=7)
-    b = QuarticObjective(seed=7)
+    a = make_noisy_quartic(7)
+    b = make_noisy_quartic(7)
     rng = np.random.default_rng(1)
     xs = rng.uniform(-1.28, 1.28, size=(20, 30))
     va = [a(x) for x in xs]
     vb = [b(x) for x in xs]
     assert va == vb
-    c = QuarticObjective(seed=8)
+    c = make_noisy_quartic(8)
     assert [c(x) for x in xs] != va
 
 
 def test_quartic_noiseless_variant_is_deterministic():
-    quiet = QuarticObjective(seed=0, noisy=False)
     x = np.full(30, 0.5)
     expected = sum((i + 1) * 0.5**4 for i in range(30))
-    assert quiet(x) == pytest.approx(expected, rel=1e-15)
-    assert quiet(x) == quiet(x)
-    noisy = QuarticObjective(seed=0, noisy=True)
+    assert quartic(x) == pytest.approx(expected, rel=1e-15)
+    assert quartic(x) == quartic(x)
+    assert benchmarks.get("F32").objective is quartic
+    noisy = make_noisy_quartic(0)
     assert noisy(x) != noisy(x)  # fresh draw per call
 
 

@@ -142,6 +142,21 @@ def test_bad_dimension_override_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["--problem", "F44@abc"], "problem 'F44@abc'; expected <id>@<dim>"),
+        (["--problem", "F44@"], "problem 'F44@'; expected <id>@<dim>"),
+        (["--problem", "F10", "--runs", "0"], "--runs must be at least 1"),
+    ],
+    ids=["non-integer-dim", "empty-dim", "zero-runs"],
+)
+def test_bad_run_input_exits_2_naming_it(tmp_path, capsys, argv, expected):
+    assert run_cli(["run", *argv, "--iters", "1", "--out", str(tmp_path)]) == 2
+    assert expected in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_compare_end_to_end(tmp_path, capsys):
     out = tmp_path / "runs"
     for algo in ("lab", "random_search"):

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from labopt.engine import IterationRecord, RunTrace, TERMINATION_MAX_ITERATIONS
 from labopt.problem import Sense
@@ -182,25 +184,52 @@ def test_input_validation():
         wilcoxon_two_sided(np.ones((2, 3)), np.ones((2, 3)))
 
 
-def test_agrees_with_scipy_when_available():
+@st.composite
+def signed_rank_samples(draw):
+    """Paired samples for either p-value branch, with zero differences mixed in.
+
+    Exact branch: 5-12 nonzero differences with distinct magnitudes.
+    Normal branch: 13-60 nonzero differences whose magnitudes tie at
+    random.  Values are integers, so a - b is exact in floats.
+    """
+    exact = draw(st.booleans())
+    if exact:
+        n = draw(st.integers(MIN_EFFECTIVE, EXACT_LIMIT))
+    else:
+        n = draw(st.integers(EXACT_LIMIT + 1, 60))
+        top = draw(st.integers(1, 2 * n))
+    zeros = draw(st.integers(0, 15))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if exact:
+        mags = 1 + rng.choice(10**6, n, replace=False)
+    else:
+        mags = rng.integers(1, top + 1, n)
+    diffs = np.concatenate([mags * rng.choice((-1, 1), n), np.zeros(zeros, dtype=int)])
+    b = rng.integers(-50, 51, n + zeros)
+    return (b + rng.permutation(diffs)).astype(float), b.astype(float)
+
+
+_FIXED = np.random.default_rng(31)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(signed_rank_samples())
+# exact branch: distinct magnitudes, no zeros
+@example((np.array([0.11, 0.52, 1.3, 2.7, 0.9, 4.1, 0.3, 2.2, 1.7, 3.3]) - 2.0, np.zeros(10)))
+# normal branch with continuity and tie corrections
+@example(tuple(_FIXED.integers(0, 9, 40).astype(float) for _ in range(2)))
+def test_agrees_with_scipy_when_available(case):
     scipy_stats = pytest.importorskip("scipy.stats")
-    rng = np.random.default_rng(31)
-    # exact branch: distinct magnitudes, no zeros
-    a = np.array([0.11, 0.52, 1.3, 2.7, 0.9, 4.1, 0.3, 2.2, 1.7, 3.3])
-    b = np.zeros(10)
-    ours = wilcoxon_two_sided(a - np.array([2.0] * 10), b)
-    ref = scipy_stats.wilcoxon(
-        a - 2.0, b, zero_method="wilcox", alternative="two-sided", mode="exact"
-    )
-    assert ours.p_value == pytest.approx(ref.pvalue, abs=1e-12)
-    # normal branch with continuity and tie corrections
-    a = rng.integers(0, 9, 40).astype(float)
-    b = rng.integers(0, 9, 40).astype(float)
+    a, b = case
     ours = wilcoxon_two_sided(a, b)
-    if ours.method == METHOD_NORMAL:
+    nonzero = (a - b)[a != b]  # zero_method="wilcox" drops them too
+    if ours.method == METHOD_EXACT:
+        ref = scipy_stats.wilcoxon(nonzero, alternative="two-sided", method="exact")
+        assert ours.p_value == pytest.approx(ref.pvalue, abs=1e-12)
+    else:
+        assert ours.method == METHOD_NORMAL
         ref = scipy_stats.wilcoxon(
-            a, b, zero_method="wilcox", alternative="two-sided",
-            correction=True, mode="approx",
+            nonzero, alternative="two-sided", correction=True, method="approx"
         )
         assert ours.p_value == pytest.approx(ref.pvalue, abs=1e-10)
 
