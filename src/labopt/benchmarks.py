@@ -12,7 +12,6 @@ Booth both contain cross terms); see the notes on ``SEPARABLE_IDS``.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -167,11 +166,15 @@ FLETCHER_ALPHA = {
 # ---------------------------------------------------------------------------
 # objective functions
 #
-# Every objective maps ``(..., dim)`` points to one value per point (a
-# float for a single point), so a whole population is one call.  The
-# batched values are bit-for-bit those of the one-point formulas they
-# replaced, which the golden traces pin.  Where numpy's array kernels
-# round differently from the scalar code, the scalar routine is kept:
+# Every objective maps a C-contiguous ``(m, dim)`` batch to ``(m,)``
+# values, so a whole population is one call; :class:`Problem` checks
+# the width and hands a single point over as a one-row batch.  The
+# contiguity matters: each row must reduce exactly as a lone point
+# would, and a Fortran-ordered batch changes the last bit of several
+# reductions.  The batched values are bit-for-bit those of the
+# one-point formulas they replaced, which the golden traces pin.
+# Where numpy's array kernels round differently from the scalar code,
+# the scalar routine is kept:
 # - a power of one coordinate, or of a per-point scalar, goes through
 #   libm ``pow`` element by element (``_pow``); numpy's SIMD array power
 #   can differ from it in the last bit (on an AVX-512 CPU, for about
@@ -184,43 +187,16 @@ FLETCHER_ALPHA = {
 #   per point; ``np.sin(X) @ a.T`` sums the products in another order.
 
 
-def _batched(dim: int | None = None):
-    """Serve ``(..., dim)`` input from a formula over ``(m, dim)`` rows.
-
-    The formula always sees a C-contiguous 2-D array, so each row
-    reduces exactly as a lone point would.  A fixed ``dim`` is checked
-    against the last axis.
-    """
-
-    def wrap(formula):
-        @functools.wraps(formula)
-        def objective(x: np.ndarray) -> np.ndarray | float:
-            x = np.asarray(x, dtype=float)
-            if x.ndim == 0 or (dim is not None and x.shape[-1] != dim):
-                raise ValueError(
-                    f"{formula.__name__} expects points of shape (..., {dim or 'dim'}), "
-                    f"got shape {x.shape}"
-                )
-            values = formula(np.ascontiguousarray(x.reshape(-1, x.shape[-1])))
-            return float(values[0]) if x.ndim == 1 else values.reshape(x.shape[:-1])
-
-        return objective
-
-    return wrap
-
-
 def _pow(a: np.ndarray, k: int) -> np.ndarray:
     """``a ** k`` element by element through libm ``pow``."""
     return np.array([v**k for v in a.tolist()])
 
 
-@_batched(2)
 def foxholes(x: np.ndarray) -> np.ndarray:
     denom = np.arange(1.0, 26.0) + np.sum((x[:, None, :] - FOXHOLES_A) ** 6, axis=-1)
     return 1.0 / (1.0 / 500.0 + np.sum(1.0 / denom, axis=-1))
 
 
-@_batched()
 def ackley(x: np.ndarray) -> np.ndarray:
     n = x.shape[-1]
     sq = np.sqrt(np.sum(x**2, axis=-1) / n).tolist()
@@ -230,7 +206,6 @@ def ackley(x: np.ndarray) -> np.ndarray:
     )
 
 
-@_batched(2)
 def bohachevsky1(x: np.ndarray) -> np.ndarray:
     x1, x2 = x.T
     return (
@@ -242,7 +217,6 @@ def bohachevsky1(x: np.ndarray) -> np.ndarray:
     )
 
 
-@_batched(2)
 def bohachevsky2(x: np.ndarray) -> np.ndarray:
     x1, x2 = x.T
     return (
@@ -253,7 +227,6 @@ def bohachevsky2(x: np.ndarray) -> np.ndarray:
     )
 
 
-@_batched(2)
 def bohachevsky3(x: np.ndarray) -> np.ndarray:
     x1, x2 = x.T
     return (
@@ -264,13 +237,11 @@ def bohachevsky3(x: np.ndarray) -> np.ndarray:
     )
 
 
-@_batched(2)
 def booth(x: np.ndarray) -> np.ndarray:
     x1, x2 = x.T
     return _pow(x1 + 2.0 * x2 - 7.0, 2) + _pow(2.0 * x1 + x2 - 5.0, 2)
 
 
-@_batched()
 def dixon_price(x: np.ndarray) -> np.ndarray:
     idx = np.arange(2.0, x.shape[-1] + 1.0)
     return _pow(x[:, 0] - 1.0, 2) + np.sum(
@@ -284,12 +255,11 @@ def dixon_price_minimizer(dim: int) -> np.ndarray:
     return 2.0 ** (-(2.0**i - 2.0) / 2.0**i)
 
 
-def make_fletcher(dim: int) -> Callable[[np.ndarray], np.ndarray | float]:
+def make_fletcher(dim: int) -> Callable[[np.ndarray], np.ndarray]:
     """Fletcher-Powell objective for one of the frozen dimensions."""
     a, b, alpha = FLETCHER_A[dim], FLETCHER_B[dim], FLETCHER_ALPHA[dim]
     target = a @ np.sin(alpha) + b @ np.cos(alpha)
 
-    @_batched(dim)
     def fletcher(x: np.ndarray) -> np.ndarray:
         current = (
             np.matmul(a, np.sin(x)[..., None])[..., 0]
@@ -300,7 +270,6 @@ def make_fletcher(dim: int) -> Callable[[np.ndarray], np.ndarray | float]:
     return fletcher
 
 
-@_batched()
 def griewank(x: np.ndarray) -> np.ndarray:
     idx = np.sqrt(np.arange(1.0, x.shape[-1] + 1.0))
     return np.sum(x**2, axis=-1) / 4000.0 - np.prod(np.cos(x / idx), axis=-1) + 1.0
@@ -311,28 +280,24 @@ def _hartman(x: np.ndarray, a: np.ndarray, p: np.ndarray) -> np.ndarray:
     return -np.sum(HARTMAN_C * np.exp(-inner), axis=-1)
 
 
-@_batched(3)
 def hartman3(x: np.ndarray) -> np.ndarray:
     return _hartman(x, HARTMAN3_A, HARTMAN3_P)
 
 
-@_batched(6)
 def hartman6(x: np.ndarray) -> np.ndarray:
     return _hartman(x, HARTMAN6_A, HARTMAN6_P)
 
 
-@_batched(4)
 def kowalik(x: np.ndarray) -> np.ndarray:
     b = KOWALIK_B
     model = x[:, 0:1] * (b**2 + b * x[:, 1:2]) / (b**2 + b * x[:, 2:3] + x[:, 3:4])
     return np.sum((KOWALIK_A - model) ** 2, axis=-1)
 
 
-def make_langermann(dim: int) -> Callable[[np.ndarray], np.ndarray | float]:
+def make_langermann(dim: int) -> Callable[[np.ndarray], np.ndarray]:
     """Five-site Langermann objective on the first ``dim`` columns."""
     a = LANGERMANN_A[:, :dim]
 
-    @_batched(dim)
     def langermann(x: np.ndarray) -> np.ndarray:
         sq = np.sum((x[:, None, :] - a) ** 2, axis=-1)
         return -np.sum(
@@ -342,19 +307,17 @@ def make_langermann(dim: int) -> Callable[[np.ndarray], np.ndarray | float]:
     return langermann
 
 
-@_batched(2)
 def matyas(x: np.ndarray) -> np.ndarray:
     x1, x2 = x.T
     return 0.26 * (_pow(x1, 2) + _pow(x2, 2)) - 0.48 * x1 * x2
 
 
-@_batched()
 def quartic(x: np.ndarray) -> np.ndarray:
     """Weighted fourth powers, without noise."""
     return np.sum(np.arange(1.0, x.shape[-1] + 1.0) * x**4, axis=-1)
 
 
-def make_noisy_quartic(seed: int) -> Callable[[np.ndarray], np.ndarray | float]:
+def make_noisy_quartic(seed: int) -> Callable[[np.ndarray], np.ndarray]:
     """Quartic with its own seeded uniform(0, 1) noise stream.
 
     The standard form adds uniform(0, 1) noise to every evaluation.
@@ -364,37 +327,32 @@ def make_noisy_quartic(seed: int) -> Callable[[np.ndarray], np.ndarray | float]:
     """
     rng = np.random.default_rng(seed)
 
-    def noisy_quartic(x: np.ndarray) -> np.ndarray | float:
+    def noisy_quartic(x: np.ndarray) -> np.ndarray:
         values = quartic(x)
         return values + rng.uniform(0.0, 1.0, size=np.shape(values))
 
     return noisy_quartic
 
 
-@_batched()
 def rastrigin(x: np.ndarray) -> np.ndarray:
     return np.sum(x**2 - 10.0 * np.cos(2.0 * math.pi * x) + 10.0, axis=-1)
 
 
-@_batched(2)
 def schaffer(x: np.ndarray) -> np.ndarray:
     x1, x2 = x.T
     sq = _pow(x1, 2) + _pow(x2, 2)
     return 0.5 + (_pow(np.sin(np.sqrt(sq)), 2) - 0.5) / _pow(1.0 + 0.001 * sq, 2)
 
 
-@_batched()
 def schwefel_1_2(x: np.ndarray) -> np.ndarray:
     return np.sum(np.cumsum(x, axis=-1) ** 2, axis=-1)
 
 
-@_batched()
 def schwefel_2_22(x: np.ndarray) -> np.ndarray:
     ax = np.abs(x)
     return np.sum(ax, axis=-1) + np.prod(ax, axis=-1)
 
 
-@_batched(2)
 def six_hump_camelback(x: np.ndarray) -> np.ndarray:
     x1, x2 = x.T
     return (
@@ -407,22 +365,18 @@ def six_hump_camelback(x: np.ndarray) -> np.ndarray:
     )
 
 
-@_batched()
 def sphere(x: np.ndarray) -> np.ndarray:
     return np.sum(x**2, axis=-1)
 
 
-@_batched()
 def step2(x: np.ndarray) -> np.ndarray:
     return np.sum(np.floor(x + 0.5) ** 2, axis=-1)
 
 
-@_batched()
 def sumsquares(x: np.ndarray) -> np.ndarray:
     return np.sum(np.arange(1.0, x.shape[-1] + 1.0) * x**2, axis=-1)
 
 
-@_batched()
 def zakharov(x: np.ndarray) -> np.ndarray:
     s = np.sum(0.5 * np.arange(1.0, x.shape[-1] + 1.0) * x, axis=-1)
     return np.sum(x**2, axis=-1) + _pow(s, 2) + _pow(s, 4)
@@ -454,7 +408,7 @@ class BenchmarkSpec:
     upper: float
     known_best: float | None
     known_minimizer: tuple[float, ...] | None
-    objective: Callable[[np.ndarray], np.ndarray | float]
+    objective: Callable[[np.ndarray], np.ndarray]
 
     @property
     def problem(self) -> Problem:

@@ -143,6 +143,8 @@ def _run_one(args: argparse.Namespace, problem, seed: int):
 def cmd_run(args: argparse.Namespace) -> int:
     if args.runs < 1:
         raise ConfigError(f"--runs must be at least 1, got {args.runs}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     problems = _resolve_selector(args.problem)
     out_root = _out_root(args.out)
     for name, build in problems:

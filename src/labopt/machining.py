@@ -65,12 +65,12 @@ class MachiningSpec:
             bound.flags.writeable = False
         return box
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray | float:
-        """Evaluate the model at one point or an array of points.
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        """Evaluate the model at every row of an ``(m, dim)`` batch.
 
-        ``x`` has shape ``(dim,)`` or ``(..., dim)``; inputs must lie
-        inside the variable box, where the power-law models are
-        defined.
+        Returns an ``(m,)`` array; other leading shapes map the same
+        way, ``(..., dim)`` to ``(...)``.  Inputs must lie inside the
+        variable box, where the power-law models are defined.
         """
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.dim:
@@ -78,7 +78,7 @@ class MachiningSpec:
                 f"{self.key} expects {self.dim} variables, got shape {x.shape}"
             )
         lo, hi = self._box
-        if np.any(x < lo) or np.any(x > hi):
+        if (x < lo).any() or (x > hi).any():
             raise ValueError(f"input outside the {self.key} variable box")
         out = np.zeros(x.shape[:-1])
         for coef, exps in self.terms:
@@ -88,7 +88,7 @@ class MachiningSpec:
                     continue
                 term = term * x[..., i] ** e
             out += term
-        return out if out.ndim else float(out)
+        return out
 
     @property
     def problem(self) -> Problem:

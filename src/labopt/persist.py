@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -135,7 +135,16 @@ def write_summary(summary: RunSummary, path: str | Path) -> Path:
 
 
 def read_summary(path: str | Path) -> RunSummary:
-    d = json.loads(Path(path).read_text())
+    """Parse a summary JSON; an unreadable or incomplete file names ``path``."""
+    try:
+        d = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    absent = {f.name for f in fields(RunSummary)} - (
+        d.keys() if isinstance(d, dict) else set()
+    )
+    if absent:
+        raise ValueError(f"{path}: missing keys {sorted(absent)}")
     return RunSummary(
         problem=d["problem"],
         algorithm=d["algorithm"],

@@ -54,10 +54,10 @@ class Problem:
     sense : Sense
         Whether the objective is minimized or maximized.
     objective : callable
-        Maps points of shape ``(..., dim)`` to values of shape
-        ``(...)``: one real number for a ``(dim,)`` point, ``m`` values
-        for an ``(m, dim)`` batch, each bit-equal to evaluating its row
-        alone.
+        Maps a C-contiguous float ``(m, dim)`` batch to ``m`` values,
+        each bit-equal to evaluating its row alone.  The Problem
+        checks the width, makes the batch contiguous and hands a
+        single point over as a one-row batch.
     """
 
     name: str
@@ -65,7 +65,7 @@ class Problem:
     lower: np.ndarray
     upper: np.ndarray
     sense: Sense
-    objective: Callable[[np.ndarray], np.ndarray | float]
+    objective: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -85,14 +85,17 @@ class Problem:
             )
 
     def evaluate(self, x: np.ndarray) -> float:
-        """Evaluate one ``(dim,)`` point, rejecting non-finite results."""
+        """Evaluate one ``(dim,)`` point, rejecting non-finite results.
+
+        The point reaches the objective as a one-row batch.
+        """
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(
                 f"problem '{self.name}' evaluates ({self.dim},) points, "
                 f"got shape {x.shape}"
             )
-        value = float(self.objective(x))
+        value = float(self.objective(np.ascontiguousarray(x)[None])[0])
         if not math.isfinite(value):
             raise EvaluationError(
                 f"objective of '{self.name}' returned {value!r}", x
@@ -102,11 +105,12 @@ class Problem:
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
         """Evaluate every row of ``X`` in one objective call.
 
-        ``X`` must have shape ``(m, dim)`` and the objective must return
-        shape ``(m,)``.  Non-finite results are rejected; the error
-        names the first bad row.
+        ``X`` must have shape ``(m, dim)``; the objective gets it as a
+        C-contiguous float array and must return shape ``(m,)``.
+        Non-finite results are rejected; the error names the first bad
+        row.
         """
-        X = np.asarray(X, dtype=float)
+        X = np.ascontiguousarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(
                 f"problem '{self.name}' evaluates (m, {self.dim}) batches, "

@@ -116,20 +116,13 @@ class WilcoxonResult:
 def _doubled_midranks(abs_diffs: np.ndarray) -> np.ndarray:
     """Midranks of |d|, times two, as exact integers.
 
-    A tie block covering 1-based sorted positions i..j shares midrank
-    (i + j) / 2, so its doubled rank is the integer i + j.
+    A tie block covering 0-based sorted positions i..j shares midrank
+    (i + j + 2) / 2, so its doubled rank is the integer i + j + 2.  In
+    the sorted values, i is the left and j + 1 the right insertion
+    point of every member of the block.
     """
-    n = len(abs_diffs)
-    order = np.argsort(abs_diffs, kind="stable")
-    ranks = np.empty(n, dtype=np.int64)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and abs_diffs[order[j + 1]] == abs_diffs[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = i + j + 2
-        i = j + 1
-    return ranks
+    s = np.sort(abs_diffs)
+    return np.searchsorted(s, abs_diffs, "left") + np.searchsorted(s, abs_diffs, "right") + 1
 
 
 def _exact_two_sided_p(doubled_ranks: np.ndarray, w_plus_doubled: int) -> float:

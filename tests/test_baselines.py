@@ -30,7 +30,7 @@ def counting_sphere(dim: int = 2) -> tuple[Problem, list[int]]:
     calls = [0]
 
     def objective(x):
-        # counts points: SA evaluates one (dim,) point at a time
+        # counts points: SA evaluates one point at a time, as a one-row batch
         calls[0] += int(np.prod(np.shape(x)[:-1]))
         return np.sum(x * x, axis=-1)
 

@@ -449,7 +449,15 @@ def test_batch_evaluation_equals_point_evaluation_bitwise(case):
     points = np.array([single.evaluate(x) for x in X])
     assert batch.shape == (len(X),)
     assert batch.tobytes() == points.tobytes()
+    # the Problem makes every input C-contiguous before the objective sees it
     d = X.shape[1]
+    wide = np.zeros((len(X), 2 * d))
+    wide[:, ::2] = X
+    strided = wide[:, ::2]
+    assert make().evaluate_batch(np.asfortranarray(X)).tobytes() == batch.tobytes()
+    assert make().evaluate_batch(strided).tobytes() == batch.tobytes()
+    single = make()
+    assert np.array([single.evaluate(x) for x in strided]).tobytes() == batch.tobytes()
     for wrong in (X[:, : d - 1], np.hstack([X, X[:, :1]])):
         with pytest.raises(ValueError):
             make().evaluate_batch(wrong)

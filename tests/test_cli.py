@@ -148,8 +148,9 @@ def test_bad_dimension_override_exits_2(tmp_path, capsys):
         (["--problem", "F44@abc"], "problem 'F44@abc'; expected <id>@<dim>"),
         (["--problem", "F44@"], "problem 'F44@'; expected <id>@<dim>"),
         (["--problem", "F10", "--runs", "0"], "--runs must be at least 1"),
+        (["--problem", "F10", "--seed", "-1"], "--seed must be non-negative, got -1"),
     ],
-    ids=["non-integer-dim", "empty-dim", "zero-runs"],
+    ids=["non-integer-dim", "empty-dim", "zero-runs", "negative-seed"],
 )
 def test_bad_run_input_exits_2_naming_it(tmp_path, capsys, argv, expected):
     assert run_cli(["run", *argv, "--iters", "1", "--out", str(tmp_path)]) == 2
@@ -221,6 +222,34 @@ def test_compare_without_summaries_exits_2(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     assert run_cli(["compare", str(tmp_path / "empty")]) == 2
     assert "no summary.json" in capsys.readouterr().err
+
+
+def _without_finals(text):
+    summary = json.loads(text)
+    del summary["finals"]
+    return json.dumps(summary)
+
+
+@pytest.mark.parametrize(
+    "damage, expected",
+    [
+        (lambda text: text[:1], "not valid JSON"),
+        (_without_finals, "missing keys ['finals']"),
+    ],
+    ids=["truncated", "missing-finals"],
+)
+def test_compare_on_a_broken_summary_exits_2_naming_it(
+    tmp_path, capsys, damage, expected
+):
+    out = tmp_path / "runs"
+    assert run_cli(["run", "--problem", "F10", "--iters", "1", "--out", str(out)]) == 0
+    path = out / "F10__lab" / "summary.json"
+    path.write_text(damage(path.read_text()))
+    capsys.readouterr()
+    assert run_cli(["compare", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert expected in err
 
 
 def test_oracle_single_model(tmp_path, capsys):

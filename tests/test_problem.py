@@ -89,6 +89,24 @@ def test_evaluate_batch_equals_evaluate_row_by_row():
     assert p.evaluate_batch(X).tolist() == [p.evaluate(x) for x in X]
 
 
+def test_objective_always_gets_a_c_contiguous_float_batch():
+    seen = []
+
+    def objective(X):
+        seen.append((X.shape, X.dtype, X.flags.c_contiguous))
+        return np.sum(X, axis=1)
+
+    p = make_problem(objective=objective)
+    wide = np.arange(12.0).reshape(3, 4) / 10.0
+    p.evaluate(wide[0, ::2])
+    p.evaluate([0, 1])
+    p.evaluate_batch(np.asfortranarray(wide[:, :2]))
+    p.evaluate_batch(wide[:, ::2])
+    p.evaluate_batch([[0, 1]])
+    one, three = ((1, 2), np.float64, True), ((3, 2), np.float64, True)
+    assert seen == [one, one, three, three, one]
+
+
 @pytest.mark.parametrize("as_list", [False, True])
 def test_evaluate_batch_names_the_first_nonfinite_row(as_list):
     # nan wherever the first coordinate is positive, for a point or a batch
