@@ -95,7 +95,7 @@ class Problem:
                 f"problem '{self.name}' evaluates ({self.dim},) points, "
                 f"got shape {x.shape}"
             )
-        value = float(self.objective(np.ascontiguousarray(x)[None])[0])
+        value = float(self._call(np.ascontiguousarray(x)[None])[0])
         if not math.isfinite(value):
             raise EvaluationError(
                 f"objective of '{self.name}' returned {value!r}", x
@@ -116,12 +116,7 @@ class Problem:
                 f"problem '{self.name}' evaluates (m, {self.dim}) batches, "
                 f"got shape {X.shape}"
             )
-        values = np.asarray(self.objective(X), dtype=float)
-        if values.shape != (len(X),):
-            raise ValueError(
-                f"objective of '{self.name}' returned shape {values.shape} "
-                f"for a batch of {len(X)} points"
-            )
+        values = self._call(X)
         bad = np.flatnonzero(~np.isfinite(values))
         if len(bad):
             i = int(bad[0])
@@ -129,6 +124,20 @@ class Problem:
                 f"objective of '{self.name}' returned {float(values[i])!r} "
                 f"(batch row {i})",
                 X[i],
+            )
+        return values
+
+    def _call(self, X: np.ndarray) -> np.ndarray:
+        """The objective's values on a prepared batch, checked to be ``(m,)``.
+
+        An objective written for one ``(dim,)`` point would otherwise
+        return a float, or reduce the wrong axis of a one-row batch.
+        """
+        values = np.asarray(self.objective(X), dtype=float)
+        if values.shape != (len(X),):
+            raise ValueError(
+                f"objective of '{self.name}' returned shape {values.shape} "
+                f"for a batch of {len(X)} points"
             )
         return values
 

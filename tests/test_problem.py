@@ -126,13 +126,17 @@ def test_evaluate_batch_names_the_first_nonfinite_row(as_list):
     [
         lambda X: float(np.sum(X)),  # one value for the whole batch
         lambda X: np.sum(X, axis=-1)[1:],  # one value too few
+        lambda X: np.sum(X, axis=0),  # reduces over the points
     ],
-    ids=["scalar", "short"],
+    ids=["scalar", "short", "wrong-axis"],
 )
 def test_evaluate_batch_rejects_a_result_of_the_wrong_shape(objective):
     p = make_problem(name="wrong-shape", objective=objective)
     with pytest.raises(ValueError, match="'wrong-shape'"):
         p.evaluate_batch(np.array([[-0.5, 0.0], [0.25, 0.5], [0.75, 0.0]]))
+    # a single point is a one-row batch and gets the same check
+    with pytest.raises(ValueError, match="'wrong-shape'"):
+        p.evaluate(np.array([0.25, 0.5]))
 
 
 def test_contains_with_and_without_slack():
