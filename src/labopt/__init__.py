@@ -17,6 +17,7 @@ from .engine import (
     LabConfig,
     RunTrace,
     run,
+    run_seeds,
 )
 from .machining import MachiningSpec, get as get_machining, grid_oracle, machining_registry
 from .problem import ConfigError, EvaluationError, Problem, Sense
@@ -55,6 +56,7 @@ __all__ = [
     "registry",
     "run",
     "run_baseline",
+    "run_seeds",
     "summarize",
     "wilcoxon_two_sided",
 ]

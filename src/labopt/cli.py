@@ -22,11 +22,11 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import benchmarks, machining
 from .baselines import BASELINE_ALGORITHMS, BaselineConfig, run_baseline
-from .engine import LabConfig, run
+from .engine import LabConfig, RunTrace, run_seeds
 from .persist import (
     format_report_text,
     read_summary,
@@ -121,7 +121,11 @@ def cmd_list_problems(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_one(args: argparse.Namespace, problem, seed: int):
+def _traces(
+    args: argparse.Namespace, build: Callable[[int], Problem]
+) -> Iterator[RunTrace]:
+    """Each seed's trace, in seed order; LAB runs all seeds as one stack."""
+    seeds = range(args.seed, args.seed + args.runs)
     if args.algo == ALGORITHM_LAB:
         config = LabConfig(
             num_groups=args.groups,
@@ -130,13 +134,16 @@ def _run_one(args: argparse.Namespace, problem, seed: int):
             stall_window=args.stall_window,
             stall_epsilon=args.stall_epsilon,
             greedy_acceptance=args.greedy,
-            seed=seed,
+            seed=args.seed,
         )
-        return run(problem, config)
+        return run_seeds([build(seed) for seed in seeds], config)
     # Same spend as a full-length population run by default.
     budget = args.budget or args.groups * args.group_size * (args.iters + 1)
-    return run_baseline(
-        problem, BaselineConfig(algorithm=args.algo, budget=budget, seed=seed)
+    return (
+        run_baseline(
+            build(seed), BaselineConfig(algorithm=args.algo, budget=budget, seed=seed)
+        )
+        for seed in seeds
     )
 
 
@@ -150,17 +157,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     for name, build in problems:
         run_dir = out_root / f"{_slug(name)}__{args.algo}"
         traces = []
-        for i in range(args.runs):
-            run_seed = args.seed + i
-            try:
-                trace = _run_one(args, build(run_seed), run_seed)
-            except EvaluationError as exc:
-                raise EvaluationError(
-                    f"{name} [{args.algo}] seed {run_seed}: {exc}", exc.position
-                ) from exc
-            # Written as each seed finishes, so a later failure keeps it.
-            write_trace(trace, run_dir / f"trace_seed{run_seed}.csv")
-            traces.append(trace)
+        try:
+            for trace in _traces(args, build):
+                # Written as each seed finishes, so a later failure keeps it.
+                write_trace(trace, run_dir / f"trace_seed{trace.seed}.csv")
+                traces.append(trace)
+        except EvaluationError as exc:
+            # Traces come in seed order, so the failing seed is the next one.
+            where = "" if exc.iteration is None else f"iteration {exc.iteration}: "
+            raise EvaluationError(
+                f"{name} [{args.algo}] seed {args.seed + len(traces)}: {where}{exc}",
+                exc.position,
+                exc.iteration,
+            ) from exc
         summary = summarize(traces)
         write_summary(summary, run_dir / "summary.json")
         write_convergence(traces, run_dir / "convergence.csv")

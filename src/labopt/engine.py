@@ -16,22 +16,24 @@ Weights are redrawn independently for every individual on every
 iteration.  All moves are computed from the iteration-start snapshot
 and applied synchronously, after which both rankings are rebuilt.
 
-The population is held in three arrays indexed by individual id:
-``pos`` (positions), ``fit`` (fitness) and ``order``, whose rows list
-each group's member ids best-first with the rows in group rank order.
-One step draws every weight in one block, builds every proposal by
-broadcasting and evaluates them in one batch, in ``order.ravel()``
-order.
+The seeds of one problem run as one stack: the populations of all
+seeds share three arrays indexed by individual id, ``pos`` (positions),
+``fit`` (fitness) and ``order``, whose ``[j, g]`` row lists the member
+ids of live seed ``j``'s ``g``-th ranked group best-first.  One step
+draws every seed's weights, builds every proposal by broadcasting and
+evaluates them in one batch when the seeds share an objective; each
+seed keeps its own generator, ranking and stopping rule, so every seed
+runs exactly as it would alone.  ``run`` is the one-seed stack.
 """
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import ConfigError, Problem, Sense, is_better, oriented
+from .problem import ConfigError, EvaluationError, Problem, Sense, is_better, oriented
 
 # Weight sums are checked against this; normalization error is a few ulp.
 _WEIGHT_SUM_TOL = 1e-12
@@ -39,26 +41,36 @@ _WEIGHT_SUM_TOL = 1e-12
 
 @dataclass
 class State:
-    """The population and its run state.
+    """The stacked populations of a problem's seeds and their run state.
 
-    ``pos`` has shape ``(population, dim)`` and ``fit`` shape
-    ``(population,)``, both indexed by individual id; ids never change
-    and break fitness ties.  ``order`` has shape ``(num_groups,
-    group_size)``: row ``g`` holds the ids of the ``g``-th ranked group,
-    leader first, then advocate, then believers.
+    Individual ``i`` of stack seed ``k`` has id ``k * population + i``.
+    ``pos`` has shape ``(seeds * population, dim)`` and ``fit`` shape
+    ``(seeds * population,)``, both indexed by id; ids never change and
+    break fitness ties.  The other fields cover the live seeds only:
+    ``seeds[j]`` is the stack index of live seed ``j`` and ``rngs[j]``
+    its generator, and ``order`` has shape ``(live, num_groups,
+    group_size)``: ``order[j, g]`` holds the ids of live seed ``j``'s
+    ``g``-th ranked group, leader first, then advocate, then believers,
+    so ``order[j, 0, 0]`` is its global leader.  Live seeds have all
+    taken ``iteration`` steps and ``n_evaluations`` evaluations each.
+    ``failed`` maps a seed whose objective returned a non-finite value
+    to that error.
     """
 
     pos: np.ndarray
     fit: np.ndarray
     order: np.ndarray
-    rng: np.random.Generator
+    rngs: list[np.random.Generator]
+    seeds: list[int]
     iteration: int
     n_evaluations: int
+    failed: dict[int, EvaluationError] = field(default_factory=dict)
 
-    @property
-    def best(self) -> int:
-        """Id of the global leader, the leader of the first-ranked group."""
-        return int(self.order[0, 0])
+    def keep(self, rows: list[int]) -> None:
+        """Keep only the live seeds in ``rows`` (positions in ``seeds``)."""
+        self.order = self.order[rows]
+        self.rngs = [self.rngs[j] for j in rows]
+        self.seeds = [self.seeds[j] for j in rows]
 
 
 @dataclass(frozen=True)
@@ -195,9 +207,11 @@ TERMINATION_BUDGET = "budget_exhausted"
 def weights_valid(leader: np.ndarray, u: np.ndarray) -> bool:
     """The weight contract, checked for every group at once.
 
-    Leader triples lie strictly inside (0, 1), strictly decrease and
-    sum to one; ``u`` lies strictly inside (0.5, 1), so ``(u, 1 - u)``
-    strictly decreases and sums to one exactly.
+    Leader triples (the last axis of ``leader``) lie strictly inside
+    (0, 1), strictly decrease and sum to one; ``u`` lies strictly inside
+    (0.5, 1), so ``(u, 1 - u)`` strictly decreases and sums to one
+    exactly.  Leading axes, such as a stack's seeds, are checked
+    together.
     """
     w1, w2, w3 = leader.T
     unit_sum = np.abs(w1 + w2 + w3 - 1.0) <= _WEIGHT_SUM_TOL
@@ -208,36 +222,44 @@ def weights_valid(leader: np.ndarray, u: np.ndarray) -> bool:
 
 
 def draw_weights(
-    rng: np.random.Generator, num_groups: int, group_size: int
+    rngs: Sequence[np.random.Generator], num_groups: int, group_size: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one step's update weights for every group.
+    """Draw one step's update weights for every group of every seed.
 
-    Returns the leader weights, shape ``(num_groups, 3)``: three
-    uniforms normalized to unit sum and sorted in decreasing order.
-    And ``u``, shape ``(num_groups, group_size - 1)``: column 0 is the
-    advocate's and the rest are the believers' draws from (0.5, 1); a
-    move with ``u`` uses the weights ``(u, 1 - u)``.
+    Seed ``j`` draws from ``rngs[j]``.  Returns the leader weights,
+    shape ``(seeds, num_groups, 3)``: three uniforms normalized to unit
+    sum and sorted in decreasing order.  And ``u``, shape ``(seeds,
+    num_groups, group_size - 1)``: column 0 is the advocate's and the
+    rest are the believers' draws from (0.5, 1); a move with ``u`` uses
+    the weights ``(u, 1 - u)``.
 
-    The whole step is one ``rng.random`` block, consumed in the order
-    of a per-group draw: leader, advocate, believers.  A block with a
-    zero leader draw, a tie or a ``u`` on an end of its interval is
-    redrawn whole.  Its entries are i.i.d. uniform, so rejecting the
-    block until every group passes conditions each leader triple and
-    each ``u`` on being valid, which is the distribution a per-weight
-    redraw gives; only the stream consumed after a rejection differs.
-    A rejection needs an event of about 2**-53 per draw.
+    Each seed's step is one ``rng.random`` block, consumed in the order
+    of a per-group draw: leader, advocate, believers.  The blocks are
+    stacked and checked together; a seed whose block has a zero leader
+    draw (its smallest weight is then 0), a tie or a ``u`` on an end of
+    its interval redraws its own block whole.  Its entries are i.i.d.
+    uniform, so rejecting the block until every group passes conditions
+    each leader triple and each ``u`` on being valid, which is the
+    distribution a per-weight redraw gives; only the stream consumed
+    after a rejection differs.  A rejection needs an event of about
+    2**-53 per draw.
     """
+    block = np.empty((len(rngs), num_groups, group_size + 2))
+    for rng, seed_block in zip(rngs, block):
+        rng.random(out=seed_block)
     while True:
-        block = rng.random((num_groups, group_size + 2))
-        draws = block[:, :3]
-        leader = np.sort(draws / draws.sum(axis=1, keepdims=True), axis=1)[:, ::-1]
-        u = 0.5 + 0.5 * block[:, 3:]  # bit-equal to rng.uniform(0.5, 1.0)
-        if (draws > 0.0).all() and weights_valid(leader, u):
+        draws = block[..., :3]
+        leader = np.sort(draws / draws.sum(axis=-1, keepdims=True), axis=-1)[..., ::-1]
+        u = 0.5 + 0.5 * block[..., 3:]  # bit-equal to rng.uniform(0.5, 1.0)
+        if weights_valid(leader, u):
             return leader, u
+        for rng, seed_block, seed_leader, seed_u in zip(rngs, block, leader, u):
+            if not weights_valid(seed_leader, seed_u):
+                rng.random(out=seed_block)
 
 
 def rank(state: State, sense: Sense) -> None:
-    """Rebuild ``order``: members best-first, then groups by leader.
+    """Rebuild each live seed's ``order``: members best-first, then groups.
 
     Members sort by (oriented fitness, id) and groups by their leader's
     (oriented fitness, id).  The sorts are plain Python: at these sizes
@@ -247,37 +269,80 @@ def rank(state: State, sense: Sense) -> None:
     key = state.fit.tolist()
     if sense is Sense.MAXIMIZE:
         key = [-v for v in key]
-    rows = [sorted(row, key=lambda i: (key[i], i)) for row in state.order.tolist()]
-    rows.sort(key=lambda row: (key[row[0]], row[0]))
-    state.order = np.array(rows)
+    stacks = []
+    for groups in state.order.tolist():
+        rows = [sorted(row, key=lambda i: (key[i], i)) for row in groups]
+        rows.sort(key=lambda row: (key[row[0]], row[0]))
+        stacks.append(rows)
+    if stacks:  # an empty stack keeps its (0, num_groups, group_size) shape
+        state.order = np.array(stacks)
 
 
-def init(problem: Problem, config: LabConfig, seed: int) -> State:
-    """Sample, evaluate, and rank the initial population.
+def _evaluate(state: State, problems: Sequence[Problem], X: np.ndarray) -> np.ndarray:
+    """Each live seed's values of its batch ``X[j]``, shape ``X.shape[:2]``.
 
-    Individuals are drawn uniformly over the box and dealt into
-    ``num_groups`` groups of ``group_size`` by id; both ranking passes
-    are applied before the state is returned.
+    One objective call scores the whole stack when the live seeds share
+    an objective.  Otherwise, or when that call meets a non-finite
+    value, each seed's batch is evaluated alone, in seed order, so a
+    failing seed gets the very error a run of it alone raises.  That
+    error is kept in ``failed`` with the iteration, and the failing
+    seed leaves the stack together with every seed above it, whose
+    traces would not be reported; the values of the seeds below it are
+    returned.
+    """
+    live = [problems[k] for k in state.seeds]
+    if len(live) > 1 and all(p.objective == live[0].objective for p in live[1:]):
+        try:
+            values = live[0].evaluate_batch(X.reshape(-1, X.shape[-1]))
+            return values.reshape(X.shape[:2])
+        except EvaluationError:
+            pass  # found again below, with the failing seed's own batch row
+    values = np.empty(X.shape[:2])
+    for j, problem in enumerate(live):
+        try:
+            values[j] = problem.evaluate_batch(X[j])
+        except EvaluationError as exc:
+            exc.iteration = state.iteration
+            state.failed[state.seeds[j]] = exc
+            state.keep(list(range(j)))
+            return values[:j]
+    return values
+
+
+def init(problems: Sequence[Problem], config: LabConfig) -> State:
+    """Sample, evaluate, and rank the initial population of every seed.
+
+    Stack seed ``k`` runs ``problems[k]`` with the generator
+    ``default_rng(config.seed + k)``.  Its individuals are drawn
+    uniformly over the box and dealt into ``num_groups`` groups of
+    ``group_size`` by id; both ranking passes are applied before the
+    state is returned.
     """
     config.validate()
-    rng = np.random.default_rng(seed)
+    first = problems[0]
     pop = config.population
-    pos = rng.uniform(problem.lower, problem.upper, size=(pop, problem.dim))
+    rngs = [np.random.default_rng(config.seed + k) for k in range(len(problems))]
+    pos = np.concatenate(
+        [rng.uniform(first.lower, first.upper, size=(pop, first.dim)) for rng in rngs]
+    )
     state = State(
         pos=pos,
-        fit=problem.evaluate_batch(pos),
-        order=np.arange(pop).reshape(config.num_groups, config.group_size),
-        rng=rng,
+        fit=np.full(len(pos), np.nan),
+        order=np.arange(len(pos)).reshape(-1, config.num_groups, config.group_size),
+        rngs=rngs,
+        seeds=list(range(len(problems))),
         iteration=0,
         n_evaluations=pop,
     )
-    rank(state, problem.sense)
+    fit = _evaluate(state, problems, pos.reshape(len(problems), pop, first.dim))
+    state.fit[: fit.size] = fit.ravel()
+    rank(state, first.sense)
     return state
 
 
 def believer_mean(state: State) -> np.ndarray:
-    """Mean position of each group's believers, shape ``(num_groups, dim)``."""
-    return np.mean(state.pos[state.order[:, 2:]], axis=1)
+    """Mean position of each group's believers, shape ``(live, num_groups, dim)``."""
+    return np.mean(state.pos[state.order[..., 2:]], axis=-2)
 
 
 def propose(
@@ -289,50 +354,56 @@ def propose(
     them.  The first-ranked group's leader is the global leader, so its
     move anchors on its own position.
     """
-    num_groups, group_size = state.order.shape
-    if leader_w.shape != (num_groups, 3) or u.shape != (num_groups, group_size - 1):
+    pos, order = state.pos, state.order
+    if leader_w.shape != (*order.shape[:-1], 3) or u.shape != (
+        *order.shape[:-1], order.shape[-1] - 1
+    ):
         raise ConfigError(
             "need three leader weights and group_size - 1 values of u per group"
         )
-    pos, order = state.pos, state.order
-    lead = pos[order[:, 0]]
-    adv = pos[order[:, 1]]
+    lead = pos[order[..., 0]]
+    adv = pos[order[..., 1]]
     bmean = believer_mean(state)
-    mix = np.empty((num_groups, group_size, problem.dim))
-    mix[:, 0] = (
-        leader_w[:, 0:1] * pos[order[0, 0]]
-        + leader_w[:, 1:2] * adv
-        + leader_w[:, 2:3] * bmean
+    mix = np.empty((*order.shape, problem.dim))
+    mix[..., 0, :] = (
+        leader_w[..., 0:1] * pos[order[..., :1, 0]]
+        + leader_w[..., 1:2] * adv
+        + leader_w[..., 2:3] * bmean
     )
-    mix[:, 1] = u[:, 0:1] * lead + (1.0 - u[:, 0:1]) * bmean
-    ub = u[:, 1:, None]
-    mix[:, 2:] = ub * lead[:, None] + (1.0 - ub) * adv[:, None]
+    mix[..., 1, :] = u[..., 0:1] * lead + (1.0 - u[..., 0:1]) * bmean
+    ub = u[..., 1:, None]
+    mix[..., 2:, :] = ub * lead[..., None, :] + (1.0 - ub) * adv[..., None, :]
     return np.clip(mix, problem.lower, problem.upper).reshape(-1, problem.dim)
 
 
-def step(state: State, problem: Problem, config: LabConfig) -> State:
-    """Advance the population by one synchronous iteration.
+def step(state: State, problems: Sequence[Problem], config: LabConfig) -> State:
+    """Advance every live seed by one synchronous iteration.
 
     All candidate positions are computed from the current (unmutated)
-    state, then evaluated in one batch and applied.  With greedy
-    acceptance an individual keeps its old position unless the
-    candidate is strictly better; otherwise candidates replace
-    unconditionally.  Every individual is re-evaluated each iteration,
-    so the evaluation count grows by the population size regardless of
-    acceptance.
+    state, then evaluated and applied.  With greedy acceptance an
+    individual keeps its old position unless the candidate is strictly
+    better; otherwise candidates replace unconditionally.  Every
+    individual is re-evaluated each iteration, so the evaluation count
+    grows by the population size regardless of acceptance.  A seed
+    whose evaluation fails leaves the stack as ``_evaluate`` says.
     """
-    proposals = propose(state, problem, *draw_weights(state.rng, *state.order.shape))
+    live, num_groups, group_size = state.order.shape
+    proposals = propose(
+        state, problems[0], *draw_weights(state.rngs, num_groups, group_size)
+    )
+    state.iteration += 1
+    state.n_evaluations += num_groups * group_size
+    batches = proposals.reshape(live, num_groups * group_size, -1)
+    fit = _evaluate(state, problems, batches)
+    # a seed that failed has left with every seed above it: keep the rest
     ids = state.order.ravel()
-    fit = problem.evaluate_batch(proposals)
-    state.n_evaluations += len(ids)
+    proposals, fit = proposals[: len(ids)], fit.ravel()
     if config.greedy_acceptance:
-        keep = is_better(fit, state.fit[ids], problem.sense)
+        keep = is_better(fit, state.fit[ids], problems[0].sense)
         ids, proposals, fit = ids[keep], proposals[keep], fit[keep]
     state.pos[ids] = proposals
     state.fit[ids] = fit
-
-    rank(state, problem.sense)
-    state.iteration += 1
+    rank(state, problems[0].sense)
     return state
 
 
@@ -347,22 +418,109 @@ def _stalled(history: list[list[float]], window: int, epsilon: float) -> bool:
     return all(a - b < epsilon for a, b in zip(history[t - window], history[t]))
 
 
-def run(problem: Problem, config: LabConfig | None = None) -> RunTrace:
-    """Run LAB on a problem and return its trace.
+def run_seeds(
+    problems: Sequence[Problem], config: LabConfig | None = None
+) -> Iterator[RunTrace]:
+    """Run LAB on every seed of one problem as one stack; yield the traces.
 
-    The run stops at ``max_iterations``, or earlier when neither the
+    Seed ``k`` runs on ``problems[k]`` with seed ``config.seed + k``, and
+    its trace equals the one ``run`` returns for that seed alone.  The
+    problems must share name, dimension, box and sense; one objective
+    call scores a step of every seed when they also share the objective
+    (each noisy Quartic of the catalog has its own, so its seeds are
+    evaluated one at a time).
+
+    Each seed stops at ``max_iterations``, or earlier when neither the
     global best nor the best leader of any group rank has improved by
     at least ``stall_epsilon`` over the last ``stall_window``
     iterations.  The per-rank series follow rank slots, not groups:
     slot ``k`` is whichever group ranks ``k``-th after each step, and
     its series is the best leader fitness ever seen in that slot.
 
+    Traces are yielded in seed order, trace ``k`` once seeds ``0..k``
+    have all finished; its ``runtime_seconds`` is the wall time from the
+    start of the stack to the end of seed ``k``.  When an objective
+    returns a non-finite value, the lowest failing seed's
+    ``EvaluationError`` (the one ``run`` raises for it, with its
+    ``iteration``) is raised in place of its trace, after the traces of
+    the seeds below it.
+
+    Raises
+    ------
+    ConfigError
+        At the call, for an invalid config, no problems, or problems
+        that differ in name, dimension, box or sense.
+    """
+    if config is None:
+        config = LabConfig()
+    config.validate()
+    if not problems:
+        raise ConfigError("run_seeds needs at least one problem")
+    first = problems[0]
+    for problem in problems[1:]:
+        if (
+            (problem.name, problem.dim, problem.sense)
+            != (first.name, first.dim, first.sense)
+            or not np.array_equal(problem.lower, first.lower)
+            or not np.array_equal(problem.upper, first.upper)
+        ):
+            raise ConfigError(
+                f"stacked seeds need one problem; '{problem.name}' differs from "
+                f"'{first.name}' in name, dimension, box or sense"
+            )
+    return _run_stack(list(problems), config)
+
+
+def _run_stack(problems: list[Problem], config: LabConfig) -> Iterator[RunTrace]:
+    sense = problems[0].sense
+    recorders = [Recorder(problem) for problem in problems]
+    histories: list[list[list[float]]] = [[] for _ in problems]
+    finished: dict[int, RunTrace] = {}
+    reported = 0
+    state = init(problems, config)
+    while True:
+        leaders_of = state.fit[state.order[:, :, 0]].tolist()
+        best_pos = state.pos[state.order[:, 0, 0]]
+        stay = []
+        for j, k in enumerate(state.seeds):
+            recorder, history, leaders = recorders[k], histories[k], leaders_of[j]
+            recorder.observe(leaders[0], best_pos[j], leaders)
+            current = [oriented(v, sense) for v in leaders]
+            if history:
+                current = [min(a, b) for a, b in zip(history[-1][1:], current)]
+            history.append([oriented(recorder.best_fitness, sense), *current])
+            if state.iteration == config.max_iterations:
+                termination = TERMINATION_MAX_ITERATIONS
+            elif _stalled(history, config.stall_window, config.stall_epsilon):
+                termination = TERMINATION_STALLED
+            else:
+                stay.append(j)
+                continue
+            finished[k] = recorder.trace(
+                "lab", config.seed + k, state.n_evaluations, termination
+            )
+        if len(stay) < len(state.seeds):
+            state.keep(stay)
+        while reported in finished:
+            yield finished.pop(reported)
+            reported += 1
+        if reported in state.failed:
+            raise state.failed[reported]
+        if not state.seeds:
+            return
+        step(state, problems, config)
+
+
+def run(problem: Problem, config: LabConfig | None = None) -> RunTrace:
+    """Run LAB on a problem and return its trace: ``run_seeds`` on one seed.
+
     Parameters
     ----------
     problem : Problem
         Objective, box, and sense.
     config : LabConfig, optional
-        Engine parameters; defaults are used when omitted.
+        Engine parameters, ``seed`` included; defaults are used when
+        omitted.
 
     Returns
     -------
@@ -370,30 +528,4 @@ def run(problem: Problem, config: LabConfig | None = None) -> RunTrace:
         Per-iteration records plus the final best point, evaluation
         count, and termination reason.
     """
-    if config is None:
-        config = LabConfig()
-    sense = problem.sense
-    recorder = Recorder(problem)
-    state = init(problem, config, config.seed)
-    history: list[list[float]] = []
-
-    def observe() -> None:
-        leaders = state.fit[state.order[:, 0]].tolist()
-        recorder.observe(leaders[0], state.pos[state.best], leaders)
-        current = [oriented(v, sense) for v in leaders]
-        if history:
-            current = [min(a, b) for a, b in zip(history[-1][1:], current)]
-        history.append([oriented(recorder.best_fitness, sense), *current])
-
-    observe()
-    termination = TERMINATION_MAX_ITERATIONS
-    while state.iteration < config.max_iterations:
-        step(state, problem, config)
-        observe()
-        if state.iteration < config.max_iterations and _stalled(
-            history, config.stall_window, config.stall_epsilon
-        ):
-            termination = TERMINATION_STALLED
-            break
-
-    return recorder.trace("lab", config.seed, state.n_evaluations, termination)
+    return next(run_seeds([problem], config))

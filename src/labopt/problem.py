@@ -30,12 +30,14 @@ class EvaluationError(RuntimeError):
     """An objective returned a non-finite value.
 
     The offending position is kept on the exception so callers can log
-    or reproduce the failure.
+    or reproduce the failure.  ``iteration`` is the LAB iteration whose
+    evaluation failed (0 = the initial population), or None.
     """
 
-    def __init__(self, message: str, position) -> None:
+    def __init__(self, message: str, position, iteration: int | None = None) -> None:
         super().__init__(message)
         self.position = np.array(position, dtype=float)
+        self.iteration = iteration
 
 
 @dataclass

@@ -15,7 +15,7 @@ import pytest
 from labopt import cli, machining
 from labopt.baselines import ALGORITHM_RANDOM, BaselineConfig, run_baseline
 from labopt.benchmarks import build_problem, get as get_benchmark
-from labopt.engine import LabConfig, draw_weights, init, run, step
+from labopt.engine import LabConfig, draw_weights, init, run_seeds, step
 from labopt.machining import grid_oracle, machining_registry
 from labopt.persist import read_summary, read_trace
 from labopt.problem import Sense, clamp_to_bounds, is_better, oriented
@@ -43,12 +43,13 @@ def test_engine_property_suite():
         directions = dir_rng.normal(size=(64, problem.dim))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
 
-        state = init(problem, config, config.seed)
+        state = init([problem], config)
         population = config.population
         prev_widths = None
         for t in range(config.max_iterations + 1):
             assert state.pos.shape == (population, problem.dim)
             assert sorted(state.order.ravel().tolist()) == list(range(population))
+            (order,) = state.order
             positions = state.pos
 
             # feasibility: in the box, and clamping is a no-op
@@ -57,18 +58,20 @@ def test_engine_property_suite():
                 assert np.array_equal(clamp_to_bounds(x, problem), x)
 
             # role ordering inside each group, best leader first globally
-            for row in state.order:
+            for row in order:
                 fits = [oriented(v, problem.sense) for v in state.fit[row].tolist()]
                 assert fits == sorted(fits)
             # column 0 leaders, column 1 advocates, the rest believers
-            assert state.order.shape == (config.num_groups, config.group_size)
-            assert state.order[:, 2:].shape[1] == config.group_size - 2
+            assert order.shape == (config.num_groups, config.group_size)
+            assert order[:, 2:].shape[1] == config.group_size - 2
             leader_fits = [
                 oriented(v, problem.sense)
-                for v in state.fit[state.order[:, 0]].tolist()
+                for v in state.fit[order[:, 0]].tolist()
             ]
             assert leader_fits == sorted(leader_fits)
-            assert state.best == state.order[0, 0]
+            # the first group's leader is the best of the whole population
+            everyone = [oriented(v, problem.sense) for v in state.fit.tolist()]
+            assert everyone[order[0, 0]] == min(everyone)
 
             # every evaluation is accounted for
             assert state.n_evaluations == population * (t + 1)
@@ -80,15 +83,15 @@ def test_engine_property_suite():
             prev_widths = widths
 
             if t < config.max_iterations:
-                step(state, problem, config)
+                step(state, [problem], config)
 
     # weight sampler: ordered, strictly inside (0, 1), unit sum
     rng = np.random.default_rng(99)
-    w, _ = draw_weights(rng, 100_000, 3)
+    (w,), _ = draw_weights([rng], 100_000, 3)
     assert np.all((0.0 < w[:, 2]) & (w[:, 2] < w[:, 1]) & (w[:, 1] < w[:, 0]))
     assert np.all(w[:, 0] < 1.0)
     assert np.all(np.abs(w[:, 0] + w[:, 1] + w[:, 2] - 1.0) <= 1e-12)
-    _, u = draw_weights(rng, 10_000, 3)
+    _, (u,) = draw_weights([rng], 10_000, 3)
     assert np.all((0.5 <= u) & (u < 1.0))
     assert np.all(u + (1.0 - u) == 1.0)
 
@@ -110,10 +113,11 @@ def test_benchmark_desk_scale_optima():
     report = []
     failures = []
     for spec_id, dim, target, tol in rows:
-        finals = []
-        for seed in SEEDS:
-            problem = build_problem(spec_id, dim=dim)
-            finals.append(run(problem, LabConfig(seed=seed)).best_fitness)
+        problems = [build_problem(spec_id, dim=dim) for _ in SEEDS]
+        finals = [
+            trace.best_fitness
+            for trace in run_seeds(problems, LabConfig(seed=SEEDS[0]))
+        ]
         median = float(np.median(finals))
         gap = median - target
         ok = gap <= tol
@@ -177,8 +181,7 @@ def test_machining_grid_oracle_equivalence():
         problem = spec.problem
         best_fit = None
         best_pos = None
-        for seed in SEEDS:
-            trace = run(problem, LabConfig(seed=seed))
+        for trace in run_seeds([problem] * len(SEEDS), LabConfig(seed=SEEDS[0])):
             if best_fit is None or is_better(trace.best_fitness, best_fit, spec.sense):
                 best_fit = trace.best_fitness
                 best_pos = np.array(trace.best_position)
@@ -295,13 +298,15 @@ def test_beats_random_search_at_equal_budget():
         lab_finals = []
         lab_evals = []
         rs_finals = []
-        for seed in EQUAL_BUDGET_SEEDS:
-            problem = build_problem(spec_id)
-            trace = run(problem, LabConfig(seed=seed))
+        lab = run_seeds(
+            [build_problem(spec_id) for _ in EQUAL_BUDGET_SEEDS],
+            LabConfig(seed=EQUAL_BUDGET_SEEDS[0]),
+        )
+        for seed, trace in zip(EQUAL_BUDGET_SEEDS, lab, strict=True):
             lab_finals.append(trace.best_fitness)
             lab_evals.append(trace.n_evaluations)
             rs = run_baseline(
-                problem,
+                build_problem(spec_id),
                 BaselineConfig(algorithm=ALGORITHM_RANDOM, budget=budget, seed=seed),
             )
             rs_finals.append(rs.best_fitness)

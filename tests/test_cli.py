@@ -334,3 +334,84 @@ def test_failed_seed_keeps_finished_traces_and_writes_no_summary(
     assert run_cli(["run", "--problem", "F10", "--out", str(tmp_path / "clean")]) == 0
     clean = tmp_path / "clean" / "F10__lab" / "trace_seed0.csv"
     assert (run_dir / "trace_seed0.csv").read_bytes() == clean.read_bytes()
+
+
+def nan_from_iteration(objective, iteration, row):
+    """``objective`` with batch ``row`` NaN from LAB iteration ``iteration`` on.
+
+    A LAB run makes one objective call per iteration, the initial
+    population being iteration 0.
+    """
+    calls = [0]
+
+    def wrapped(x):
+        calls[0] += 1
+        values = np.array(objective(x), dtype=float)
+        if calls[0] > iteration:
+            values[row] = np.nan
+        return values
+
+    return wrapped
+
+
+def build_per_seed(monkeypatch, objectives):
+    """Make the CLI's F10 use ``objectives[seed]`` for the listed seeds."""
+    real_build = cli.benchmarks.build_problem
+
+    def build(spec_id, dim=None, noise_seed=None):
+        problem = real_build(spec_id, dim=dim, noise_seed=noise_seed)
+        if noise_seed in objectives:
+            problem.objective = objectives[noise_seed](problem.objective)
+        return problem
+
+    monkeypatch.setattr(cli.benchmarks, "build_problem", build)
+
+
+def test_nonfinite_objective_error_names_the_iteration(tmp_path, capsys, monkeypatch):
+    build_per_seed(monkeypatch, {3: lambda f: nan_per_point, 4: lambda f: nan_per_point})
+    code = run_cli(
+        ["run", "--problem", "F10", "--runs", "2", "--seed", "3", "--out", str(tmp_path)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: F10 [lab] seed 3: iteration 0: objective of 'F10' returned nan "
+        "(batch row 0) at position ("
+    )
+
+
+def test_seed_failing_mid_run_keeps_the_lower_seeds_trace(tmp_path, capsys, monkeypatch):
+    build_per_seed(monkeypatch, {1: lambda f: nan_from_iteration(f, 2, row=5)})
+    code = run_cli(["run", "--problem", "F10", "--runs", "3", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: F10 [lab] seed 1: iteration 2: objective of 'F10' returned nan "
+        "(batch row 5) at position ("
+    )
+    run_dir = tmp_path / "F10__lab"
+    assert sorted(p.name for p in run_dir.iterdir()) == ["trace_seed0.csv"]
+
+
+def test_lower_seed_failing_after_a_higher_one_finished_writes_nothing(
+    tmp_path, capsys, monkeypatch
+):
+    # Seed 1's constant objective stalls after 21 iterations; seed 0's
+    # keeps improving by 1 per iteration and turns NaN at iteration 40.
+    def improving(objective):
+        calls = [0]
+
+        def wrapped(x):
+            calls[0] += 1
+            return np.full(len(x), -float(calls[0]))
+
+        return nan_from_iteration(wrapped, 40, row=7)
+
+    build_per_seed(
+        monkeypatch, {0: improving, 1: lambda f: lambda x: np.full(len(x), 2.0)}
+    )
+    code = run_cli(["run", "--problem", "F10", "--runs", "2", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: F10 [lab] seed 0: iteration 40: objective of 'F10' returned nan "
+        "(batch row 7) at position ("
+    )
+    assert not (tmp_path / "F10__lab").exists()

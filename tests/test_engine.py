@@ -1,6 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from labopt import machining
+from labopt.benchmarks import build_problem
 from labopt.engine import (
     LabConfig,
     State,
@@ -12,9 +18,11 @@ from labopt.engine import (
     propose,
     rank,
     run,
+    run_seeds,
     step,
     weights_valid,
 )
+from labopt.persist import write_trace
 from labopt.problem import ConfigError, EvaluationError, Problem, Sense
 
 
@@ -38,27 +46,33 @@ def one_d_problem():
 
 
 def make_state(groups, problem):
-    """A state whose ranked groups hold ``groups`` as given, ids in order."""
+    """A one-seed state whose ranked groups hold ``groups`` as given, ids in order."""
     pos = np.array(
         [np.atleast_1d(np.asarray(p, dtype=float)) for g in groups for p in g]
     )
-    order = np.arange(len(pos)).reshape(len(groups), len(groups[0]))
+    order = np.arange(len(pos)).reshape(1, len(groups), len(groups[0]))
     return State(
         pos=pos,
         fit=problem.evaluate_batch(pos),
         order=order,
-        rng=np.random.default_rng(0),
+        rngs=[np.random.default_rng(0)],
+        seeds=[0],
         iteration=0,
         n_evaluations=len(pos),
     )
 
 
 def proposals_of(state, problem, leader_w, u):
-    """propose() reshaped to (group, member, dim)."""
-    num_groups, group_size = state.order.shape
+    """propose() of a one-seed state reshaped to (group, member, dim)."""
+    _, num_groups, group_size = state.order.shape
     return propose(
-        state, problem, np.array(leader_w, dtype=float), np.array(u, dtype=float)
+        state, problem, np.array([leader_w], dtype=float), np.array([u], dtype=float)
     ).reshape(num_groups, group_size, problem.dim)
+
+
+def best(state, j=0):
+    """Id of live seed ``j``'s global leader."""
+    return state.order[j, 0, 0]
 
 
 # filler weights for groups a test does not look at
@@ -82,13 +96,13 @@ def test_role_weights_validation():
 def test_sample_weights_contract_holds_over_many_draws():
     rng = np.random.default_rng(7)
     n = 100_000
-    leader, u = draw_weights(rng, n, 3)
+    (leader,), _ = draw_weights([rng], n, 3)
     w1s, w2s, w3s = leader[:, 0], leader[:, 1], leader[:, 2]
     assert np.all((0.0 < w3s) & (w3s < w2s) & (w2s < w1s) & (w1s < 1.0))
     assert np.all(np.abs(w1s + w2s + w3s - 1.0) <= 1e-12)
     assert w1s.mean() > w2s.mean() > w3s.mean()
 
-    _, u = draw_weights(rng, 10_000, 3)
+    _, (u,) = draw_weights([rng], 10_000, 3)
     assert np.all((0.5 < u) & (u < 1.0))
     assert u.shape == (10_000, 2)  # one u (a weight pair) per non-leader
     assert np.all(u + (1.0 - u) == 1.0)  # exact: 1 - u is exact for u in (0.5, 1)
@@ -131,7 +145,7 @@ def test_believer_mean_is_over_believers_only():
         [[[100.0], [50.0], [1.0], [2.0], [3.0]], [[0.0], [0.0], [0.0], [0.0], [9.0]]],
         p,
     )
-    assert believer_mean(state)[0, 0] == pytest.approx(2.0, abs=1e-15)
+    assert believer_mean(state)[0, 0, 0] == pytest.approx(2.0, abs=1e-15)
 
 
 def test_updates_clamp_to_box():
@@ -144,25 +158,25 @@ def test_updates_clamp_to_box():
 
 # --- ranking ---------------------------------------------------------------
 
-def leader_fits(state):
-    return state.fit[state.order[:, 0]].tolist()
+def leader_fits(state, j=0):
+    return state.fit[state.order[j, :, 0]].tolist()
 
 
 def test_rank_group_orders_by_fitness():
     p = one_d_problem()
     state = make_state([[[3.0], [1.0], [2.0]]], p)
     rank(state, Sense.MINIMIZE)
-    assert state.fit[state.order[0]].tolist() == [1.0, 4.0, 9.0]
+    assert state.fit[state.order[0, 0]].tolist() == [1.0, 4.0, 9.0]
     rank(state, Sense.MAXIMIZE)
-    assert state.fit[state.best] == 9.0
+    assert state.fit[best(state)] == 9.0
 
 
 def test_rank_group_breaks_ties_by_lower_id():
     p = box_problem(dim=1, half=10.0, objective=lambda x: np.full(np.shape(x)[:-1], 1.0))
     state = make_state([[[0.0]] * 10 + [[3.0], [1.0], [2.0]]], p)
-    state.order = np.array([[12, 10, 11]])
+    state.order = np.array([[[12, 10, 11]]])
     rank(state, Sense.MINIMIZE)
-    assert state.order[0].tolist() == [10, 11, 12]
+    assert state.order[0, 0].tolist() == [10, 11, 12]
 
 
 def test_rank_global_orders_groups_and_reindexes():
@@ -173,18 +187,18 @@ def test_rank_global_orders_groups_and_reindexes():
     rank(state, Sense.MINIMIZE)
     assert leader_fits(state) == [4.0, 25.0, 49.0]
     # row g of order is the group ranked g + 1
-    assert state.order.tolist() == [[3, 4, 5], [0, 1, 2], [6, 7, 8]]
-    assert state.fit[state.best] == 4.0
+    assert state.order[0].tolist() == [[3, 4, 5], [0, 1, 2], [6, 7, 8]]
+    assert state.fit[best(state)] == 4.0
 
 
 # --- initialization --------------------------------------------------------
 
 def test_initialize_society_shape_and_accounting():
     p = box_problem(dim=3)
-    cfg = LabConfig(num_groups=4, group_size=5)
-    state = init(p, cfg, seed=11)
+    cfg = LabConfig(num_groups=4, group_size=5, seed=11)
+    state = init([p], cfg)
     assert state.pos.shape == (20, 3)
-    assert state.order.shape == (4, 5)
+    assert state.order.shape == (1, 4, 5)
     assert sorted(state.order.ravel().tolist()) == list(range(20))
     assert state.n_evaluations == 20
     assert state.iteration == 0
@@ -192,7 +206,7 @@ def test_initialize_society_shape_and_accounting():
         assert p.contains(state.pos[i])
         assert state.fit[i] == p.evaluate(state.pos[i])
     # groups are ranked locally and globally
-    for row in state.order:
+    for row in state.order[0]:
         fits = state.fit[row].tolist()
         assert fits == sorted(fits)
     assert leader_fits(state) == sorted(leader_fits(state))
@@ -200,10 +214,10 @@ def test_initialize_society_shape_and_accounting():
 
 def test_initialize_is_deterministic_per_seed():
     p = box_problem()
-    a = init(p, LabConfig(), 5)
-    b = init(p, LabConfig(), 5)
+    a = init([p], LabConfig(seed=5))
+    b = init([p], LabConfig(seed=5))
     assert np.array_equal(a.pos, b.pos)
-    c = init(p, LabConfig(), 6)
+    c = init([p], LabConfig(seed=6))
     assert not all(np.array_equal(pa, pc) for pa, pc in zip(a.pos, c.pos))
 
 
@@ -219,61 +233,64 @@ class StubGenerator:
         self.blocks = list(blocks)
         self.real = real
 
-    def random(self, size):
-        drawn = self.real.random(size)
+    def random(self, size=None, out=None):
+        drawn = self.real.random(size, out=out)
         if self.blocks:
-            return np.asarray(self.blocks.pop(0), dtype=float).reshape(size)
+            drawn[...] = np.reshape(self.blocks.pop(0), drawn.shape)
         return drawn
 
 
-def replay_step(p, cfg, seed, block=None):
-    """Recompute one step by hand from the same generator state.
+def replay_step(p, cfg, seeds=1, block=None, stubbed=0):
+    """Recompute one step of a stack of ``seeds`` seeds by hand.
 
-    Draws each weight on its own, in the documented order, with
-    ``uniform(0, 1, 3)`` for a leader (redrawn on a zero draw or a tie)
-    and ``uniform(0.5, 1)`` for every other member, and mixes per group
-    with per-group believer means.  With ``block``, the step's first
-    ``random`` block is replaced by it and the mirror skips one block,
-    so the replay is built from the next real block.  Returns the state
-    after ``step``, the expected positions by id and the mirror
-    generator.
+    Each seed's weights are drawn on their own from a mirror of its
+    generator, in the documented order, with ``uniform(0, 1, 3)`` for a
+    leader (redrawn on a zero draw or a tie) and ``uniform(0.5, 1)``
+    for every other member, and mixed per group with per-group believer
+    means.  With ``block``, stack seed ``stubbed``'s first ``random``
+    block is replaced by it and its mirror skips one block, so its
+    replay is built from the next real block.  Returns the state after
+    ``step``, the expected positions by id and the mirror generators.
     """
-    state = init(p, cfg, seed=seed)
+    state = init([p] * seeds, cfg)
 
-    mirror = np.random.default_rng()
-    mirror.bit_generator.state = state.rng.bit_generator.state
+    mirrors = []
+    for rng in state.rngs:
+        mirrors.append(np.random.default_rng())
+        mirrors[-1].bit_generator.state = rng.bit_generator.state
     if block is not None:
-        state.rng = StubGenerator([block], state.rng)
-        mirror.random(np.shape(block))
+        state.rngs[stubbed] = StubGenerator([block], state.rngs[stubbed])
+        mirrors[stubbed].random(np.shape(block))
 
     expected: dict[int, np.ndarray] = {}
-    gstar = state.pos[state.best]
-    for row in state.order.tolist():
-        leader, advocate, believers = row[0], row[1], row[2:]
-        lead = state.pos[leader]
-        adv = state.pos[advocate]
-        bmean = np.mean([state.pos[b] for b in believers], axis=0)
+    for groups, mirror in zip(state.order.tolist(), mirrors):
+        gstar = state.pos[groups[0][0]]
+        for row in groups:
+            leader, advocate, believers = row[0], row[1], row[2:]
+            lead = state.pos[leader]
+            adv = state.pos[advocate]
+            bmean = np.mean([state.pos[b] for b in believers], axis=0)
 
-        while True:
-            draws = mirror.uniform(0.0, 1.0, size=3)
-            w = np.sort(draws / draws.sum())[::-1]
-            if np.all(draws > 0.0) and w[0] > w[1] > w[2] > 0.0:
-                break
-        expected[leader] = np.clip(
-            w[0] * gstar + w[1] * adv + w[2] * bmean, p.lower, p.upper
-        )
-        u = float(mirror.uniform(0.5, 1.0))
-        expected[advocate] = np.clip(
-            u * lead + (1.0 - u) * bmean, p.lower, p.upper
-        )
-        for believer in believers:
-            u = float(mirror.uniform(0.5, 1.0))
-            expected[believer] = np.clip(
-                u * lead + (1.0 - u) * adv, p.lower, p.upper
+            while True:
+                draws = mirror.uniform(0.0, 1.0, size=3)
+                w = np.sort(draws / draws.sum())[::-1]
+                if np.all(draws > 0.0) and w[0] > w[1] > w[2] > 0.0:
+                    break
+            expected[leader] = np.clip(
+                w[0] * gstar + w[1] * adv + w[2] * bmean, p.lower, p.upper
             )
+            u = float(mirror.uniform(0.5, 1.0))
+            expected[advocate] = np.clip(
+                u * lead + (1.0 - u) * bmean, p.lower, p.upper
+            )
+            for believer in believers:
+                u = float(mirror.uniform(0.5, 1.0))
+                expected[believer] = np.clip(
+                    u * lead + (1.0 - u) * adv, p.lower, p.upper
+                )
 
-    step(state, p, cfg)
-    return state, expected, mirror
+    step(state, [p] * seeds, cfg)
+    return state, expected, mirrors
 
 
 def test_step_replays_documented_update_rules():
@@ -285,64 +302,98 @@ def test_step_replays_documented_update_rules():
     combination bitwise.
     """
     p = box_problem(dim=3)
-    cfg = LabConfig(num_groups=3, group_size=4)
-    state, expected, _ = replay_step(p, cfg, seed=42)
+    cfg = LabConfig(num_groups=3, group_size=4, seed=42)
+    state, expected, _ = replay_step(p, cfg)
     for i in range(cfg.population):
         assert np.array_equal(state.pos[i], expected[i]), i
 
 
-@pytest.mark.parametrize(
-    "num_groups, group_size, dim", [(2, 3, 1), (5, 12, 1), (4, 11, 6), (3, 20, 2)]
-)
+REPLAY_SHAPES = [(2, 3, 1), (5, 12, 1), (4, 11, 6), (3, 20, 2)]
+
+
+@pytest.mark.parametrize("num_groups, group_size, dim", REPLAY_SHAPES)
 def test_step_replay_holds_for_other_shapes(num_groups, group_size, dim):
     # groups of 10+ believers reach numpy's unrolled summation; the
     # batched believer mean must still round like the per-group one
     p = box_problem(dim=dim)
-    cfg = LabConfig(num_groups=num_groups, group_size=group_size)
-    state, expected, _ = replay_step(p, cfg, seed=num_groups + group_size + dim)
+    cfg = LabConfig(
+        num_groups=num_groups, group_size=group_size, seed=num_groups + group_size + dim
+    )
+    state, expected, _ = replay_step(p, cfg)
     for i in range(cfg.population):
         assert np.array_equal(state.pos[i], expected[i]), i
 
 
-@pytest.mark.parametrize(
+@pytest.mark.parametrize("num_groups, group_size, dim", REPLAY_SHAPES)
+def test_step_replay_holds_for_stacked_seeds(num_groups, group_size, dim):
+    # the stack's leading seed axis must not change how any seed's
+    # believer mean or mix rounds
+    p = box_problem(dim=dim)
+    cfg = LabConfig(num_groups=num_groups, group_size=group_size, seed=dim)
+    state, expected, _ = replay_step(p, cfg, seeds=3)
+    assert state.pos.shape == (3 * cfg.population, dim)
+    assert sorted(state.order.ravel().tolist()) == list(range(3 * cfg.population))
+    for i in range(3 * cfg.population):
+        assert np.array_equal(state.pos[i], expected[i]), i
+
+
+REJECTED_CELLS = pytest.mark.parametrize(
     "cell, value",
     [((1, 0), 0.0), ((1, slice(0, 2)), 0.25), ((2, slice(0, 3)), 0.3), ((0, 5), 0.0)],
     ids=["zero-leader-draw", "leader-tie", "leader-triple-tie", "u-on-its-end"],
 )
+
+
+@REJECTED_CELLS
 def test_rejected_block_is_redrawn_whole(cell, value):
     # A zero leader draw, a tie or u = 0.5 + 0.5 * 0 rejects the block,
     # which no seeded run reaches (about 2**-53 per draw).  The step
     # must draw the next block whole and move exactly like the replay
     # built from it.
     p = box_problem(dim=3)
-    cfg = LabConfig(num_groups=3, group_size=4)
+    cfg = LabConfig(num_groups=3, group_size=4, seed=7)
     block = np.random.default_rng(0).uniform(0.2, 0.8, (3, 6))
     block[cell] = value
-    state, expected, mirror = replay_step(p, cfg, seed=7, block=block)
+    state, expected, (mirror,) = replay_step(p, cfg, block=block)
     for i in range(cfg.population):
         assert np.array_equal(state.pos[i], expected[i]), i
     # the stream continues where the replay left it
-    assert state.rng.random(1) == mirror.random(1)
+    assert state.rngs[0].random(1) == mirror.random(1)
+
+
+@REJECTED_CELLS
+def test_rejected_block_in_one_seed_is_redrawn_for_that_seed_only(cell, value):
+    # Seed 1 of a 3-seed stack gets the bad block: it alone draws a
+    # second block, and every seed still moves like its own replay.
+    p = box_problem(dim=3)
+    cfg = LabConfig(num_groups=3, group_size=4, seed=7)
+    block = np.random.default_rng(0).uniform(0.2, 0.8, (3, 6))
+    block[cell] = value
+    state, expected, mirrors = replay_step(p, cfg, seeds=3, block=block, stubbed=1)
+    for i in range(3 * cfg.population):
+        assert np.array_equal(state.pos[i], expected[i]), i
+    for rng, mirror in zip(state.rngs, mirrors):
+        assert rng.random(1) == mirror.random(1)
 
 
 def test_step_counts_evaluations_and_increments_iteration():
     p = box_problem()
     cfg = LabConfig()
-    state = init(p, cfg, 0)
-    step(state, p, cfg)
+    state = init([p], cfg)
+    step(state, [p], cfg)
     assert state.iteration == 1
     assert state.n_evaluations == 40
-    step(state, p, cfg)
+    step(state, [p], cfg)
     assert state.n_evaluations == 60
 
 
 def test_step_keeps_rankings_valid():
     p = box_problem()
-    cfg = LabConfig()
-    state = init(p, cfg, 3)
+    cfg = LabConfig(seed=3)
+    state = init([p], cfg)
     for _ in range(5):
-        step(state, p, cfg)
-        for row in state.order:
+        step(state, [p], cfg)
+        for row in state.order[0]:
             fits = state.fit[row].tolist()
             assert fits == sorted(fits)
         assert leader_fits(state) == sorted(leader_fits(state))
@@ -351,12 +402,12 @@ def test_step_keeps_rankings_valid():
 def test_collapsed_society_is_a_fixed_point():
     p = box_problem()
     cfg = LabConfig()
-    state = init(p, cfg, 0)
+    state = init([p], cfg)
     spot = np.array([1.5, -2.5])
     state.pos[:] = spot
     state.fit[:] = p.evaluate(spot)
     rank(state, p.sense)
-    step(state, p, cfg)
+    step(state, [p], cfg)
     # exact in real arithmetic; each w1*x + w2*x + w3*x re-rounds in floats
     for position in state.pos:
         assert np.allclose(position, spot, rtol=1e-14, atol=0.0)
@@ -364,12 +415,12 @@ def test_collapsed_society_is_a_fixed_point():
 
 def test_greedy_acceptance_never_worsens_the_global_leader():
     p = box_problem()
-    cfg = LabConfig(greedy_acceptance=True)
-    state = init(p, cfg, 9)
-    prev = state.fit[state.best]
+    cfg = LabConfig(greedy_acceptance=True, seed=9)
+    state = init([p], cfg)
+    prev = state.fit[best(state)]
     for _ in range(30):
-        step(state, p, cfg)
-        cur = state.fit[state.best]
+        step(state, [p], cfg)
+        cur = state.fit[best(state)]
         assert cur <= prev
         prev = cur
 
@@ -396,9 +447,14 @@ def test_step_propagates_evaluation_errors():
 
     p = box_problem(objective=sometimes_nan)
     cfg = LabConfig()
-    state = init(p, cfg, 0)
-    with pytest.raises(EvaluationError):
-        step(state, p, cfg)
+    state = init([p], cfg)
+    step(state, [p], cfg)
+    # the failing seed leaves the stack and keeps its error
+    error = state.failed[0]
+    assert isinstance(error, EvaluationError)
+    assert error.iteration == 1
+    assert "returned nan (batch row 0)" in str(error)
+    assert state.seeds == [] and state.order.shape == (0, cfg.num_groups, cfg.group_size)
 
 
 # --- config validation -----------------------------------------------------
@@ -507,9 +563,9 @@ def test_maximize_runs_improve_in_the_right_direction():
 def test_run_stays_feasible_throughout():
     p = box_problem(dim=4, half=3.0)
     cfg = LabConfig(seed=8, stall_epsilon=0.0)
-    state = init(p, cfg, 8)
+    state = init([p], cfg)
     for _ in range(40):
-        step(state, p, cfg)
+        step(state, [p], cfg)
         for position in state.pos:
             assert p.contains(position)
 
@@ -519,15 +575,172 @@ def test_population_hull_never_expands():
     # support function over any direction must be non-increasing
     p = box_problem(dim=3, half=5.0)
     cfg = LabConfig(seed=13, stall_epsilon=0.0)
-    state = init(p, cfg, 13)
+    state = init([p], cfg)
     rng = np.random.default_rng(99)
     dirs = rng.normal(size=(128, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     prev = state.pos.copy()
     for _ in range(30):
-        step(state, p, cfg)
+        step(state, [p], cfg)
         cur = state.pos.copy()
         hi_prev = (dirs @ prev.T).max(axis=1)
         hi_cur = (dirs @ cur.T).max(axis=1)
         assert np.all(hi_cur <= hi_prev + 1e-9)
         prev = cur
+
+
+# --- stacked seeds ---------------------------------------------------------
+
+def trace_bytes(trace, tmp_path):
+    return write_trace(trace, tmp_path / "trace.csv").read_bytes()
+
+
+def machining_problem(key):
+    return lambda seed: machining.get(key).problem
+
+
+def benchmark_problem(spec_id):
+    return lambda seed: build_problem(spec_id, noise_seed=seed)
+
+
+STACK_CASES = {
+    "edm:MRR (maximize)": (machining_problem("edm:MRR"), {}),
+    "edm:MRR greedy": (machining_problem("edm:MRR"), {"greedy_acceptance": True}),
+    "micro_turning:Ra 3x7": (
+        machining_problem("micro_turning:Ra"), {"num_groups": 3, "group_size": 7}
+    ),
+    "F10": (benchmark_problem("F10"), {}),
+    "F10 greedy": (benchmark_problem("F10"), {"greedy_acceptance": True}),
+    "F19 2x3": (benchmark_problem("F19"), {"num_groups": 2, "group_size": 3}),
+    "F32 per-seed noise": (benchmark_problem("F32"), {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+def test_run_seeds_yields_what_run_returns_for_each_seed(case, tmp_path):
+    make, overrides = STACK_CASES[case]
+    config = LabConfig(seed=3, **overrides)
+    stacked = list(run_seeds([make(3 + k) for k in range(4)], config))
+    assert [t.seed for t in stacked] == [3, 4, 5, 6]
+    for k, trace in enumerate(stacked):
+        alone = run(make(3 + k), dataclasses.replace(config, seed=3 + k))
+        assert trace_bytes(trace, tmp_path) == trace_bytes(alone, tmp_path), k
+
+
+@st.composite
+def stacks(draw):
+    """A problem with a random box and sense, a config and a seed count."""
+    dim = draw(st.integers(1, 4))
+    lower = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim)))
+    span = 10.0 ** np.array(
+        draw(st.lists(st.floats(-3.0, 3.0), min_size=dim, max_size=dim))
+    )
+    center = draw(st.floats(-3.0, 3.0))
+    problem = Problem(
+        name="random",
+        dim=dim,
+        lower=lower,
+        upper=lower + span,
+        sense=draw(st.sampled_from(Sense)),
+        objective=lambda x: np.sum((4.0 * (x - lower) / span - 2.0 - center) ** 2, axis=-1),
+    )
+    config = LabConfig(
+        num_groups=draw(st.integers(2, 4)),
+        group_size=draw(st.integers(3, 8)),
+        max_iterations=draw(st.integers(1, 25)),
+        stall_window=draw(st.integers(1, 6)),
+        greedy_acceptance=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return problem, config, draw(st.integers(1, 5))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(stacks())
+def test_run_seeds_matches_run_over_random_shapes_boxes_and_senses(case):
+    problem, config, seeds = case
+    stacked = list(run_seeds([problem] * seeds, config))
+    assert len(stacked) == seeds
+    for k, trace in enumerate(stacked):
+        alone = run(problem, dataclasses.replace(config, seed=config.seed + k))
+        assert trace == alone, k
+
+
+def nan_from_call(call, row=3):
+    """A sphere objective whose ``row`` turns NaN from its ``call``-th call on."""
+    calls = [0]
+
+    def objective(x):
+        calls[0] += 1
+        values = sphere(x)
+        if calls[0] >= call:
+            values[row] = np.nan
+        return values
+
+    return objective
+
+
+def test_lowest_failing_seed_raises_its_own_error_after_lower_traces():
+    # Seed 2 fails first (iteration 3), seed 1 later (iteration 7) and
+    # seed 0 never: trace 0 comes out, then seed 1's error, the same
+    # one a run of seed 1 alone raises.
+    config = LabConfig(seed=4, stall_epsilon=0.0)
+    calls = (10**9, 8, 4)  # call t + 1 evaluates iteration t
+    stack = run_seeds([box_problem(objective=nan_from_call(c)) for c in calls], config)
+    assert next(stack).seed == 4
+    with pytest.raises(EvaluationError) as stacked:
+        next(stack)
+    with pytest.raises(EvaluationError) as alone:
+        run(box_problem(objective=nan_from_call(8)), LabConfig(seed=5, stall_epsilon=0.0))
+    assert stacked.value.iteration == alone.value.iteration == 7
+    assert str(stacked.value) == str(alone.value)
+    assert "(batch row 3)" in str(stacked.value)
+    assert np.array_equal(stacked.value.position, alone.value.position)
+
+
+def test_failure_in_a_shared_objective_names_the_seeds_own_row():
+    # One pure objective scores the whole stack in one call; when that
+    # call meets a NaN, the error must still be the lowest failing
+    # seed's own, with its own batch row and iteration.
+    def nan_in_a_band(x):
+        return np.where(np.abs(x[:, 0] - 1.0) < 0.05, np.nan, sphere(x))
+
+    p = box_problem(objective=nan_in_a_band)
+    failed_at = set()
+    for first in range(10):
+        config = LabConfig(seed=first, num_groups=2, group_size=3)
+        outcomes = []
+        for k in range(3):
+            try:
+                outcomes.append(run(p, dataclasses.replace(config, seed=first + k)))
+            except EvaluationError as exc:
+                outcomes.append(exc)
+                break
+        stack = run_seeds([p] * 3, config)
+        for expected in outcomes:
+            if isinstance(expected, EvaluationError):
+                with pytest.raises(EvaluationError) as got:
+                    next(stack)
+                assert str(got.value) == str(expected)
+                assert got.value.iteration == expected.iteration
+                assert np.array_equal(got.value.position, expected.position)
+                failed_at.add(expected.iteration)
+            else:
+                assert next(stack) == expected
+    assert failed_at == {0, 2, 3}  # initial populations and later steps
+
+
+def test_run_seeds_rejects_problems_that_differ():
+    p = box_problem()
+    for other in (
+        box_problem(name="other"),
+        box_problem(dim=3),
+        box_problem(half=5.0),
+        box_problem(sense=Sense.MAXIMIZE),
+    ):
+        with pytest.raises(ConfigError):
+            run_seeds([p, other], LabConfig())
+    with pytest.raises(ConfigError):
+        run_seeds([], LabConfig())
+    with pytest.raises(ConfigError):
+        run_seeds([p], LabConfig(num_groups=1))
