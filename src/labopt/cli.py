@@ -159,7 +159,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         traces = []
         try:
             for trace in _traces(args, build):
-                # Written as each seed finishes, so a later failure keeps it.
+                # Written as it is yielded, so a later failure keeps it.
                 write_trace(trace, run_dir / f"trace_seed{trace.seed}.csv")
                 traces.append(trace)
         except EvaluationError as exc:

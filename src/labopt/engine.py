@@ -318,7 +318,6 @@ def init(problems: Sequence[Problem], config: LabConfig) -> State:
     ``group_size`` by id; both ranking passes are applied before the
     state is returned.
     """
-    config.validate()
     first = problems[0]
     pop = config.population
     rngs = [np.random.default_rng(config.seed + k) for k in range(len(problems))]
