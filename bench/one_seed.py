@@ -1,0 +1,152 @@
+"""Time one-seed LAB runs of two revisions in one process, in alternating pairs.
+
+    python3 bench/one_seed.py --parent HEAD~1 --change HEAD --tag my-change \\
+        --workdir /tmp/one-seed --seeds 0-19
+
+``labopt run`` defaults to one seed, which the stacked runs of
+``perfbench``'s ``lab-study`` (two seeds a problem) do not show.  This
+script makes ``git archive`` copies of both revisions, as
+``bench/pairs.py`` does, and imports each copy's ``labopt`` under its own
+package name, so both run in one interpreter.  One pair per seed ``s``
+runs every catalog problem (the 23 machining models, then the 27
+benchmark functions built for seed ``s``) with
+``engine.run(problem, LabConfig(seed=s))`` on both sides, back to back
+problem by problem and the first side alternating, so a drift in
+machine speed falls on both sides alike.  A pair's time per side is the
+sum of its 50 runs; both sides' traces must be equal.  An unrecorded
+pair warms both sides up first.
+
+Writes ``BENCH_<tag>-one-seed.json`` at the repository root: both
+sides' pair times, medians, quartiles and IQR, the change's wins out
+of the pairs, the change-to-parent ratio per pair and the measurement
+limits.
+"""
+from __future__ import annotations
+
+import argparse
+import importlib
+import json
+import os
+import platform
+import shutil
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy
+
+from pairs import LIMITS, ROOT, SIDES, export, parse_seeds, quartiles
+
+
+def load(root: Path, name: str, packages: Path) -> tuple:
+    """Import ``root``'s ``labopt`` as package ``name``: engine, catalogs."""
+    shutil.copytree(root / "src" / "labopt", packages / name)
+    return tuple(
+        importlib.import_module(f"{name}.{module}")
+        for module in ("engine", "machining", "benchmarks")
+    )
+
+
+def catalog(modules: tuple, seed: int) -> list:
+    _, machining, benchmarks = modules
+    problems = [spec.problem for spec in machining.machining_registry()]
+    return problems + [
+        benchmarks.build_problem(spec.id, None, seed) for spec in benchmarks.registry()
+    ]
+
+
+def fingerprint(trace) -> tuple:
+    """A trace's content, comparable across the two packages' classes."""
+    records = [(r.iteration, r.global_best, r.leaders, r.best_so_far) for r in trace.records]
+    return (trace.problem, trace.seed, trace.best_fitness, trace.best_position,
+            trace.n_evaluations, trace.termination, records)
+
+
+def pair(modules: dict, seed: int, flip: int) -> tuple[dict, bool]:
+    """One pair: each side's total run time and whether the traces agree."""
+    problems = {side: catalog(modules[side], seed) for side in SIDES}
+    total = dict.fromkeys(SIDES, 0.0)
+    traces: dict[str, list] = {side: [] for side in SIDES}
+    for i in range(len(problems["parent"])):
+        for side in SIDES if (i + flip) % 2 == 0 else SIDES[::-1]:
+            engine = modules[side][0]
+            start = time.perf_counter()
+            trace = engine.run(problems[side][i], engine.LabConfig(seed=seed))
+            total[side] += time.perf_counter() - start
+            traces[side].append(fingerprint(trace))
+    return total, traces["parent"] == traces["change"]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision of the parent")
+    parser.add_argument("--change", required=True, help="git revision of the change")
+    parser.add_argument("--tag", required=True, help="names BENCH_<tag>-one-seed.json")
+    parser.add_argument("--workdir", required=True, type=Path,
+                        help="scratch directory for the two copies")
+    parser.add_argument("--seeds", required=True, type=parse_seeds,
+                        help="one pair per seed, e.g. 0-19")
+    args = parser.parse_args(argv)
+
+    workdir = args.workdir.resolve()
+    packages = workdir / "packages"
+    if packages.exists():
+        shutil.rmtree(packages)
+    packages.mkdir(parents=True)
+    sys.path.insert(0, str(packages))
+    commits, modules = {}, {}
+    for side in SIDES:
+        commits[side] = export(getattr(args, side), workdir / side)
+        modules[side] = load(workdir / side, f"labopt_{side}", packages)
+
+    pair(modules, args.seeds[0], 0)  # warm-up, not recorded
+    times: dict[str, list[float]] = {side: [] for side in SIDES}
+    equal = True
+    for i, seed in enumerate(args.seeds):
+        total, same = pair(modules, seed, i % 2)
+        equal &= same
+        for side in SIDES:
+            times[side].append(total[side])
+        print(f"pair {i + 1}/{len(args.seeds)} seed {seed}: parent {total['parent']:.4f} s, "
+              f"change {total['change']:.4f} s, traces equal: {same}",
+              file=sys.stderr, flush=True)
+
+    summary = {}
+    for side in SIDES:
+        q1, median, q3 = quartiles(times[side])
+        summary[side] = {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1,
+                         "values": times[side]}
+    ratios = [c / p for p, c in zip(times["parent"], times["change"])]
+    r1, rm, r3 = quartiles(ratios)
+    record = {
+        "tag": args.tag,
+        "revisions": {side: {"ref": getattr(args, side), "commit": commits[side]}
+                      for side in SIDES},
+        "machine": {
+            "nproc": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "platform": platform.platform(),
+        },
+        "limits": LIMITS.format(nproc=os.cpu_count()),
+        "method": (
+            "one interpreter, both revisions imported; per seed s, every catalog problem "
+            "run with engine.run(problem, LabConfig(seed=s)) on both sides back to back, "
+            "the first side alternating by problem and pair; a pair's time per side is "
+            "the sum of its runs"
+        ),
+        "seeds": args.seeds,
+        "traces_equal": equal,
+        "wall_s_per_pair": summary,
+        "change_to_parent_ratio": {"median": rm, "q1": r1, "q3": r3},
+        "change_faster": f"{sum(r < 1.0 for r in ratios)}/{len(ratios)}",
+    }
+    out = ROOT / f"BENCH_{args.tag}-one-seed.json"
+    out.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"written: {out}", file=sys.stderr)
+    return 0 if equal else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,8 +19,11 @@ and a verdict; the golden-digest status and failed operations of every
 run; the source code lines of both revisions; the Tier-1 outcomes and
 wall times; and the measurement limits.
 
-A gain needs wins in at least nine tenths of the pairs (ties count for
-neither side) and a median difference larger than the parent's IQR.
+A gain needs wins in at least nine tenths of the pairs run (ties, and
+pairs in which a side did not report the metric, count for neither
+side), a median difference larger than the parent's IQR, and a change
+whose every run exited 0 and matched the golden digest, with no more
+failed operations than the parent.
 Any other metric is "worse" when the change's median is worse than the
 parent's by more than the bound in ``BENCHMARK.json``, "unresolved"
 when the parent's own IQR is wider than that bound, and "within bound"
@@ -153,7 +156,16 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def verdicts(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per end-to-end metric: both sides' samples, medians, IQR, wins and verdict."""
+    """Per end-to-end metric: both sides' samples, medians, IQR, wins and verdict.
+
+    Samples come from the pairs in which both sides report the metric;
+    wins count out of every pair in ``runs``.
+    """
+    change_sound = all(
+        r["change"]["exit"] == 0 and r["change"]["correct"] for r in runs
+    ) and sum(r["change"]["failed"] or 0 for r in runs) <= sum(
+        r["parent"]["failed"] or 0 for r in runs
+    )
     out = {}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -170,7 +182,7 @@ def verdicts(runs: list[dict], metrics: list[dict]) -> dict:
         wins = sum((c < p) if lower else (c > p) for p, c in pairs)
         gap = (pm - cm) if lower else (cm - pm)  # > 0: the change is better
         worse_by = -gap / pm if pm else 0.0
-        if wins >= 0.9 * len(pairs) and gap > p3 - p1:
+        if change_sound and wins >= 0.9 * len(runs) and gap > p3 - p1:
             verdict = "gain"
         elif worse_by > metric["bound"]:
             verdict = "worse"
@@ -187,7 +199,8 @@ def verdicts(runs: list[dict], metrics: list[dict]) -> dict:
             "parent": {"median": pm, "q1": p1, "q3": p3, "iqr": p3 - p1, "values": parent},
             "change": {"median": cm, "q1": c1, "q3": c3, "iqr": c3 - c1, "values": change},
             "change_vs_parent": (cm - pm) / pm if pm else None,
-            "wins": f"{wins}/{len(pairs)}",
+            "wins": f"{wins}/{len(runs)}",
+            "change_sound": change_sound,
             "verdict": verdict,
         }
     return out

@@ -22,8 +22,9 @@ seeds share three arrays indexed by individual id, ``pos`` (positions),
 ids of live seed ``j``'s ``g``-th ranked group best-first.  One step
 draws every seed's weights, builds every proposal by broadcasting and
 evaluates them in one batch when the seeds share an objective; each
-seed keeps its own generator, ranking and stopping rule, so every seed
-runs exactly as it would alone.  ``run`` is the one-seed stack.
+seed keeps its own generator, ranking and stopping rule, so a seed
+runs as it would alone as long as the objective gives it the same
+values (``run_seeds`` says when).  ``run`` is the one-seed stack.
 """
 from __future__ import annotations
 
@@ -213,7 +214,7 @@ def weights_valid(leader: np.ndarray, u: np.ndarray) -> bool:
     exactly.  Leading axes, such as a stack's seeds, are checked
     together.
     """
-    w1, w2, w3 = leader.T
+    w1, w2, w3 = leader.reshape(-1, 3).T  # 1-D columns compare faster than 2-D
     unit_sum = np.abs(w1 + w2 + w3 - 1.0) <= _WEIGHT_SUM_TOL
     return bool(
         ((w1 < 1.0) & (w1 > w2) & (w2 > w3) & (w3 > 0.0) & unit_sum).all()
@@ -279,34 +280,36 @@ def rank(state: State, sense: Sense) -> None:
 
 
 def _evaluate(state: State, problems: Sequence[Problem], X: np.ndarray) -> np.ndarray:
-    """Each live seed's values of its batch ``X[j]``, shape ``X.shape[:2]``.
+    """The values of ``X``, each live seed's batch in turn, as one array.
 
     One objective call scores the whole stack when the live seeds share
-    an objective.  Otherwise, or when that call meets a non-finite
-    value, each seed's batch is evaluated alone, in seed order, so a
-    failing seed gets the very error a run of it alone raises.  That
-    error is kept in ``failed`` with the iteration, and the failing
-    seed leaves the stack together with every seed above it, whose
-    traces would not be reported; the values of the seeds below it are
-    returned.
+    an objective, as a lone seed does.  Otherwise, or when that call
+    meets a non-finite value in a stack of several seeds, each seed's
+    batch (its equal share of the rows) is evaluated alone, in seed
+    order, so a failing seed gets the very error a run of it alone
+    raises.  That error is kept in ``failed`` with the iteration, and
+    the failing seed leaves the stack together with every seed above
+    it, whose traces would not be reported; the values of the seeds
+    below it are returned.
     """
     live = [problems[k] for k in state.seeds]
-    if len(live) > 1 and all(p.objective == live[0].objective for p in live[1:]):
-        try:
-            values = live[0].evaluate_batch(X.reshape(-1, X.shape[-1]))
-            return values.reshape(X.shape[:2])
-        except EvaluationError:
-            pass  # found again below, with the failing seed's own batch row
-    values = np.empty(X.shape[:2])
-    for j, problem in enumerate(live):
-        try:
-            values[j] = problem.evaluate_batch(X[j])
-        except EvaluationError as exc:
-            exc.iteration = state.iteration
-            state.failed[state.seeds[j]] = exc
-            state.keep(list(range(j)))
-            return values[:j]
-    return values
+    values: list[np.ndarray] = []
+    try:
+        if all(p.objective == live[0].objective for p in live[1:]):
+            try:
+                return live[0].evaluate_batch(X)
+            except EvaluationError:
+                if len(live) == 1:
+                    raise
+                # found again below, with the failing seed's own batch
+        size = len(X) // len(live)
+        for j, problem in enumerate(live):
+            values.append(problem.evaluate_batch(X[j * size : (j + 1) * size]))
+    except EvaluationError as exc:
+        exc.iteration = state.iteration
+        state.failed[state.seeds[len(values)]] = exc
+        state.keep(list(range(len(values))))
+    return np.ravel(values)
 
 
 def init(problems: Sequence[Problem], config: LabConfig) -> State:
@@ -333,15 +336,20 @@ def init(problems: Sequence[Problem], config: LabConfig) -> State:
         iteration=0,
         n_evaluations=pop,
     )
-    fit = _evaluate(state, problems, pos.reshape(len(problems), pop, first.dim))
-    state.fit[: fit.size] = fit.ravel()
+    fit = _evaluate(state, problems, pos)
+    state.fit[: fit.size] = fit
     rank(state, first.sense)
     return state
 
 
 def believer_mean(state: State) -> np.ndarray:
-    """Mean position of each group's believers, shape ``(live, num_groups, dim)``."""
-    return np.mean(state.pos[state.order[..., 2:]], axis=-2)
+    """Mean position of each group's believers, shape ``(live, num_groups, dim)``.
+
+    The sum over the count is what ``np.mean`` computes, bit for bit,
+    without its per-call overhead.
+    """
+    believers = state.order[..., 2:]
+    return state.pos[believers].sum(axis=-2) / believers.shape[-1]
 
 
 def propose(
@@ -365,14 +373,14 @@ def propose(
     bmean = believer_mean(state)
     mix = np.empty((*order.shape, problem.dim))
     mix[..., 0, :] = (
-        leader_w[..., 0:1] * pos[order[..., :1, 0]]
+        leader_w[..., 0:1] * lead[..., :1, :]
         + leader_w[..., 1:2] * adv
         + leader_w[..., 2:3] * bmean
     )
     mix[..., 1, :] = u[..., 0:1] * lead + (1.0 - u[..., 0:1]) * bmean
     ub = u[..., 1:, None]
     mix[..., 2:, :] = ub * lead[..., None, :] + (1.0 - ub) * adv[..., None, :]
-    return np.clip(mix, problem.lower, problem.upper).reshape(-1, problem.dim)
+    return mix.clip(problem.lower, problem.upper).reshape(-1, problem.dim)
 
 
 def step(state: State, problems: Sequence[Problem], config: LabConfig) -> State:
@@ -386,17 +394,16 @@ def step(state: State, problems: Sequence[Problem], config: LabConfig) -> State:
     grows by the population size regardless of acceptance.  A seed
     whose evaluation fails leaves the stack as ``_evaluate`` says.
     """
-    live, num_groups, group_size = state.order.shape
+    _, num_groups, group_size = state.order.shape
     proposals = propose(
         state, problems[0], *draw_weights(state.rngs, num_groups, group_size)
     )
     state.iteration += 1
     state.n_evaluations += num_groups * group_size
-    batches = proposals.reshape(live, num_groups * group_size, -1)
-    fit = _evaluate(state, problems, batches)
+    fit = _evaluate(state, problems, proposals)
     # a seed that failed has left with every seed above it: keep the rest
     ids = state.order.ravel()
-    proposals, fit = proposals[: len(ids)], fit.ravel()
+    proposals = proposals[: len(ids)]
     if config.greedy_acceptance:
         keep = is_better(fit, state.fit[ids], problems[0].sense)
         ids, proposals, fit = ids[keep], proposals[keep], fit[keep]
@@ -422,12 +429,20 @@ def run_seeds(
 ) -> Iterator[RunTrace]:
     """Run LAB on every seed of one problem as one stack; yield the traces.
 
-    Seed ``k`` runs on ``problems[k]`` with seed ``config.seed + k``, and
-    its trace equals the one ``run`` returns for that seed alone.  The
-    problems must share name, dimension, box and sense; one objective
-    call scores a step of every seed when they also share the objective
-    (each noisy Quartic of the catalog has its own, so its seeds are
-    evaluated one at a time).
+    Seed ``k`` runs on ``problems[k]`` with seed ``config.seed + k``.  The
+    problems must share name, dimension, box and sense.  When the live
+    seeds' objectives compare equal, one objective call scores a step of
+    all of them; otherwise each seed's batch is its own call, in seed
+    order.  Each seed keeps its own weights, ranking and stopping, so
+    its trace equals the one ``run`` returns for it alone whenever its
+    objective sees the batches a lone run gives it: always when every
+    seed has its own objective, and in the shared call only when the
+    objective is pure and gives each row the same bits at any batch
+    size, as every catalog objective does (each noisy Quartic of the
+    catalog has its own, so its seeds go one at a time).  A stateful
+    shared objective sees the whole stack's batch, so a seed's values
+    depend on the seeds beside it; give each seed its own objective, or
+    use ``run``, for such an objective.
 
     Each seed stops at ``max_iterations``, or earlier when neither the
     global best nor the best leader of any group rank has improved by
@@ -442,7 +457,9 @@ def run_seeds(
     returns a non-finite value, the lowest failing seed's
     ``EvaluationError`` (the one ``run`` raises for it, with its
     ``iteration``) is raised in place of its trace, after the traces of
-    the seeds below it.
+    the seeds below it.  When the shared call meets that value, the step
+    is evaluated again one seed at a time to find the seed, so the
+    batches of that seed and of the seeds below it are evaluated twice.
 
     Raises
     ------
@@ -478,12 +495,12 @@ def _run_stack(problems: list[Problem], config: LabConfig) -> Iterator[RunTrace]
     reported = 0
     state = init(problems, config)
     while True:
-        leaders_of = state.fit[state.order[:, :, 0]].tolist()
-        best_pos = state.pos[state.order[:, 0, 0]]
+        heads = state.order[..., 0]
+        bests = zip(state.seeds, state.fit[heads].tolist(), heads[:, 0].tolist())
         stay = []
-        for j, k in enumerate(state.seeds):
-            recorder, history, leaders = recorders[k], histories[k], leaders_of[j]
-            recorder.observe(leaders[0], best_pos[j], leaders)
+        for j, (k, leaders, best) in enumerate(bests):
+            recorder, history = recorders[k], histories[k]
+            recorder.observe(leaders[0], state.pos[best], leaders)
             current = [oriented(v, sense) for v in leaders]
             if history:
                 current = [min(a, b) for a, b in zip(history[-1][1:], current)]
