@@ -12,6 +12,7 @@ from labopt.engine import (
     State,
     TERMINATION_MAX_ITERATIONS,
     TERMINATION_STALLED,
+    _evaluate,
     believer_mean,
     draw_weights,
     init,
@@ -728,6 +729,35 @@ def test_failure_in_a_shared_objective_names_the_seeds_own_row():
             else:
                 assert next(stack) == expected
     assert failed_at == {0, 2, 3}  # initial populations and later steps
+
+
+def test_a_failing_shared_call_is_evaluated_again_only_up_to_the_failing_seed():
+    # The documented cost of the shared call: on a NaN, the failing
+    # seed's batch and those below it are evaluated a second time, the
+    # seeds above it are not; a lone seed's batch is evaluated once.
+    sizes = []
+
+    def nan_beyond_one(x):
+        sizes.append(len(x))
+        return np.where(x[:, 0] > 1.0, np.nan, sphere(x))
+
+    p = box_problem(half=1.0, objective=nan_beyond_one)
+    config = LabConfig(num_groups=2, group_size=3)
+    X = np.zeros((3 * config.population, 2))
+    X[config.population + 4, 0] = 2.0  # row 4 of seed 1's batch
+    state = init([p] * 3, config)
+    sizes.clear()
+    values = _evaluate(state, [p] * 3, X)
+    assert sizes == [18, 6, 6]
+    assert values.shape == (6,)
+    assert state.seeds == [0] and list(state.failed) == [1]
+    assert "(batch row 4)" in str(state.failed[1])
+
+    lone = init([p], config)
+    sizes.clear()
+    assert _evaluate(lone, [p], X[6:12]).shape == (0,)
+    assert sizes == [6]
+    assert lone.seeds == [] and list(lone.failed) == [0]
 
 
 def test_run_seeds_rejects_problems_that_differ():
