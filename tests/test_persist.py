@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import hashlib
 import json
 import math
 
@@ -287,3 +288,109 @@ def test_oracle_payload_round_trips(tmp_path):
     }
     path = write_oracle(payload, tmp_path / "oracle.json")
     assert json.loads(path.read_text()) == payload
+
+
+def fixed_summary(problem, algorithm, sense, finals):
+    """``summarize`` over hand-built runs with a fixed runtime each."""
+    return summarize(
+        [
+            RunTrace(
+                problem=problem,
+                algorithm=algorithm,
+                sense=sense,
+                seed=i,
+                records=(IterationRecord(0, f, (), f),),
+                best_fitness=f,
+                best_position=(0.0,),
+                n_evaluations=10 + i,
+                termination=TERMINATION_MAX_ITERATIONS,
+                runtime_seconds=0.25 * (i + 1),
+            )
+            for i, f in enumerate(finals)
+        ]
+    )
+
+
+def pinned_summaries():
+    """Three algorithms on a minimize and a maximize problem, 14 runs each.
+
+    Per problem, the pairs cover the degenerate, exact and normal
+    branches and all three verdicts; magnitudes are rounded so that
+    ranks tie.
+    """
+    rng = np.random.default_rng(11)
+    base = np.round(rng.normal(size=14), 1)
+    near = base.copy()
+    near[:3] += 0.3  # three nonzero differences: degenerate
+    partial = base.copy()
+    partial[:10] -= np.round(rng.uniform(0.1, 0.9, 10), 1)  # ten: exact
+    finals = {
+        ("pmin", Sense.MINIMIZE): {"a": base - 0.5, "b": base, "c": near},
+        ("pmax", Sense.MAXIMIZE): {"a": base, "b": partial, "c": base + 0.5},
+    }
+    return [
+        fixed_summary(problem, algo, sense, tuple(float(v) for v in values))
+        for (problem, sense), by_algo in finals.items()
+        for algo, values in by_algo.items()
+    ]
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# sha256 of every comparison file, frozen before the harness was
+# simplified; any change to a test's numbers, the verdict tally, the
+# order of problems or pairs, or a file's layout shows up here.
+COMPARISON_SHA256 = {
+    False: {
+        "report_json": "0d9f641fe16669198dc5313025a3f667d12512d914a448cd79f1917726925a40",
+        "per_problem_csv": "600e1a901a679872b1c6b83db2719d5e0c8b9dbe346a062b3abca69bda85f753",
+        "pairwise_csv": "48e54c62fcc04920606a1ec1d2c46918525d013a8d737aaed12f1a7b77c191d1",
+        "report_txt": "c867a81c66f1f198e19d60bada6f196f32f6b73461f890bbd53927cafb5d5adb",
+    },
+    True: {
+        "report_json": "8d8beaca2b910d61807b22603861423c47e786be450ecca5846bc8cc589c8d7e",
+        "per_problem_csv": "600e1a901a679872b1c6b83db2719d5e0c8b9dbe346a062b3abca69bda85f753",
+        "pairwise_csv": "c513db422a5b263d7148bb934da9af76f4421607dff51ef84753acfd967bb6f2",
+        "report_txt": "c26d71311ba62641d8a8825ee0887cb507821677992c4417e9b873e6475a491c",
+    },
+}
+
+
+@pytest.mark.parametrize("use_raw_pairs", [False, True], ids=["means", "raw-pairs"])
+def test_comparison_bytes_are_frozen(tmp_path, use_raw_pairs):
+    report = pairwise_compare(pinned_summaries(), use_raw_pairs=use_raw_pairs)
+    assert {t.result.method for t in report.per_problem} == {
+        "degenerate", "exact", "normal"
+    }
+    assert {t.result.verdict for t in report.per_problem} == {"less", "greater", "equal"}
+    paths = write_comparison(report, tmp_path)
+    assert {name: sha256_of(p) for name, p in paths.items()} == COMPARISON_SHA256[
+        use_raw_pairs
+    ]
+
+
+SUMMARY_SHA256 = [
+    "dcb11e4216c63996a375831c0e5b24b1905d36ba556a14c8a84da98966e8f532",
+    "8cb11c44b97f8aeb58edca44e78f4ec752917f2ce1bb558a4877df0249526516",
+    "9b357822e1018967b0316af6d2fed4a9062c83abd9f62045d285e33905666296",
+    "0b33951f8dcb7b73666600572142876c9d84f4936ceab27ef073fd58b0cdeb8b",
+    "db86c5d871ecf84e979aaf46d2c4411e36d4642ac78e0edb63270413ea77919c",
+    "cb701ba89aa10b9380210df6c3559c2c7c5b6bc1f4983835817ddf24ebb07123",
+    "67588fb174027fd538b309c6aa24f0f5f79a1ee65b0ed7d1b202f775d9495c1d",
+    "aae45e3040d505e577eba32051ab2d8bab79354889b1fc512fb067b5e8adb4f7",
+]
+
+
+def test_summary_bytes_are_frozen(tmp_path):
+    # Signed zeros tie: the best final is the first of them in either sense.
+    summaries = pinned_summaries() + [
+        fixed_summary("zmin", "a", Sense.MINIMIZE, (1.0, -0.0, 0.0)),
+        fixed_summary("zmax", "a", Sense.MAXIMIZE, (-1.0, 0.0, -0.0)),
+    ]
+    digests = [
+        sha256_of(write_summary(s, tmp_path / f"{s.problem}_{s.algorithm}.json"))
+        for s in summaries
+    ]
+    assert digests == SUMMARY_SHA256
