@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import Recorder, RunTrace, TERMINATION_BUDGET
-from .problem import Problem, ConfigError, Sense, clamp_to_bounds, is_better, oriented
+from .problem import Problem, ConfigError, Sense, is_better, oriented
 
 ALGORITHM_RANDOM = "random_search"
 ALGORITHM_SA = "sa"
@@ -102,7 +102,7 @@ def _run_sa(problem: Problem, config: BaselineConfig) -> RunTrace:
         batch_pos = np.empty((size, problem.dim))
         batch_fit = np.empty(size)
         for i in range(size):
-            proposal = clamp_to_bounds(current + rng.normal(0.0, step), problem)
+            proposal = np.clip(current + rng.normal(0.0, step), problem.lower, problem.upper)
             fit = problem.evaluate(proposal)
             batch_pos[i] = proposal
             batch_fit[i] = fit

@@ -215,8 +215,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                         s, algorithm=label
                     )
     if not accepted:
-        print("error: no summary.json files found", file=sys.stderr)
-        return 2
+        raise ConfigError(f"no summary.json files found under {', '.join(args.dirs)}")
     for note in relabeled:
         print(f"note: duplicate algorithm label, {note}")
     report = pairwise_compare(
@@ -322,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
         position = ", ".join(f"{v!r}" for v in exc.position.tolist())
         print(f"error: {exc} at position ({position})", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

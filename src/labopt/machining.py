@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .problem import Problem, Sense, is_better
+from .problem import ConfigError, Problem, Sense, is_better
 
 Term = tuple[float, tuple[float, ...]]
 
@@ -417,7 +417,7 @@ def grid_oracle(
     ``2k - 1`` points per axis contains the ``k``-point grid.
     """
     if points_per_axis < 2:
-        raise ValueError("points_per_axis must be >= 2")
+        raise ConfigError(f"points_per_axis must be >= 2, got {points_per_axis}")
     axes = [
         np.linspace(lo, hi, points_per_axis)
         for lo, hi in zip(spec.lower, spec.upper)

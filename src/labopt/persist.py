@@ -8,7 +8,9 @@ reported in the summary JSON instead.
 """
 from __future__ import annotations
 
+import functools
 import json
+import math
 import os
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -17,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import IterationRecord, RunTrace
-from .problem import Sense
+from .problem import ConfigError, Sense
 from .stats import ComparisonReport, ProblemTest, RunSummary
 
 
@@ -134,31 +136,50 @@ def write_summary(summary: RunSummary, path: str | Path) -> Path:
     return _write_text(path, json.dumps(d, indent=2, sort_keys=True) + "\n")
 
 
+def _checked(kind: type, value):
+    """``value`` itself, if it is a ``kind``."""
+    if not isinstance(value, kind):
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
+# How read_summary parses each RunSummary field, by its annotation.
+# Counts and seeds must be JSON integers, and sequences JSON arrays.
+_PARSERS = {
+    "str": functools.partial(_checked, str),
+    "Sense": Sense,
+    "int": functools.partial(_checked, int),
+    "float": float,
+    "tuple[int, ...]": lambda v: tuple(_checked(int, x) for x in _checked(list, v)),
+    "tuple[float, ...]": lambda v: tuple(float(x) for x in _checked(list, v)),
+}
+
+
 def read_summary(path: str | Path) -> RunSummary:
-    """Parse a summary JSON; an unreadable or incomplete file names ``path``."""
+    """Parse a summary JSON; a malformed file raises ConfigError naming ``path``.
+
+    ``finals`` must hold ``num_runs`` finite values, as ``summarize``
+    writes them, since the comparison tests pair them by run.
+    """
     try:
         d = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    except ValueError as exc:
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     absent = {f.name for f in fields(RunSummary)} - (
         d.keys() if isinstance(d, dict) else set()
     )
     if absent:
-        raise ValueError(f"{path}: missing keys {sorted(absent)}")
-    return RunSummary(
-        problem=d["problem"],
-        algorithm=d["algorithm"],
-        sense=Sense(d["sense"]),
-        num_runs=int(d["num_runs"]),
-        seeds=tuple(int(v) for v in d["seeds"]),
-        best=float(d["best"]),
-        mean=float(d["mean"]),
-        std_dev=float(d["std_dev"]),
-        mean_runtime_seconds=float(d["mean_runtime_seconds"]),
-        mean_function_evaluations=float(d["mean_function_evaluations"]),
-        finals=tuple(float(v) for v in d["finals"]),
-        runtimes=tuple(float(v) for v in d["runtimes"]),
-    )
+        raise ConfigError(f"{path}: missing keys {sorted(absent)}")
+    values = {}
+    for f in fields(RunSummary):
+        try:
+            values[f.name] = _PARSERS[f.type](d[f.name])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: bad {f.name!r} ({exc})") from None
+    finals = values["finals"]
+    if not 0 < len(finals) == values["num_runs"] or not all(map(math.isfinite, finals)):
+        raise ConfigError(f"{path}: 'finals' must hold num_runs (>= 1) finite values")
+    return RunSummary(**values)
 
 
 def write_convergence(traces: Sequence[RunTrace], path: str | Path) -> Path:
@@ -204,32 +225,11 @@ def _per_problem_row(t: ProblemTest) -> str:
 
 
 def _report_dict(report: ComparisonReport) -> dict:
-    return {
-        "problems": list(report.problems),
-        "algorithms": list(report.algorithms),
-        "alpha": report.alpha,
-        "use_raw_pairs": report.use_raw_pairs,
-        "per_problem": [
-            {
-                "problem": t.problem,
-                "algo_a": t.algo_a,
-                "algo_b": t.algo_b,
-                **asdict(t.result),
-            }
-            for t in report.per_problem
-        ],
-        "pairwise": [
-            {
-                "algo_a": row.algo_a,
-                "algo_b": row.algo_b,
-                "wins_a": row.wins_a,
-                "wins_b": row.wins_b,
-                "ties": row.ties,
-                "overall": asdict(row.overall),
-            }
-            for row in report.pairwise
-        ],
-    }
+    """The report as a dict; each per-problem row holds its result's fields."""
+    d = asdict(report)
+    for row in d["per_problem"]:
+        row.update(row.pop("result"))
+    return d
 
 
 def format_report_text(report: ComparisonReport) -> str:

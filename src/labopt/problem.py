@@ -151,13 +151,11 @@ class Problem:
         )
 
 
-def clamp_to_bounds(x: np.ndarray, problem: Problem) -> np.ndarray:
-    """Project ``x`` onto the problem's box, coordinate by coordinate."""
-    return np.clip(np.asarray(x, dtype=float), problem.lower, problem.upper)
-
-
 def oriented(value: float, sense: Sense) -> float:
-    """Map a fitness to minimize-space (maximize problems are negated)."""
+    """Map a fitness to minimize-space (maximize problems are negated).
+
+    Works elementwise on arrays.
+    """
     return value if sense is Sense.MINIMIZE else -value
 
 

@@ -14,6 +14,7 @@ the first sample won.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -21,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import RunTrace
-from .problem import Sense, is_better, oriented
+from .problem import ConfigError, Sense, oriented
 
 VERDICT_LESS = "less"
 VERDICT_GREATER = "greater"
@@ -73,10 +74,6 @@ def summarize(traces: Sequence[RunTrace]) -> RunSummary:
             raise ValueError("summarize expects runs of one problem and algorithm")
     finals = tuple(t.best_fitness for t in traces)
     runtimes = tuple(t.runtime_seconds for t in traces)
-    best = finals[0]
-    for f in finals[1:]:
-        if is_better(f, best, first.sense):
-            best = f
     std = float(np.std(finals, ddof=1)) if len(finals) > 1 else 0.0
     return RunSummary(
         problem=first.problem,
@@ -84,7 +81,7 @@ def summarize(traces: Sequence[RunTrace]) -> RunSummary:
         sense=first.sense,
         num_runs=len(traces),
         seeds=tuple(t.seed for t in traces),
-        best=best,
+        best=min(finals, key=lambda f: oriented(f, first.sense)),
         mean=float(np.mean(finals)),
         std_dev=std,
         mean_runtime_seconds=float(np.mean(runtimes)),
@@ -190,7 +187,7 @@ def wilcoxon_two_sided(
     if not (np.all(np.isfinite(av)) and np.all(np.isfinite(bv))):
         raise ValueError("samples must be finite")
     if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+        raise ConfigError(f"alpha must be in (0, 1), got {alpha!r}")
 
     diffs = av - bv
     nonzero = diffs[diffs != 0.0]
@@ -199,23 +196,16 @@ def wilcoxon_two_sided(
     w_plus2 = int(ranks[nonzero > 0].sum())
     w_minus2 = int(ranks[nonzero < 0].sum())
     if n < MIN_EFFECTIVE:
-        return WilcoxonResult(
-            t_plus=w_plus2 / 2.0,
-            t_minus=w_minus2 / 2.0,
-            n_effective=n,
-            p_value=1.0,
-            verdict=VERDICT_EQUAL,
-            degenerate=True,
-            method=METHOD_DEGENERATE,
-        )
-
-    if n <= EXACT_LIMIT:
+        p = 1.0
+        method = METHOD_DEGENERATE
+    elif n <= EXACT_LIMIT:
         p = _exact_two_sided_p(ranks, w_plus2)
         method = METHOD_EXACT
     else:
         p = _normal_two_sided_p(ranks, w_plus2, n)
         method = METHOD_NORMAL
 
+    # A degenerate p of 1.0 never passes, since alpha < 1.
     verdict = VERDICT_EQUAL
     if p < alpha:
         med = float(np.median(nonzero))
@@ -229,7 +219,7 @@ def wilcoxon_two_sided(
         n_effective=n,
         p_value=p,
         verdict=verdict,
-        degenerate=False,
+        degenerate=method == METHOD_DEGENERATE,
         method=method,
     )
 
@@ -281,7 +271,8 @@ def pairwise_compare(
     run index.  The overall row test pairs per-problem mean finals by
     default; ``use_raw_pairs`` pools every (problem, run) difference
     instead, which weights problems by run count.  The grid must be
-    complete and each problem's algorithms must share a run count.
+    complete and each problem's algorithms must share a run count;
+    otherwise ConfigError names what is wrong.
     """
     cells: dict[tuple[str, str], RunSummary] = {}
     problems: list[str] = []
@@ -289,7 +280,7 @@ def pairwise_compare(
     for s in summaries:
         key = (s.problem, s.algorithm)
         if key in cells:
-            raise ValueError(f"duplicate summary for {s.problem}/{s.algorithm}")
+            raise ConfigError(f"duplicate summary for {s.problem}/{s.algorithm}")
         cells[key] = s
         if s.problem not in problems:
             problems.append(s.problem)
@@ -300,63 +291,52 @@ def pairwise_compare(
         f"{p}/{a}" for p in problems for a in algorithms if (p, a) not in cells
     ]
     if missing:
-        raise ValueError("missing summaries: " + ", ".join(missing))
+        raise ConfigError("missing summaries: " + ", ".join(missing))
     if len(algorithms) < 2:
-        raise ValueError("need at least two algorithms to compare")
+        raise ConfigError("need at least two algorithms to compare")
 
     for p in problems:
         senses = {cells[(p, a)].sense for a in algorithms}
         if len(senses) > 1:
-            raise ValueError(f"conflicting senses recorded for {p}")
+            raise ConfigError(f"conflicting senses recorded for {p}")
         counts = {cells[(p, a)].num_runs for a in algorithms}
         if len(counts) > 1:
-            raise ValueError(f"run counts differ on {p}; pairing needs equal counts")
+            raise ConfigError(f"run counts differ on {p}; pairing needs equal counts")
 
-    def oriented_finals(p: str, a: str) -> np.ndarray:
-        s = cells[(p, a)]
-        return np.array([oriented(f, s.sense) for f in s.finals])
-
-    per_problem: list[ProblemTest] = []
-    verdict_of: dict[tuple[str, str, str], str] = {}
-    for p in problems:
-        for i, a in enumerate(algorithms):
-            for b in algorithms[i + 1 :]:
-                res = wilcoxon_two_sided(
-                    oriented_finals(p, a), oriented_finals(p, b), alpha
-                )
-                per_problem.append(ProblemTest(p, a, b, res))
-                verdict_of[(p, a, b)] = res.verdict
+    finals = {key: oriented(np.array(s.finals), s.sense) for key, s in cells.items()}
+    pairs = list(itertools.combinations(algorithms, 2))
+    per_problem = [
+        ProblemTest(p, a, b, wilcoxon_two_sided(finals[p, a], finals[p, b], alpha))
+        for p in problems
+        for a, b in pairs
+    ]
+    if use_raw_pairs:
+        overall_sample = {
+            a: np.concatenate([finals[p, a] for p in problems]) for a in algorithms
+        }
+    else:
+        overall_sample = {
+            a: np.array([float(np.mean(finals[p, a])) for p in problems])
+            for a in algorithms
+        }
 
     rows: list[PairwiseRow] = []
-    for i, a in enumerate(algorithms):
-        for b in algorithms[i + 1 :]:
-            wins_a = sum(
-                1 for p in problems if verdict_of[(p, a, b)] == VERDICT_LESS
+    for a, b in pairs:
+        verdicts = [
+            t.result.verdict for t in per_problem if (t.algo_a, t.algo_b) == (a, b)
+        ]
+        wins_a = verdicts.count(VERDICT_LESS)
+        wins_b = verdicts.count(VERDICT_GREATER)
+        rows.append(
+            PairwiseRow(
+                algo_a=a,
+                algo_b=b,
+                wins_a=wins_a,
+                wins_b=wins_b,
+                ties=len(problems) - wins_a - wins_b,
+                overall=wilcoxon_two_sided(overall_sample[a], overall_sample[b], alpha),
             )
-            wins_b = sum(
-                1 for p in problems if verdict_of[(p, a, b)] == VERDICT_GREATER
-            )
-            if use_raw_pairs:
-                sample_a = np.concatenate([oriented_finals(p, a) for p in problems])
-                sample_b = np.concatenate([oriented_finals(p, b) for p in problems])
-            else:
-                sample_a = np.array(
-                    [float(np.mean(oriented_finals(p, a))) for p in problems]
-                )
-                sample_b = np.array(
-                    [float(np.mean(oriented_finals(p, b))) for p in problems]
-                )
-            overall = wilcoxon_two_sided(sample_a, sample_b, alpha)
-            rows.append(
-                PairwiseRow(
-                    algo_a=a,
-                    algo_b=b,
-                    wins_a=wins_a,
-                    wins_b=wins_b,
-                    ties=len(problems) - wins_a - wins_b,
-                    overall=overall,
-                )
-            )
+        )
 
     return ComparisonReport(
         problems=tuple(problems),

@@ -230,13 +230,32 @@ def _without_finals(text):
     return json.dumps(summary)
 
 
+def _with(key, value):
+    def damage(text):
+        summary = json.loads(text)
+        summary[key] = value
+        return json.dumps(summary)
+
+    return damage
+
+
 @pytest.mark.parametrize(
     "damage, expected",
     [
         (lambda text: text[:1], "not valid JSON"),
         (_without_finals, "missing keys ['finals']"),
+        (_with("seeds", 5), "bad 'seeds' ("),
+        (_with("sense", "up"), "bad 'sense' ('up' is not a valid Sense)"),
+        (_with("problem", ["F10"]), "bad 'problem' (expected str, got ['F10'])"),
+        (_with("finals", "1"), "bad 'finals' (expected list, got '1')"),
+        (_with("num_runs", 1.5), "bad 'num_runs' (expected int, got 1.5)"),
+        (_with("finals", [float("nan")]), "'finals' must hold num_runs (>= 1) finite values"),
+        (_with("num_runs", 2), "'finals' must hold num_runs (>= 1) finite values"),
     ],
-    ids=["truncated", "missing-finals"],
+    ids=[
+        "truncated", "missing-finals", "int-seeds", "unknown-sense", "list-problem",
+        "string-finals", "float-num-runs", "nan-final", "short-finals",
+    ],
 )
 def test_compare_on_a_broken_summary_exits_2_naming_it(
     tmp_path, capsys, damage, expected
@@ -279,6 +298,41 @@ def test_oracle_refinement_improves(tmp_path):
 def test_oracle_rejects_benchmarks(tmp_path, capsys):
     assert run_cli(["oracle", "--problem", "F10", "--out", str(tmp_path)]) == 2
     assert "machining models only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "dirs, alpha, expected",
+    [
+        (["lab"], "0.05", "need at least two algorithms to compare"),
+        (["lab", "rs3"], "0.05", "run counts differ on F10; pairing needs equal counts"),
+        (["lab", "rs2"], "1.5", "alpha must be in (0, 1), got 1.5"),
+        (["lab", "rs2"], "0", "alpha must be in (0, 1), got 0.0"),
+    ],
+    ids=["one-algorithm", "unequal-runs", "alpha-above-1", "alpha-0"],
+)
+def test_bad_compare_input_exits_2_naming_it(tmp_path, capsys, dirs, alpha, expected):
+    for sub, algo, runs in (("lab", "lab", 2), ("rs2", "random_search", 2),
+                            ("rs3", "random_search", 3)):
+        assert run_cli(
+            ["run", "--problem", "F10", "--algo", algo, "--runs", str(runs),
+             "--iters", "1", "--budget", "5", "--out", str(tmp_path / sub)]
+        ) == 0
+    capsys.readouterr()
+    code = run_cli(
+        ["compare", *(str(tmp_path / d) for d in dirs), "--alpha", alpha,
+         "--out", str(tmp_path / "cmp")]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not (tmp_path / "cmp").exists()
+
+
+def test_oracle_with_one_point_per_axis_exits_2_naming_it(tmp_path, capsys):
+    code = run_cli(
+        ["oracle", "--problem", "edm:MRR", "--points", "1", "--out", str(tmp_path)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: points_per_axis must be >= 2, got 1\n"
 
 
 def nan_per_point(x):
@@ -415,3 +469,16 @@ def test_lower_seed_failing_after_a_higher_one_finished_writes_nothing(
         "(batch row 7) at position ("
     )
     assert not (tmp_path / "F10__lab").exists()
+
+
+def test_value_error_inside_an_objective_gives_a_traceback(tmp_path, monkeypatch):
+    # Only input errors (ConfigError) exit 2; a bug in an objective is not one.
+    def raising(objective):
+        def wrapped(x):
+            raise ValueError("objective bug")
+
+        return wrapped
+
+    build_per_seed(monkeypatch, {0: raising})
+    with pytest.raises(ValueError, match="objective bug"):
+        run_cli(["run", "--problem", "F10", "--out", str(tmp_path)])

@@ -7,7 +7,7 @@ import pytest
 
 from labopt import machining
 from labopt.machining import grid_oracle, machining_registry
-from labopt.problem import Sense
+from labopt.problem import ConfigError, Sense
 
 # Independent transcription of every regression model, kept separate
 # from the implementation on purpose: the catalog must match this
@@ -298,7 +298,7 @@ def test_grid_refinement_never_worsens():
 
 
 def test_grid_oracle_argument_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="got 1"):
         grid_oracle(machining.get("edm:Ra"), 1)
 
 

@@ -6,7 +6,6 @@ from labopt.problem import (
     EvaluationError,
     Problem,
     Sense,
-    clamp_to_bounds,
     is_better,
     oriented,
 )
@@ -145,22 +144,6 @@ def test_contains_with_and_without_slack():
     assert p.contains([1.0, 2.0])
     assert not p.contains([1.0 + 1e-9, 0.0])
     assert p.contains([1.0 + 1e-9, 0.0], atol=1e-8)
-
-
-def test_clamp_identity_on_feasible_points():
-    p = make_problem()
-    x = np.array([0.3, -1.5])
-    assert np.array_equal(clamp_to_bounds(x, p), x)
-
-
-def test_clamp_projects_each_coordinate():
-    p = make_problem()
-    assert np.array_equal(
-        clamp_to_bounds(np.array([6.0, -7.0]), p), np.array([1.0, -2.0])
-    )
-    assert np.array_equal(
-        clamp_to_bounds(np.array([-2.0, 3.0]), p), np.array([-1.0, 2.0])
-    )
 
 
 def test_oriented_negates_only_maximization():

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from labopt.engine import IterationRecord, RunTrace, TERMINATION_MAX_ITERATIONS
-from labopt.problem import Sense
+from labopt.problem import ConfigError, Sense
 from labopt.stats import (
     EXACT_LIMIT,
     METHOD_DEGENERATE,
@@ -176,9 +176,9 @@ def test_input_validation():
         wilcoxon_two_sided([1.0, float("nan")], [0.0, 0.0])
     with pytest.raises(ValueError):
         wilcoxon_two_sided([1.0, float("inf")], [0.0, 0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="got 0.0"):
         wilcoxon_two_sided([1.0] * 6, [0.0] * 6, alpha=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="got 1.0"):
         wilcoxon_two_sided([1.0] * 6, [0.0] * 6, alpha=1.0)
     with pytest.raises(ValueError):
         wilcoxon_two_sided(np.ones((2, 3)), np.ones((2, 3)))
@@ -369,15 +369,15 @@ def test_grid_validation_errors():
         mk_summary("p1", "a", rng.normal(size=5)),
         mk_summary("p1", "b", rng.normal(size=5)),
     ]
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ConfigError, match="duplicate"):
         pairwise_compare(good + [mk_summary("p1", "a", rng.normal(size=5))])
-    with pytest.raises(ValueError, match="missing.*p2/b"):
+    with pytest.raises(ConfigError, match="missing.*p2/b"):
         pairwise_compare(good + [mk_summary("p2", "a", rng.normal(size=5))])
-    with pytest.raises(ValueError, match="two algorithms"):
+    with pytest.raises(ConfigError, match="two algorithms"):
         pairwise_compare([good[0]])
-    with pytest.raises(ValueError, match="senses"):
+    with pytest.raises(ConfigError, match="senses"):
         pairwise_compare(
             [good[0], mk_summary("p1", "b", rng.normal(size=5), sense=Sense.MAXIMIZE)]
         )
-    with pytest.raises(ValueError, match="run counts"):
+    with pytest.raises(ConfigError, match="run counts"):
         pairwise_compare([good[0], mk_summary("p1", "b", rng.normal(size=7))])
