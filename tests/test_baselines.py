@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from labopt import machining
 from labopt.baselines import (
     ALGORITHM_PSO,
     ALGORITHM_RANDOM,
@@ -11,6 +14,7 @@ from labopt.baselines import (
     BaselineConfig,
     run_baseline,
 )
+from labopt.benchmarks import build_problem
 from labopt.engine import TERMINATION_BUDGET, LabConfig, run
 from labopt.problem import ConfigError, Problem, Sense
 
@@ -194,6 +198,25 @@ def test_same_seed_reproduces_different_seed_differs(algorithm):
     assert strip_timing(a) == strip_timing(b)
     c = run_baseline(problem, BaselineConfig(algorithm=algorithm, budget=120, seed=22))
     assert strip_timing(a) != strip_timing(c)
+
+
+@pytest.mark.parametrize("budget", [1, 7, 20])
+@pytest.mark.parametrize(
+    "make_problem",
+    [lambda: build_problem("F10"), lambda: machining.get("edm:MRR").problem],
+    ids=["F10", "edm:MRR"],
+)
+def test_one_batch_budgets_give_one_trace_for_every_algorithm(make_problem, budget):
+    # Every algorithm starts from the same uniform batch drawn from the
+    # seed's generator, so up to one batch the traces agree but for the name.
+    problem = make_problem()
+    traces = [
+        run_baseline(problem, BaselineConfig(algorithm=algorithm, budget=budget, seed=11))
+        for algorithm in BASELINE_ALGORITHMS
+    ]
+    assert len(traces[0].records) == 1
+    for trace in traces[1:]:
+        assert replace(trace, algorithm=traces[0].algorithm) == traces[0]
 
 
 def test_sa_flat_calibration_falls_back_to_unit_temperature():
