@@ -6,7 +6,9 @@ Gaussian moves and geometric cooling, and global-best particle swarm.
 All three spend exactly ``config.budget`` objective evaluations, no
 more and no less, recording one trace row per batch of ``BATCH``
 evaluations, so their rows line up with the main optimizer's at its
-default population of 20.
+default population of 20.  All three start from the same uniform
+batch drawn from the seed's generator, so up to one batch their traces
+differ only in the algorithm name.
 """
 from __future__ import annotations
 
@@ -20,8 +22,6 @@ from .problem import Problem, ConfigError, Sense, is_better, oriented
 ALGORITHM_RANDOM = "random_search"
 ALGORITHM_SA = "sa"
 ALGORITHM_PSO = "pso"
-
-BASELINE_ALGORITHMS = (ALGORITHM_RANDOM, ALGORITHM_SA, ALGORITHM_PSO)
 
 # Fixed settings of every run.  A batch of BATCH evaluations is one
 # trace row: random search's draws, one annealing temperature stage, or
@@ -72,33 +72,22 @@ def _batch_sizes(budget: int) -> list[int]:
     return sizes
 
 
-def _run_random_search(problem: Problem, config: BaselineConfig) -> RunTrace:
-    rng = np.random.default_rng(config.seed)
-    recorder = Recorder(problem)
-    for size in _batch_sizes(config.budget):
+def _random_search(problem, rng, recorder, positions, fitnesses, sizes):
+    for size in sizes:
         positions = _uniform(problem, rng, size)
         _observe_batch(recorder, positions, problem.evaluate_batch(positions))
-    return recorder.trace(ALGORITHM_RANDOM, config.seed, config.budget, TERMINATION_BUDGET)
 
 
-def _run_sa(problem: Problem, config: BaselineConfig) -> RunTrace:
-    rng = np.random.default_rng(config.seed)
-    recorder = Recorder(problem)
-    span = problem.upper - problem.lower
-    step = SA_STEP_FRACTION * span
-    sizes = _batch_sizes(config.budget)
-
-    # Calibration batch: uniform sample, start from its best point at a
-    # tenth of its fitness spread (1.0 if the batch is flat).
-    positions = _uniform(problem, rng, sizes[0])
-    fitnesses = problem.evaluate_batch(positions)
-    _observe_batch(recorder, positions, fitnesses)
+def _sa(problem, rng, recorder, positions, fitnesses, sizes):
+    # The first batch calibrates: start from its best point at a tenth of
+    # its fitness spread (1.0 if the batch is flat).
+    step = SA_STEP_FRACTION * (problem.upper - problem.lower)
     current = np.array(recorder.best_position)
     current_fit = recorder.best_fitness
     spread = float(np.max(fitnesses) - np.min(fitnesses))
     temperature = 0.1 * spread if spread > 0 else 1.0
 
-    for size in sizes[1:]:
+    for size in sizes:
         batch_pos = np.empty((size, problem.dim))
         batch_fit = np.empty(size)
         for i in range(size):
@@ -106,34 +95,24 @@ def _run_sa(problem: Problem, config: BaselineConfig) -> RunTrace:
             fit = problem.evaluate(proposal)
             batch_pos[i] = proposal
             batch_fit[i] = fit
-            if is_better(fit, current_fit, problem.sense):
-                accept = True
-            else:
-                # Oriented uphill gap is >= 0 in either sense.
-                delta = oriented(fit, problem.sense) - oriented(current_fit, problem.sense)
-                accept = rng.random() < np.exp(-delta / temperature)
-            if accept:
+            # Oriented gap: below zero is downhill in either sense.
+            delta = oriented(fit - current_fit, problem.sense)
+            if delta < 0 or rng.random() < np.exp(-delta / temperature):
                 current = proposal
                 current_fit = fit
         _observe_batch(recorder, batch_pos, batch_fit)
         temperature *= SA_COOLING
-    return recorder.trace(ALGORITHM_SA, config.seed, config.budget, TERMINATION_BUDGET)
 
 
-def _run_pso(problem: Problem, config: BaselineConfig) -> RunTrace:
-    rng = np.random.default_rng(config.seed)
-    recorder = Recorder(problem)
-    sizes = _batch_sizes(config.budget)
-    swarm = sizes[0]
-    positions = _uniform(problem, rng, swarm)
+def _pso(problem, rng, recorder, positions, fitnesses, sizes):
+    # The first batch is the swarm, at rest.
+    swarm = len(positions)
     velocities = np.zeros_like(positions)
-    fitnesses = problem.evaluate_batch(positions)
-    _observe_batch(recorder, positions, fitnesses)
     pbest_pos = positions.copy()
     pbest_fit = fitnesses.copy()
     gbest = np.array(recorder.best_position)
 
-    for count in sizes[1:]:
+    for count in sizes:
         r1 = rng.random((swarm, problem.dim))
         r2 = rng.random((swarm, problem.dim))
         velocities = (
@@ -149,17 +128,33 @@ def _run_pso(problem: Problem, config: BaselineConfig) -> RunTrace:
         pbest_fit[:count][better] = fitnesses[better]
         pbest_pos[:count][better] = positions[:count][better]
         gbest = np.array(recorder.best_position)
-    return recorder.trace(ALGORITHM_PSO, config.seed, config.budget, TERMINATION_BUDGET)
 
 
+# The update rules.  Each continues a run whose first batch (``positions``
+# and their ``fitnesses``) is drawn and recorded, spending one batch per
+# entry of ``sizes`` and drawing from ``rng``.
 _RUNNERS = {
-    ALGORITHM_RANDOM: _run_random_search,
-    ALGORITHM_SA: _run_sa,
-    ALGORITHM_PSO: _run_pso,
+    ALGORITHM_RANDOM: _random_search,
+    ALGORITHM_SA: _sa,
+    ALGORITHM_PSO: _pso,
 }
+
+BASELINE_ALGORITHMS = tuple(_RUNNERS)
 
 
 def run_baseline(problem: Problem, config: BaselineConfig) -> RunTrace:
-    """Run one reference optimizer to budget exhaustion."""
+    """Run one reference optimizer to budget exhaustion.
+
+    Every algorithm starts from the same uniform batch drawn from the
+    seed's generator and recorded as the first trace row; its rule then
+    spends the remaining batches.
+    """
     config.validate()
-    return _RUNNERS[config.algorithm](problem, config)
+    rng = np.random.default_rng(config.seed)
+    recorder = Recorder(problem)
+    sizes = _batch_sizes(config.budget)
+    positions = _uniform(problem, rng, sizes[0])
+    fitnesses = problem.evaluate_batch(positions)
+    _observe_batch(recorder, positions, fitnesses)
+    _RUNNERS[config.algorithm](problem, rng, recorder, positions, fitnesses, sizes[1:])
+    return recorder.trace(config.algorithm, config.seed, config.budget, TERMINATION_BUDGET)

@@ -156,13 +156,16 @@ _PARSERS = {
 
 
 def read_summary(path: str | Path) -> RunSummary:
-    """Parse a summary JSON; a malformed file raises ConfigError naming ``path``.
+    """Parse a summary JSON; an unreadable or malformed file raises
+    ConfigError naming ``path``.
 
     ``finals`` must hold ``num_runs`` finite values, as ``summarize``
     writes them, since the comparison tests pair them by run.
     """
     try:
         d = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot be read ({exc.strerror or exc})") from None
     except ValueError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     absent = {f.name for f in fields(RunSummary)} - (

@@ -293,15 +293,19 @@ def pairwise_compare(
     if missing:
         raise ConfigError("missing summaries: " + ", ".join(missing))
     if len(algorithms) < 2:
-        raise ConfigError("need at least two algorithms to compare")
+        found = ", ".join(algorithms) or "none"
+        raise ConfigError(f"need at least two algorithms to compare, found {found}")
 
     for p in problems:
         senses = {cells[(p, a)].sense for a in algorithms}
         if len(senses) > 1:
             raise ConfigError(f"conflicting senses recorded for {p}")
-        counts = {cells[(p, a)].num_runs for a in algorithms}
-        if len(counts) > 1:
-            raise ConfigError(f"run counts differ on {p}; pairing needs equal counts")
+        counts = {a: cells[(p, a)].num_runs for a in algorithms}
+        if len(set(counts.values())) > 1:
+            listed = ", ".join(f"{a}: {n}" for a, n in counts.items())
+            raise ConfigError(
+                f"run counts differ on {p} ({listed}); pairing needs equal counts"
+            )
 
     finals = {key: oriented(np.array(s.finals), s.sense) for key, s in cells.items()}
     pairs = list(itertools.combinations(algorithms, 2))

@@ -251,10 +251,11 @@ def _with(key, value):
         (_with("num_runs", 1.5), "bad 'num_runs' (expected int, got 1.5)"),
         (_with("finals", [float("nan")]), "'finals' must hold num_runs (>= 1) finite values"),
         (_with("num_runs", 2), "'finals' must hold num_runs (>= 1) finite values"),
+        (None, "cannot be read (Is a directory)"),
     ],
     ids=[
         "truncated", "missing-finals", "int-seeds", "unknown-sense", "list-problem",
-        "string-finals", "float-num-runs", "nan-final", "short-finals",
+        "string-finals", "float-num-runs", "nan-final", "short-finals", "directory",
     ],
 )
 def test_compare_on_a_broken_summary_exits_2_naming_it(
@@ -263,7 +264,11 @@ def test_compare_on_a_broken_summary_exits_2_naming_it(
     out = tmp_path / "runs"
     assert run_cli(["run", "--problem", "F10", "--iters", "1", "--out", str(out)]) == 0
     path = out / "F10__lab" / "summary.json"
-    path.write_text(damage(path.read_text()))
+    if damage is None:  # a directory where the file should be
+        path.unlink()
+        path.mkdir()
+    else:
+        path.write_text(damage(path.read_text()))
     capsys.readouterr()
     assert run_cli(["compare", str(out)]) == 2
     err = capsys.readouterr().err
@@ -303,8 +308,9 @@ def test_oracle_rejects_benchmarks(tmp_path, capsys):
 @pytest.mark.parametrize(
     "dirs, alpha, expected",
     [
-        (["lab"], "0.05", "need at least two algorithms to compare"),
-        (["lab", "rs3"], "0.05", "run counts differ on F10; pairing needs equal counts"),
+        (["lab"], "0.05", "need at least two algorithms to compare, found lab"),
+        (["lab", "rs3"], "0.05",
+         "run counts differ on F10 (lab: 2, random_search: 3); pairing needs equal counts"),
         (["lab", "rs2"], "1.5", "alpha must be in (0, 1), got 1.5"),
         (["lab", "rs2"], "0", "alpha must be in (0, 1), got 0.0"),
     ],

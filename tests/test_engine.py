@@ -24,7 +24,7 @@ from labopt.engine import (
     weights_valid,
 )
 from labopt.persist import write_trace
-from labopt.problem import ConfigError, EvaluationError, Problem, Sense
+from labopt.problem import ConfigError, EvaluationError, Problem, Sense, oriented
 
 
 def sphere(x):
@@ -588,6 +588,93 @@ def test_population_hull_never_expands():
         hi_cur = (dirs @ cur.T).max(axis=1)
         assert np.all(hi_cur <= hi_prev + 1e-9)
         prev = cur
+
+
+
+# Objectives over z, the point rescaled to [-2, 2] per coordinate.
+INVARIANT_SHAPES = {
+    "bowl": lambda z: np.sum(z * z, axis=-1),
+    "tied": lambda z: np.floor(np.sum(z * z, axis=-1)),
+    "constant": lambda z: np.full(np.shape(z)[:-1], 1.5),
+}
+
+# The support widths may grow by this share of the box span.  A convex
+# mix is exact in real arithmetic; in floats it rounds relative to the
+# coordinates' magnitude, so the box sits within a thousand spans of the
+# origin and that rounding stays some thousand times below the bound.
+WIDTH_TOLERANCE = 1e-9
+
+
+@st.composite
+def engine_runs(draw):
+    """A problem with a random shape, box span and sense; a config; seeds; steps."""
+    dim = draw(st.integers(1, 4))
+    span = 10.0 ** np.array(
+        draw(st.lists(st.floats(-9.0, 9.0), min_size=dim, max_size=dim))
+    )
+    lower = span * np.array(
+        draw(st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim))
+    )
+    name = draw(st.sampled_from(sorted(INVARIANT_SHAPES)))
+    shape = INVARIANT_SHAPES[name]
+    problem = Problem(
+        name=name,
+        dim=dim,
+        lower=lower,
+        upper=lower + span,
+        sense=draw(st.sampled_from(Sense)),
+        objective=lambda x: shape(4.0 * (x - lower) / span - 2.0),
+    )
+    config = LabConfig(
+        num_groups=draw(st.integers(2, 4)),
+        group_size=draw(st.integers(3, 7)),
+        greedy_acceptance=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return problem, config, draw(st.integers(1, 3)), draw(st.integers(1, 12))
+
+
+def support_widths(state, seeds):
+    """Each seed's bounding-box width per coordinate, shape ``(seeds, dim)``."""
+    pos = state.pos.reshape(seeds, -1, state.pos.shape[-1])
+    return pos.max(axis=1) - pos.min(axis=1)
+
+
+def assert_state_invariants(state, problem, config):
+    """Box, evaluation count and ranking of a state none of whose seeds failed."""
+    pop = config.population
+    assert state.n_evaluations == pop * (state.iteration + 1)
+    assert np.array_equal(state.pos.clip(problem.lower, problem.upper), state.pos)
+    assert all(problem.contains(x) for x in state.pos)
+    key = oriented(state.fit, problem.sense).tolist()
+    for k, groups in zip(state.seeds, state.order.tolist()):
+        ids = [i for row in groups for i in row]
+        assert sorted(ids) == list(range(k * pop, (k + 1) * pop))
+        for row in groups:
+            assert row == sorted(row, key=lambda i: (key[i], i))
+        leaders = [row[0] for row in groups]
+        assert leaders == sorted(leaders, key=lambda i: (key[i], i))
+        if problem.name == "constant":
+            assert ids == list(range(k * pop, (k + 1) * pop))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(engine_runs())
+def test_engine_invariants_over_random_shapes_boxes_and_senses(case):
+    problem, config, seeds, steps = case
+    problems = [problem] * seeds
+    tolerance = WIDTH_TOLERANCE * (problem.upper - problem.lower)
+    state = init(problems, config)
+    assert state.seeds == list(range(seeds))
+    assert_state_invariants(state, problem, config)
+    widths = support_widths(state, seeds)
+    for _ in range(steps):
+        step(state, problems, config)
+        assert state.seeds == list(range(seeds))
+        assert_state_invariants(state, problem, config)
+        now = support_widths(state, seeds)
+        assert np.all(now <= widths + tolerance)
+        widths = now
 
 
 # --- stacked seeds ---------------------------------------------------------
