@@ -26,7 +26,7 @@ from typing import Callable, Iterator
 
 from . import benchmarks, machining
 from .baselines import BASELINE_ALGORITHMS, BaselineConfig, run_baseline
-from .engine import LabConfig, RunTrace, run_seeds
+from .engine import ALGORITHM_LAB, LabConfig, RunTrace, run_seeds
 from .persist import (
     format_report_text,
     read_summary,
@@ -39,7 +39,6 @@ from .persist import (
 from .problem import ConfigError, EvaluationError, Problem
 from .stats import pairwise_compare, summarize
 
-ALGORITHM_LAB = "lab"
 ALGORITHMS = (ALGORITHM_LAB, *BASELINE_ALGORITHMS)
 
 _DEFAULTS = LabConfig()

@@ -200,6 +200,8 @@ class Recorder:
         )
 
 
+ALGORITHM_LAB = "lab"
+
 TERMINATION_MAX_ITERATIONS = "max_iterations"
 TERMINATION_STALLED = "stalled"
 TERMINATION_BUDGET = "budget_exhausted"
@@ -513,7 +515,7 @@ def _run_stack(problems: list[Problem], config: LabConfig) -> Iterator[RunTrace]
                 stay.append(j)
                 continue
             finished[k] = recorder.trace(
-                "lab", config.seed + k, state.n_evaluations, termination
+                ALGORITHM_LAB, config.seed + k, state.n_evaluations, termination
             )
         if len(stay) < len(state.seeds):
             state.keep(stay)

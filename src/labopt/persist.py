@@ -137,21 +137,29 @@ def write_summary(summary: RunSummary, path: str | Path) -> Path:
 
 
 def _checked(kind: type, value):
-    """``value`` itself, if it is a ``kind``."""
-    if not isinstance(value, kind):
+    """``value`` itself, if it is a ``kind``; JSON true and false are not ints."""
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise TypeError(f"expected {kind.__name__}, got {value!r}")
     return value
 
 
+def _number(value) -> float:
+    """``value`` as a float, if it is a JSON number (true and false are not)."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TypeError(f"expected number, got {value!r}")
+    return float(value)
+
+
 # How read_summary parses each RunSummary field, by its annotation.
-# Counts and seeds must be JSON integers, and sequences JSON arrays.
+# Counts and seeds must be JSON integers, floats JSON numbers, and
+# sequences JSON arrays.
 _PARSERS = {
     "str": functools.partial(_checked, str),
     "Sense": Sense,
     "int": functools.partial(_checked, int),
-    "float": float,
+    "float": _number,
     "tuple[int, ...]": lambda v: tuple(_checked(int, x) for x in _checked(list, v)),
-    "tuple[float, ...]": lambda v: tuple(float(x) for x in _checked(list, v)),
+    "tuple[float, ...]": lambda v: tuple(map(_number, _checked(list, v))),
 }
 
 
@@ -177,7 +185,7 @@ def read_summary(path: str | Path) -> RunSummary:
     for f in fields(RunSummary):
         try:
             values[f.name] = _PARSERS[f.type](d[f.name])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{path}: bad {f.name!r} ({exc})") from None
     finals = values["finals"]
     if not 0 < len(finals) == values["num_runs"] or not all(map(math.isfinite, finals)):

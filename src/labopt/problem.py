@@ -87,30 +87,23 @@ class Problem:
             )
 
     def evaluate(self, x: np.ndarray) -> float:
-        """Evaluate one ``(dim,)`` point, rejecting non-finite results.
-
-        The point reaches the objective as a one-row batch.
-        """
+        """Evaluate one ``(dim,)`` point: the one-row case of ``evaluate_batch``."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(
                 f"problem '{self.name}' evaluates ({self.dim},) points, "
                 f"got shape {x.shape}"
             )
-        value = float(self._call(np.ascontiguousarray(x)[None])[0])
-        if not math.isfinite(value):
-            raise EvaluationError(
-                f"objective of '{self.name}' returned {value!r}", x
-            )
-        return value
+        return self.evaluate_batch(x[None]).item()
 
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
         """Evaluate every row of ``X`` in one objective call.
 
         ``X`` must have shape ``(m, dim)``; the objective gets it as a
-        C-contiguous float array and must return shape ``(m,)``.
-        Non-finite results are rejected; the error names the first bad
-        row.
+        C-contiguous float array and must return shape ``(m,)``, so an
+        objective written for one ``(dim,)`` point, which would return
+        a float or reduce the wrong axis, is caught here.  Non-finite
+        results are rejected; the error names the first bad row.
         """
         X = np.ascontiguousarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dim:
@@ -118,29 +111,24 @@ class Problem:
                 f"problem '{self.name}' evaluates (m, {self.dim}) batches, "
                 f"got shape {X.shape}"
             )
-        values = self._call(X)
-        bad = np.flatnonzero(~np.isfinite(values))
-        if len(bad):
-            i = int(bad[0])
-            raise EvaluationError(
-                f"objective of '{self.name}' returned {float(values[i])!r} "
-                f"(batch row {i})",
-                X[i],
-            )
-        return values
-
-    def _call(self, X: np.ndarray) -> np.ndarray:
-        """The objective's values on a prepared batch, checked to be ``(m,)``.
-
-        An objective written for one ``(dim,)`` point would otherwise
-        return a float, or reduce the wrong axis of a one-row batch.
-        """
         values = np.asarray(self.objective(X), dtype=float)
         if values.shape != (len(X),):
             raise ValueError(
                 f"objective of '{self.name}' returned shape {values.shape} "
                 f"for a batch of {len(X)} points"
             )
+        # One sum screens every row, at one row as cheaply as a float
+        # check: it is finite unless a value is not or finite values
+        # overflow it, so only then are the rows checked one by one.
+        rows = values.tolist()
+        if not math.isfinite(sum(rows)):
+            for i, value in enumerate(rows):
+                if not math.isfinite(value):
+                    raise EvaluationError(
+                        f"objective of '{self.name}' returned {value!r} "
+                        f"(batch row {i})",
+                        X[i],
+                    )
         return values
 
     def contains(self, x: np.ndarray, atol: float = 0.0) -> bool:

@@ -252,10 +252,18 @@ def _with(key, value):
         (_with("finals", [float("nan")]), "'finals' must hold num_runs (>= 1) finite values"),
         (_with("num_runs", 2), "'finals' must hold num_runs (>= 1) finite values"),
         (None, "cannot be read (Is a directory)"),
+        (_with("finals", ["1.0", "2.0"]), "bad 'finals' (expected number, got '1.0')"),
+        (_with("seeds", [True, False]), "bad 'seeds' (expected int, got True)"),
+        (_with("best", "inf"), "bad 'best' (expected number, got 'inf')"),
+        (_with("std_dev", True), "bad 'std_dev' (expected number, got True)"),
+        (_with("num_runs", True), "bad 'num_runs' (expected int, got True)"),
+        (_with("mean", 10**400), "bad 'mean' (int too large to convert to float)"),
     ],
     ids=[
         "truncated", "missing-finals", "int-seeds", "unknown-sense", "list-problem",
         "string-finals", "float-num-runs", "nan-final", "short-finals", "directory",
+        "string-finals-values", "bool-seeds", "string-best", "bool-std-dev",
+        "bool-num-runs", "huge-int-mean",
     ],
 )
 def test_compare_on_a_broken_summary_exits_2_naming_it(
@@ -475,6 +483,35 @@ def test_lower_seed_failing_after_a_higher_one_finished_writes_nothing(
         "(batch row 7) at position ("
     )
     assert not (tmp_path / "F10__lab").exists()
+
+
+def test_nonfinite_value_at_an_sa_move_is_reported_as_a_batch_row(
+    tmp_path, capsys, monkeypatch
+):
+    # SA's first batch has many rows; each of its moves is a one-row batch.
+    moves = []
+
+    def nan_on_one_row(objective):
+        def wrapped(x):
+            if len(x) > 1:
+                return objective(x)
+            moves.append(x[0].copy())
+            return np.full(1, np.nan)
+
+        return wrapped
+
+    build_per_seed(monkeypatch, {4: nan_on_one_row})
+    code = run_cli(
+        ["run", "--problem", "F10", "--algo", "sa", "--runs", "2", "--seed", "4",
+         "--out", str(tmp_path)]
+    )
+    assert code == 2
+    assert len(moves) == 1
+    position = ", ".join(repr(v) for v in moves[0].tolist())
+    assert capsys.readouterr().err == (
+        "error: F10 [sa] seed 4: objective of 'F10' returned nan (batch row 0) "
+        f"at position ({position})\n"
+    )
 
 
 def test_value_error_inside_an_objective_gives_a_traceback(tmp_path, monkeypatch):

@@ -76,9 +76,16 @@ def test_nonfinite_objective_value_raises_with_position():
     with pytest.raises(EvaluationError) as err:
         p.evaluate(np.array([0.25, 0.5]))
     assert np.array_equal(err.value.position, [0.25, 0.5])
+    # a point is reported as the one-row batch it is evaluated as
+    with pytest.raises(EvaluationError) as batch_err:
+        p.evaluate_batch(np.array([0.25, 0.5])[None])
+    assert str(err.value) == str(batch_err.value) == (
+        "objective of 'sq' returned nan (batch row 0)"
+    )
+    assert np.array_equal(err.value.position, batch_err.value.position)
 
     p = make_problem(objective=lambda x: np.full(np.shape(x)[:-1], np.inf))
-    with pytest.raises(EvaluationError):
+    with pytest.raises(EvaluationError, match=r"returned inf \(batch row 0\)$"):
         p.evaluate(np.array([0.0, 0.0]))
 
 
@@ -118,6 +125,11 @@ def test_evaluate_batch_names_the_first_nonfinite_row(as_list):
         p.evaluate_batch(batch if as_list else np.array(batch))
     assert np.array_equal(err.value.position, [0.25, 0.5])
     assert "returned nan (batch row 1)" in str(err.value)
+
+
+def test_evaluate_batch_accepts_finite_values_whose_sum_overflows():
+    p = make_problem(objective=lambda X: np.full(len(X), 1e308))
+    assert p.evaluate_batch(np.zeros((3, 2))).tolist() == [1e308] * 3
 
 
 @pytest.mark.parametrize(
