@@ -19,9 +19,10 @@ and a verdict; the golden-digest status and failed operations of every
 run; the source code lines of both revisions; the Tier-1 outcomes and
 wall times; and the measurement limits.
 
-A gain needs wins in at least nine tenths of the pairs run (ties, and
-pairs in which a side did not report the metric, count for neither
-side), a median difference larger than the parent's IQR, and a change
+A gain needs at least ten pairs, wins in at least nine tenths of the
+pairs run (ties, and pairs in which a side did not report the metric,
+count for neither side), a median difference larger than the parent's
+IQR, and a change
 whose every run exited 0 and matched the golden digest, with no more
 failed operations than the parent.
 Any other metric is "worse" when the change's median is worse than the
@@ -54,6 +55,8 @@ if str(ROOT) not in sys.path:
 from perfbench.context import code_lines  # noqa: E402
 
 SIDES = ("parent", "change")
+# Fewer pairs cannot tell a gain from the machine's drift.
+MIN_GAIN_PAIRS = 10
 TIER1 = (
     "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
     "-rA", "--durations=5",
@@ -182,7 +185,12 @@ def verdicts(runs: list[dict], metrics: list[dict]) -> dict:
         wins = sum((c < p) if lower else (c > p) for p, c in pairs)
         gap = (pm - cm) if lower else (cm - pm)  # > 0: the change is better
         worse_by = -gap / pm if pm else 0.0
-        if change_sound and wins >= 0.9 * len(runs) and gap > p3 - p1:
+        if (
+            change_sound
+            and len(runs) >= MIN_GAIN_PAIRS
+            and wins >= 0.9 * len(runs)
+            and gap > p3 - p1
+        ):
             verdict = "gain"
         elif worse_by > metric["bound"]:
             verdict = "worse"
@@ -242,7 +250,8 @@ def main(argv: list[str] | None = None) -> int:
         "method": (
             f"perfbench/run.py --trace 0 --seconds {seconds:g}, one pair per seed and "
             "workload, parent first in even pairs and change first in odd ones; gain = "
-            "wins in at least 9/10 of the pairs and a median gap above the parent's IQR"
+            f"at least {MIN_GAIN_PAIRS} pairs, wins in at least 9/10 of them and a "
+            "median gap above the parent's IQR"
         ),
         "seeds": args.seeds,
         "source_code_lines": {side: source_lines(copies[side]) for side in SIDES},

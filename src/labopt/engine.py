@@ -53,9 +53,10 @@ class State:
     group_size)``: ``order[j, g]`` holds the ids of live seed ``j``'s
     ``g``-th ranked group, leader first, then advocate, then believers,
     so ``order[j, 0, 0]`` is its global leader.  Live seeds have all
-    taken ``iteration`` steps and ``n_evaluations`` evaluations each.
-    ``failed`` maps a seed whose objective returned a non-finite value
-    to that error.
+    taken ``iteration`` steps, so each has made ``population *
+    (iteration + 1)`` evaluations.  ``failed`` is the error of the
+    lowest seed whose objective returned a non-finite value, or
+    ``None``; every seed from that one up has left the stack.
     """
 
     pos: np.ndarray
@@ -64,8 +65,7 @@ class State:
     rngs: list[np.random.Generator]
     seeds: list[int]
     iteration: int
-    n_evaluations: int
-    failed: dict[int, EvaluationError] = field(default_factory=dict)
+    failed: EvaluationError | None = None
 
     def keep(self, rows: list[int]) -> None:
         """Keep only the live seeds in ``rows`` (positions in ``seeds``)."""
@@ -289,10 +289,11 @@ def _evaluate(state: State, problems: Sequence[Problem], X: np.ndarray) -> np.nd
     meets a non-finite value in a stack of several seeds, each seed's
     batch (its equal share of the rows) is evaluated alone, in seed
     order, so a failing seed gets the very error a run of it alone
-    raises.  That error is kept in ``failed`` with the iteration, and
-    the failing seed leaves the stack together with every seed above
-    it, whose traces would not be reported; the values of the seeds
-    below it are returned.
+    raises.  That error, with the iteration, replaces ``failed``: any
+    earlier one came from a higher seed, which has left the stack.  The
+    failing seed leaves it too, together with every seed above it, whose
+    traces would not be reported; the values of the seeds below it are
+    returned.
     """
     live = [problems[k] for k in state.seeds]
     values: list[np.ndarray] = []
@@ -309,7 +310,7 @@ def _evaluate(state: State, problems: Sequence[Problem], X: np.ndarray) -> np.nd
             values.append(problem.evaluate_batch(X[j * size : (j + 1) * size]))
     except EvaluationError as exc:
         exc.iteration = state.iteration
-        state.failed[state.seeds[len(values)]] = exc
+        state.failed = exc
         state.keep(list(range(len(values))))
     return np.ravel(values)
 
@@ -336,7 +337,6 @@ def init(problems: Sequence[Problem], config: LabConfig) -> State:
         rngs=rngs,
         seeds=list(range(len(problems))),
         iteration=0,
-        n_evaluations=pop,
     )
     fit = _evaluate(state, problems, pos)
     state.fit[: fit.size] = fit
@@ -392,16 +392,15 @@ def step(state: State, problems: Sequence[Problem], config: LabConfig) -> State:
     state, then evaluated and applied.  With greedy acceptance an
     individual keeps its old position unless the candidate is strictly
     better; otherwise candidates replace unconditionally.  Every
-    individual is re-evaluated each iteration, so the evaluation count
-    grows by the population size regardless of acceptance.  A seed
-    whose evaluation fails leaves the stack as ``_evaluate`` says.
+    individual is re-evaluated each iteration, whatever the acceptance.
+    A seed whose evaluation fails leaves the stack as ``_evaluate``
+    says.
     """
     _, num_groups, group_size = state.order.shape
     proposals = propose(
         state, problems[0], *draw_weights(state.rngs, num_groups, group_size)
     )
     state.iteration += 1
-    state.n_evaluations += num_groups * group_size
     fit = _evaluate(state, problems, proposals)
     # a seed that failed has left with every seed above it: keep the rest
     ids = state.order.ravel()
@@ -416,10 +415,10 @@ def step(state: State, problems: Sequence[Problem], config: LabConfig) -> State:
 
 
 def _stalled(history: list[list[float]], window: int, epsilon: float) -> bool:
-    # history rows hold oriented best-so-far values, one row per
-    # iteration, row 0 being the initial population.  The window is
-    # only compared against post-step iterations so initialization luck
-    # does not count.
+    # history rows hold each rank slot's oriented best leader so far,
+    # one row per iteration, row 0 being the initial population.  The
+    # window is only compared against post-step iterations so
+    # initialization luck does not count.
     t = len(history) - 1
     if t - window < 1:
         return False
@@ -446,12 +445,11 @@ def run_seeds(
     depend on the seeds beside it; give each seed its own objective, or
     use ``run``, for such an objective.
 
-    Each seed stops at ``max_iterations``, or earlier when neither the
-    global best nor the best leader of any group rank has improved by
-    at least ``stall_epsilon`` over the last ``stall_window``
-    iterations.  The per-rank series follow rank slots, not groups:
-    slot ``k`` is whichever group ranks ``k``-th after each step, and
-    its series is the best leader fitness ever seen in that slot.
+    Each seed stops at ``max_iterations``, or earlier when no rank
+    slot's best leader has improved by at least ``stall_epsilon`` over
+    the last ``stall_window`` iterations.  Slot ``k`` is whichever group
+    ranks ``k``-th after each step, and its best leader is the best
+    leader fitness ever seen in that slot; slot 0's is the best fitness.
 
     Traces are yielded in seed order, trace ``k`` once seeds ``0..k``
     have all finished; its ``runtime_seconds`` is the wall time from the
@@ -501,12 +499,10 @@ def _run_stack(problems: list[Problem], config: LabConfig) -> Iterator[RunTrace]
         bests = zip(state.seeds, state.fit[heads].tolist(), heads[:, 0].tolist())
         stay = []
         for j, (k, leaders, best) in enumerate(bests):
-            recorder, history = recorders[k], histories[k]
-            recorder.observe(leaders[0], state.pos[best], leaders)
+            recorders[k].observe(leaders[0], state.pos[best], leaders)
+            history = histories[k]
             current = [oriented(v, sense) for v in leaders]
-            if history:
-                current = [min(a, b) for a, b in zip(history[-1][1:], current)]
-            history.append([oriented(recorder.best_fitness, sense), *current])
+            history.append(list(map(min, history[-1], current)) if history else current)
             if state.iteration == config.max_iterations:
                 termination = TERMINATION_MAX_ITERATIONS
             elif _stalled(history, config.stall_window, config.stall_epsilon):
@@ -514,17 +510,18 @@ def _run_stack(problems: list[Problem], config: LabConfig) -> Iterator[RunTrace]
             else:
                 stay.append(j)
                 continue
-            finished[k] = recorder.trace(
-                ALGORITHM_LAB, config.seed + k, state.n_evaluations, termination
+            evaluations = config.population * (state.iteration + 1)
+            finished[k] = recorders[k].trace(
+                ALGORITHM_LAB, config.seed + k, evaluations, termination
             )
         if len(stay) < len(state.seeds):
             state.keep(stay)
         while reported in finished:
             yield finished.pop(reported)
             reported += 1
-        if reported in state.failed:
-            raise state.failed[reported]
         if not state.seeds:
+            if state.failed is not None:
+                raise state.failed
             return
         step(state, problems, config)
 

@@ -32,17 +32,21 @@ def _write_text(path: str | Path, text: str) -> Path:
 
     The text goes to a temporary file beside ``path`` that then replaces
     it in one ``os.replace``, so a write that fails part way leaves any
-    earlier file intact and no partial file behind.
+    earlier file intact and no partial file behind.  A path that cannot
+    be written, such as one below a regular file, raises ConfigError.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline="\n") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with open(tmp, "w", newline="\n") as f:
+                f.write(text)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot be written ({exc.strerror or exc})") from None
     return path
 
 

@@ -284,6 +284,36 @@ def test_compare_on_a_broken_summary_exits_2_naming_it(
     assert expected in err
 
 
+@pytest.mark.parametrize("command", ["run", "oracle", "compare"])
+def test_an_out_path_that_is_a_regular_file_exits_2_naming_it(
+    tmp_path, capsys, command
+):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    if command == "run":
+        argv = ["run", "--problem", "F10", "--iters", "1"]
+        target = blocker / "F10__lab" / "trace_seed0.csv"
+    elif command == "oracle":
+        argv = ["oracle", "--problem", "edm:MRR", "--points", "3"]
+        target = blocker / "oracles" / "oracle_edm-MRR.json"
+    else:
+        runs = tmp_path / "runs"
+        for algo in ("lab", "random_search"):
+            assert run_cli(
+                ["run", "--problem", "F10", "--algo", algo, "--runs", "6",
+                 "--iters", "2", "--out", str(runs)]
+            ) == 0
+        capsys.readouterr()
+        argv = ["compare", str(runs)]
+        target = blocker / "report.json"
+    assert run_cli([*argv, "--out", str(blocker)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {target}: cannot be written (")
+    assert captured.err.endswith(")\n") and captured.err.count("\n") == 1
+    assert blocker.read_text() == "kept\n"
+
+
 def test_oracle_single_model(tmp_path, capsys):
     code = run_cli(
         ["oracle", "--problem", "edm:MRR", "--points", "5", "--out", str(tmp_path)]

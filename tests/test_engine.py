@@ -42,6 +42,16 @@ def box_problem(dim=2, half=10.0, sense=Sense.MINIMIZE, objective=sphere, name="
     )
 
 
+def counting(objective, rows):
+    """``objective``, appending the row count of every batch it gets to ``rows``."""
+
+    def counted(x):
+        rows.append(len(x))
+        return objective(x)
+
+    return counted
+
+
 def one_d_problem():
     return box_problem(dim=1, half=100.0)
 
@@ -59,7 +69,6 @@ def make_state(groups, problem):
         rngs=[np.random.default_rng(0)],
         seeds=[0],
         iteration=0,
-        n_evaluations=len(pos),
     )
 
 
@@ -195,13 +204,14 @@ def test_rank_global_orders_groups_and_reindexes():
 # --- initialization --------------------------------------------------------
 
 def test_initialize_society_shape_and_accounting():
-    p = box_problem(dim=3)
+    rows = []
+    p = box_problem(dim=3, objective=counting(sphere, rows))
     cfg = LabConfig(num_groups=4, group_size=5, seed=11)
     state = init([p], cfg)
+    assert rows == [20]  # the whole population, in one call
     assert state.pos.shape == (20, 3)
     assert state.order.shape == (1, 4, 5)
     assert sorted(state.order.ravel().tolist()) == list(range(20))
-    assert state.n_evaluations == 20
     assert state.iteration == 0
     for i in range(20):
         assert p.contains(state.pos[i])
@@ -378,14 +388,16 @@ def test_rejected_block_in_one_seed_is_redrawn_for_that_seed_only(cell, value):
 
 
 def test_step_counts_evaluations_and_increments_iteration():
-    p = box_problem()
+    rows = []
+    p = box_problem(objective=counting(sphere, rows))
     cfg = LabConfig()
     state = init([p], cfg)
     step(state, [p], cfg)
     assert state.iteration == 1
-    assert state.n_evaluations == 40
+    assert rows == [20, 20]
     step(state, [p], cfg)
-    assert state.n_evaluations == 60
+    assert state.iteration == 2
+    assert rows == [20, 20, 20]
 
 
 def test_step_keeps_rankings_valid():
@@ -438,12 +450,12 @@ def test_nongreedy_global_leader_can_regress_but_runs_track_best():
 
 
 def test_step_propagates_evaluation_errors():
-    calls = {"n": 0}
+    batches = []
 
     def sometimes_nan(x):
         # every point after the 20th evaluates to nan
-        numbers = calls["n"] + 1 + np.arange(len(x))
-        calls["n"] += len(x)
+        numbers = sum(map(len, batches)) + 1 + np.arange(len(x))
+        batches.append(x.copy())
         return np.where(numbers > 20, np.nan, sphere(x))
 
     p = box_problem(objective=sometimes_nan)
@@ -451,10 +463,11 @@ def test_step_propagates_evaluation_errors():
     state = init([p], cfg)
     step(state, [p], cfg)
     # the failing seed leaves the stack and keeps its error
-    error = state.failed[0]
+    error = state.failed
     assert isinstance(error, EvaluationError)
     assert error.iteration == 1
     assert "returned nan (batch row 0)" in str(error)
+    assert np.array_equal(error.position, batches[1][0])
     assert state.seeds == [] and state.order.shape == (0, cfg.num_groups, cfg.group_size)
 
 
@@ -640,10 +653,13 @@ def support_widths(state, seeds):
     return pos.max(axis=1) - pos.min(axis=1)
 
 
-def assert_state_invariants(state, problem, config):
-    """Box, evaluation count and ranking of a state none of whose seeds failed."""
+def assert_state_invariants(state, problem, config, rows):
+    """Box, evaluations and ranking of a state none of whose seeds failed.
+
+    ``rows`` holds the row count of every batch the objective was given.
+    """
     pop = config.population
-    assert state.n_evaluations == pop * (state.iteration + 1)
+    assert rows == [len(state.seeds) * pop] * (state.iteration + 1)
     assert np.array_equal(state.pos.clip(problem.lower, problem.upper), state.pos)
     assert all(problem.contains(x) for x in state.pos)
     key = oriented(state.fit, problem.sense).tolist()
@@ -662,19 +678,37 @@ def assert_state_invariants(state, problem, config):
 @given(engine_runs())
 def test_engine_invariants_over_random_shapes_boxes_and_senses(case):
     problem, config, seeds, steps = case
+    rows = []
+    problem = dataclasses.replace(problem, objective=counting(problem.objective, rows))
     problems = [problem] * seeds
     tolerance = WIDTH_TOLERANCE * (problem.upper - problem.lower)
     state = init(problems, config)
     assert state.seeds == list(range(seeds))
-    assert_state_invariants(state, problem, config)
+    assert_state_invariants(state, problem, config, rows)
     widths = support_widths(state, seeds)
     for _ in range(steps):
         step(state, problems, config)
         assert state.seeds == list(range(seeds))
-        assert_state_invariants(state, problem, config)
+        assert_state_invariants(state, problem, config, rows)
         now = support_widths(state, seeds)
         assert np.all(now <= widths + tolerance)
         widths = now
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(engine_runs())
+def test_best_so_far_is_the_running_best_of_rank_slot_zero(case):
+    # The stall rule reads only each rank slot's best leader so far; slot
+    # 0's must be the best fitness, bit for bit, with the earlier value
+    # kept on a tie as min() keeps it.
+    problem, config, seeds, steps = case
+    config = dataclasses.replace(config, max_iterations=4 * steps, stall_window=steps)
+    for trace in run_seeds([problem] * seeds, config):
+        slot0 = None
+        for record in trace.records:
+            value = oriented(record.leaders[0], problem.sense)
+            slot0 = value if slot0 is None else min(slot0, value)
+            assert oriented(record.best_so_far, problem.sense).hex() == slot0.hex()
 
 
 # --- stacked seeds ---------------------------------------------------------
@@ -837,14 +871,16 @@ def test_a_failing_shared_call_is_evaluated_again_only_up_to_the_failing_seed():
     values = _evaluate(state, [p] * 3, X)
     assert sizes == [18, 6, 6]
     assert values.shape == (6,)
-    assert state.seeds == [0] and list(state.failed) == [1]
-    assert "(batch row 4)" in str(state.failed[1])
+    assert state.seeds == [0]
+    assert np.array_equal(state.failed.position, X[config.population + 4])
+    assert "(batch row 4)" in str(state.failed)
 
     lone = init([p], config)
     sizes.clear()
     assert _evaluate(lone, [p], X[6:12]).shape == (0,)
     assert sizes == [6]
-    assert lone.seeds == [] and list(lone.failed) == [0]
+    assert lone.seeds == []
+    assert np.array_equal(lone.failed.position, X[config.population + 4])
 
 
 def test_run_seeds_rejects_problems_that_differ():

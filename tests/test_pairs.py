@@ -29,6 +29,16 @@ def test_ten_clean_wins_are_a_gain():
     assert verdict["verdict"] == "gain"
 
 
+def test_five_clean_wins_are_not_a_gain():
+    # Five pairs cannot tell a gain from the machine's drift, however clean.
+    runs = _runs([_side(2.0 + 0.01 * i) for i in range(5)],
+                 [_side(1.5 + 0.01 * i) for i in range(5)])
+    verdict = pairs.verdicts(runs, [WALL])["wall_s"]
+    assert verdict["wins"] == "5/5"
+    assert verdict["change_sound"]
+    assert verdict["verdict"] == "within bound"
+
+
 def test_a_crashed_change_run_counts_as_a_lost_pair_and_blocks_a_gain():
     change = [_side(1.5 + 0.01 * i) for i in range(9)] + [_side(None, exit=1, correct=False)]
     runs = _runs([_side(2.0 + 0.01 * i) for i in range(10)], change)

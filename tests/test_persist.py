@@ -3,6 +3,7 @@ import errno
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from labopt.persist import (
     write_summary,
     write_trace,
 )
-from labopt.problem import Sense
+from labopt.problem import ConfigError, Sense
 from labopt.stats import pairwise_compare, summarize
 
 
@@ -137,7 +138,8 @@ def test_failed_write_keeps_the_earlier_file_and_leaves_no_partial_file(
         m.setattr(persist, "open", lambda *a, **k: DiskFullHalfway(open(*a, **k)),
                   raising=False)
         for target in (path, tmp_path / "run" / "new.csv"):
-            with pytest.raises(OSError):
+            message = f"{target}: cannot be written (No space left on device)"
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
                 write_trace(later, target)
     with pytest.raises(UnicodeEncodeError):
         write_trace(dataclasses.replace(later, problem="F10\udc80"), path)
