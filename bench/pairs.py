@@ -22,9 +22,8 @@ wall times; and the measurement limits.
 A gain needs at least ten pairs, wins in at least nine tenths of the
 pairs run (ties, and pairs in which a side did not report the metric,
 count for neither side), a median difference larger than the parent's
-IQR, and a change
-whose every run exited 0 and matched the golden digest, with no more
-failed operations than the parent.
+IQR, and a change whose every run exited 0 and matched the golden
+digest, with no more failed operations than the parent.
 Any other metric is "worse" when the change's median is worse than the
 parent's by more than the bound in ``BENCHMARK.json``, "unresolved"
 when the parent's own IQR is wider than that bound, and "within bound"

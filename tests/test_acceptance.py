@@ -45,10 +45,12 @@ def test_engine_property_suite():
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
 
         rows = []  # the row count of every batch the objective gets
-        objective = problem.objective
-        problem = dataclasses.replace(
-            problem, objective=lambda x: rows.append(len(x)) or objective(x)
-        )
+
+        def counted(x, objective=problem.objective):
+            rows.append(len(x))
+            return objective(x)
+
+        problem = dataclasses.replace(problem, objective=counted)
         state = init([problem], config)
         population = config.population
         prev_widths = None
