@@ -158,24 +158,25 @@ def test_summary_round_trip(tmp_path):
     assert len(raw["finals"]) == 3
 
 
-def test_convergence_table_pads_short_runs(tmp_path):
-    def fake(seed, series):
-        return RunTrace(
-            problem="p",
-            algorithm="alg",
-            sense=Sense.MINIMIZE,
-            seed=seed,
-            records=tuple(
-                IterationRecord(i, v, (), v) for i, v in enumerate(series)
-            ),
-            best_fitness=series[-1],
-            best_position=(0.0,),
-            n_evaluations=len(series),
-            termination=TERMINATION_MAX_ITERATIONS,
-        )
+def series_trace(seed, series, sense=Sense.MINIMIZE):
+    """A hand-built run whose rows hold ``series`` as their best-so-far."""
+    return RunTrace(
+        problem="p",
+        algorithm="alg",
+        sense=sense,
+        seed=seed,
+        records=tuple(IterationRecord(i, v, (), v) for i, v in enumerate(series)),
+        best_fitness=series[-1],
+        best_position=(0.0,),
+        n_evaluations=len(series),
+        termination=TERMINATION_MAX_ITERATIONS,
+    )
 
+
+def test_convergence_table_pads_short_runs(tmp_path):
     path = write_convergence(
-        [fake(0, [3.0, 2.0, 1.0]), fake(1, [5.0, 4.0])], tmp_path / "c.csv"
+        [series_trace(0, [3.0, 2.0, 1.0]), series_trace(1, [5.0, 4.0])],
+        tmp_path / "c.csv",
     )
     lines = path.read_text().splitlines()
     assert lines[0] == "iteration,seed0,seed1,median,q25,q75"
@@ -396,3 +397,37 @@ def test_summary_bytes_are_frozen(tmp_path):
         for s in summaries
     ]
     assert digests == SUMMARY_SHA256
+
+
+# sha256 of convergence.csv for hand-built runs, frozen before the
+# writer converted its table at once: runs of unequal length (padded),
+# ties, signed zeros and values whose repr needs 17 digits, in a
+# minimize and a maximize table.
+CONVERGENCE_RUNS = {
+    Sense.MINIMIZE: [
+        [3.0, 2.0, 0.1 + 0.2, -0.0],
+        [5.0, 4.0],
+        [3.0, 2.0, 2.0, 0.0, 0.0],
+        [1.0000000000000002, 1.0000000000000002, 1 / 3],
+    ],
+    Sense.MAXIMIZE: [
+        [-1.0, 0.5, 0.5, 1.0000000000000002],
+        [-2.0, -0.0],
+        [-1.0, 0.1 + 0.7, 2 / 3, 2 / 3, 2 / 3, 7.0],
+        [-3.0, -0.0, -0.0],
+    ],
+}
+CONVERGENCE_SHA256 = {
+    Sense.MINIMIZE: "f6a40bfdb4234dcf2413c21b301aa2a7542fcb6d5609b3b5d5e6a1d4a22f95b4",
+    Sense.MAXIMIZE: "8428c90b2143787c1e649017876369963d69a8844aac2f921cea36e1d8fee86b",
+}
+
+
+@pytest.mark.parametrize("sense", list(Sense), ids=lambda s: s.value)
+def test_convergence_bytes_are_frozen(tmp_path, sense):
+    traces = [
+        series_trace(seed, series, sense)
+        for seed, series in enumerate(CONVERGENCE_RUNS[sense])
+    ]
+    path = write_convergence(traces, tmp_path / "convergence.csv")
+    assert sha256_of(path) == CONVERGENCE_SHA256[sense]
