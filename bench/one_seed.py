@@ -1,4 +1,4 @@
-"""Time one-seed LAB runs of two revisions in one process, in alternating pairs.
+"""Time one-seed LAB and SA runs of two revisions in one process, in alternating pairs.
 
     python3 bench/one_seed.py --parent HEAD~1 --change HEAD --tag my-change \\
         --workdir /tmp/one-seed --seeds 0-19
@@ -8,18 +8,20 @@
 script makes ``git archive`` copies of both revisions, as
 ``bench/pairs.py`` does, and imports each copy's ``labopt`` under its own
 package name, so both run in one interpreter.  One pair per seed ``s``
-runs every catalog problem (the 23 machining models, then the 27
-benchmark functions built for seed ``s``) with
-``engine.run(problem, LabConfig(seed=s))`` on both sides, back to back
-problem by problem and the first side alternating, so a drift in
-machine speed falls on both sides alike.  A pair's time per side is the
-sum of its 50 runs; both sides' traces must be equal.  An unrecorded
-pair warms both sides up first.
+makes two passes over every catalog problem (the 23 machining models,
+then the 27 benchmark functions built for seed ``s``), each on fresh
+problems: a LAB pass with ``engine.run(problem, LabConfig(seed=s))``
+and an SA pass with ``run_baseline`` at ``labopt run``'s default
+budget of 2,020 evaluations.  In each pass both sides run back to back
+problem by problem, the first side alternating, so a drift in machine
+speed falls on both sides alike.  A pass's time per side is the sum of
+its 50 runs; both sides' traces must be equal.  An unrecorded pair
+warms both sides up first.
 
-Writes ``BENCH_<tag>-one-seed.json`` at the repository root: both
-sides' pair times, medians, quartiles and IQR, the change's wins out
-of the pairs, the change-to-parent ratio per pair and the measurement
-limits.
+Writes ``BENCH_<tag>-one-seed.json`` at the repository root, with one
+section per pass: both sides' pass times, medians, quartiles and IQR,
+the change's wins out of the pairs, the change-to-parent ratio per pair
+and whether the traces agreed; and the measurement limits.
 """
 from __future__ import annotations
 
@@ -29,7 +31,6 @@ import json
 import os
 import platform
 import shutil
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -39,17 +40,35 @@ import numpy
 from pairs import LIMITS, ROOT, SIDES, export, parse_seeds, quartiles
 
 
+# labopt run's default baseline budget: a population of 20 over 1 + 100 iterations.
+SA_BUDGET = 2020
+
+
 def load(root: Path, name: str, packages: Path) -> tuple:
-    """Import ``root``'s ``labopt`` as package ``name``: engine, catalogs."""
+    """Import ``root``'s ``labopt`` as package ``name``: engine, catalogs, baselines."""
     shutil.copytree(root / "src" / "labopt", packages / name)
     return tuple(
         importlib.import_module(f"{name}.{module}")
-        for module in ("engine", "machining", "benchmarks")
+        for module in ("engine", "machining", "benchmarks", "baselines")
     )
 
 
+def run_lab(modules: tuple, problem, seed: int):
+    engine = modules[0]
+    return engine.run(problem, engine.LabConfig(seed=seed))
+
+
+def run_sa(modules: tuple, problem, seed: int):
+    baselines = modules[3]
+    config = baselines.BaselineConfig(baselines.ALGORITHM_SA, SA_BUDGET, seed)
+    return baselines.run_baseline(problem, config)
+
+
+PASSES = {"lab": run_lab, "sa": run_sa}
+
+
 def catalog(modules: tuple, seed: int) -> list:
-    _, machining, benchmarks = modules
+    _, machining, benchmarks, _ = modules
     problems = [spec.problem for spec in machining.machining_registry()]
     return problems + [
         benchmarks.build_problem(spec.id, None, seed) for spec in benchmarks.registry()
@@ -63,16 +82,15 @@ def fingerprint(trace) -> tuple:
             trace.n_evaluations, trace.termination, records)
 
 
-def pair(modules: dict, seed: int, flip: int) -> tuple[dict, bool]:
-    """One pair: each side's total run time and whether the traces agree."""
+def pair(modules: dict, seed: int, flip: int, run_one) -> tuple[dict, bool]:
+    """One pass: each side's total run time and whether the traces agree."""
     problems = {side: catalog(modules[side], seed) for side in SIDES}
     total = dict.fromkeys(SIDES, 0.0)
     traces: dict[str, list] = {side: [] for side in SIDES}
     for i in range(len(problems["parent"])):
         for side in SIDES if (i + flip) % 2 == 0 else SIDES[::-1]:
-            engine = modules[side][0]
             start = time.perf_counter()
-            trace = engine.run(problems[side][i], engine.LabConfig(seed=seed))
+            trace = run_one(modules[side], problems[side][i], seed)
             total[side] += time.perf_counter() - start
             traces[side].append(fingerprint(trace))
     return total, traces["parent"] == traces["change"]
@@ -100,25 +118,35 @@ def main(argv: list[str] | None = None) -> int:
         commits[side] = export(getattr(args, side), workdir / side)
         modules[side] = load(workdir / side, f"labopt_{side}", packages)
 
-    pair(modules, args.seeds[0], 0)  # warm-up, not recorded
-    times: dict[str, list[float]] = {side: [] for side in SIDES}
-    equal = True
+    for run_one in PASSES.values():  # warm-up, not recorded
+        pair(modules, args.seeds[0], 0, run_one)
+    times = {name: {side: [] for side in SIDES} for name in PASSES}
+    equal = dict.fromkeys(PASSES, True)
     for i, seed in enumerate(args.seeds):
-        total, same = pair(modules, seed, i % 2)
-        equal &= same
-        for side in SIDES:
-            times[side].append(total[side])
-        print(f"pair {i + 1}/{len(args.seeds)} seed {seed}: parent {total['parent']:.4f} s, "
-              f"change {total['change']:.4f} s, traces equal: {same}",
-              file=sys.stderr, flush=True)
+        for name, run_one in PASSES.items():
+            total, same = pair(modules, seed, i % 2, run_one)
+            equal[name] &= same
+            for side in SIDES:
+                times[name][side].append(total[side])
+            print(f"pair {i + 1}/{len(args.seeds)} seed {seed} {name}: "
+                  f"parent {total['parent']:.4f} s, change {total['change']:.4f} s, "
+                  f"traces equal: {same}", file=sys.stderr, flush=True)
 
-    summary = {}
-    for side in SIDES:
-        q1, median, q3 = quartiles(times[side])
-        summary[side] = {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1,
-                         "values": times[side]}
-    ratios = [c / p for p, c in zip(times["parent"], times["change"])]
-    r1, rm, r3 = quartiles(ratios)
+    passes = {}
+    for name in PASSES:
+        summary = {}
+        for side in SIDES:
+            q1, median, q3 = quartiles(times[name][side])
+            summary[side] = {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1,
+                             "values": times[name][side]}
+        ratios = [c / p for p, c in zip(times[name]["parent"], times[name]["change"])]
+        r1, rm, r3 = quartiles(ratios)
+        passes[name] = {
+            "traces_equal": equal[name],
+            "wall_s_per_pair": summary,
+            "change_to_parent_ratio": {"median": rm, "q1": r1, "q3": r3, "values": ratios},
+            "change_faster": f"{sum(r < 1.0 for r in ratios)}/{len(ratios)}",
+        }
     record = {
         "tag": args.tag,
         "revisions": {side: {"ref": getattr(args, side), "commit": commits[side]}
@@ -131,21 +159,20 @@ def main(argv: list[str] | None = None) -> int:
         },
         "limits": LIMITS.format(nproc=os.cpu_count()),
         "method": (
-            "one interpreter, both revisions imported; per seed s, every catalog problem "
-            "run with engine.run(problem, LabConfig(seed=s)) on both sides back to back, "
-            "the first side alternating by problem and pair; a pair's time per side is "
-            "the sum of its runs"
+            "one interpreter, both revisions imported; per seed s, two passes over fresh "
+            "catalog problems, one with engine.run(problem, LabConfig(seed=s)) and one "
+            f"with run_baseline(problem, BaselineConfig('sa', {SA_BUDGET}, s)), each on "
+            "both sides back to back, the first side alternating by problem and pair; "
+            "a pass's time per side is the sum of its runs"
         ),
         "seeds": args.seeds,
-        "traces_equal": equal,
-        "wall_s_per_pair": summary,
-        "change_to_parent_ratio": {"median": rm, "q1": r1, "q3": r3},
-        "change_faster": f"{sum(r < 1.0 for r in ratios)}/{len(ratios)}",
+        "traces_equal": all(equal.values()),
+        **passes,
     }
     out = ROOT / f"BENCH_{args.tag}-one-seed.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"written: {out}", file=sys.stderr)
-    return 0 if equal else 1
+    return 0 if all(equal.values()) else 1
 
 
 if __name__ == "__main__":

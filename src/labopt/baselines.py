@@ -92,7 +92,7 @@ def _sa(problem, rng, recorder, positions, fitnesses, sizes):
         batch_fit = np.empty(size)
         for i in range(size):
             proposal = np.clip(current + rng.normal(0.0, step), problem.lower, problem.upper)
-            fit = problem.evaluate(proposal)
+            fit = problem.evaluate_batch(proposal[None]).item()
             batch_pos[i] = proposal
             batch_fit[i] = fit
             # Oriented gap: below zero is downhill in either sense.

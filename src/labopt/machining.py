@@ -3,9 +3,10 @@
 Twenty-three published regression surrogates over six processes:
 abrasive water jet machining (AWJM), electro-discharge machining
 (EDM), micro-turning, micro-milling, micro-drilling, and MQL turning.
-Every model is stored as a flat term list ``(coefficient, exponents)``
-so each coefficient appears in exactly one place, evaluation is a
-single generic routine, and audits can diff the tables directly.
+Every model is stored as a flat tuple of terms ``(coefficient,
+exponents)``, written in the table below as the spec uses it, so each
+coefficient appears in exactly one place, evaluation is a single
+generic routine, and audits can diff the tables directly.
 
 All responses are minimized except EDM material removal rate, which is
 maximized.  One catalog quirk is kept on purpose: the printed variable
@@ -96,25 +97,11 @@ class MachiningSpec:
         return Problem(
             name=self.key,
             dim=self.dim,
-            lower=np.asarray(self.lower),
-            upper=np.asarray(self.upper),
+            lower=self.lower,
+            upper=self.upper,
             sense=self.sense,
             objective=self.evaluate,
         )
-
-
-def _spec(process, response, variant, sense, var_names, aliases, lower, upper, terms):
-    return MachiningSpec(
-        process=process,
-        response=response,
-        variant=variant,
-        sense=sense,
-        var_names=tuple(var_names),
-        var_aliases=tuple(aliases) if aliases else None,
-        lower=tuple(float(v) for v in lower),
-        upper=tuple(float(v) for v in upper),
-        terms=tuple((float(c), tuple(float(e) for e in exps)) for c, exps in terms),
-    )
 
 
 _MIN = Sense.MINIMIZE
@@ -148,9 +135,9 @@ _MQL_HI = (300.0, 0.2, 90.0)
 
 # Built once at import; specs are immutable, Problems are built per call.
 _SPECS = (
-    _spec(
+    MachiningSpec(
         "awjm", "Ra", None, _MIN, _AWJM_VARS, None, _AWJM_LO, _AWJM_HI,
-        [
+        (
             (-23.309555, (0, 0, 0, 0)),
             (16.6968, (1, 0, 0, 0)),
             (26.9296, (0, 1, 0, 0)),
@@ -162,11 +149,11 @@ _SPECS = (
             (-0.0103, (1, 0, 0, 1)),
             (0.0113, (0, 1, 1, 0)),
             (-0.0039, (0, 1, 0, 1)),
-        ],
+        ),
     ),
-    _spec(
+    MachiningSpec(
         "awjm", "kerf", None, _MIN, _AWJM_VARS, None, _AWJM_LO, _AWJM_HI,
-        [
+        (
             (-1.15146, (0, 0, 0, 0)),
             (0.70118, (1, 0, 0, 0)),
             (2.72749, (0, 1, 0, 0)),
@@ -180,11 +167,11 @@ _SPECS = (
             (0.00196, (0, 1, 0, 1)),
             (-0.00002, (0, 0, 1, 1)),
             (-0.00001, (0, 0, 2, 0)),
-        ],
+        ),
     ),
-    _spec(
+    MachiningSpec(
         "edm", "MRR", None, _MAX, _EDM_VARS, None, _EDM_LO, _EDM_HI,
-        [
+        (
             (-235.15, (0, 0, 0, 0)),
             (39.7, (1, 0, 0, 0)),
             (4.277, (0, 1, 0, 0)),
@@ -192,11 +179,11 @@ _SPECS = (
             (-1.375, (0, 0, 0, 1)),
             (-0.0059, (0, 0, 2, 0)),
             (-0.536, (1, 1, 0, 0)),
-        ],
+        ),
     ),
-    _spec(
+    MachiningSpec(
         "edm", "Ra", None, _MIN, _EDM_VARS, None, _EDM_LO, _EDM_HI,
-        [
+        (
             (30.347, (0, 0, 0, 0)),
             (-0.618, (1, 0, 0, 0)),
             (-0.438, (0, 1, 0, 0)),
@@ -204,11 +191,11 @@ _SPECS = (
             (-0.59, (0, 0, 0, 1)),
             (0.019, (1, 0, 0, 1)),
             (0.0075, (0, 1, 0, 1)),
-        ],
+        ),
     ),
-    _spec(
+    MachiningSpec(
         "edm", "REWR", None, _MIN, _EDM_VARS, None, _EDM_LO, _EDM_HI,
-        [
+        (
             (196.564, (0, 0, 0, 0)),
             (-24.19, (1, 0, 0, 0)),
             (-3.135, (0, 1, 0, 0)),
@@ -223,167 +210,167 @@ _SPECS = (
             (0.093, (2, 0, 0, 0)),
             (0.001491, (0, 0, 2, 0)),
             (0.005265, (0, 0, 0, 2)),
-        ],
+        ),
     ),
-    _spec(
+    MachiningSpec(
         "micro_turning", "fb", None, _MIN, _MT_VARS, None, _MT_LO, _MT_HI,
-        [(0.004, (0.495, 0.545, 0.763))],
+        ((0.004, (0.495, 0.545, 0.763)),),
     ),
-    _spec(
+    MachiningSpec(
         "micro_turning", "Ra", None, _MIN, _MT_VARS, None, _MT_LO, _MT_HI,
-        [(0.048, (-0.062, 0.445, 0.516))],
+        ((0.048, (-0.062, 0.445, 0.516)),),
     ),
-    _spec(
+    MachiningSpec(
         "micro_milling", "Ra", "0.7mm", _MIN, _MM_VARS, ("x1", "x2"), _MM_LO, _MM_HI,
-        [
+        (
             (-0.455378, (0, 0)),
             (0.00027, (1, 0)),
             (0.16422, (0, 1)),
             (-0.000077, (1, 1)),
-        ],
+        ),
     ),
-    _spec(
+    MachiningSpec(
         "micro_milling", "Mt", "0.7mm", _MIN, _MM_VARS, ("x1", "x2"), _MM_LO, _MM_HI,
-        [
+        (
             (17.71644, (0, 0)),
             (-0.0002, (1, 0)),
             (-4.8404, (0, 1)),
             (0.0001, (1, 1)),
-        ],
+        ),
     ),
-    _spec(
+    MachiningSpec(
         "micro_milling", "Ra", "1mm", _MIN, _MM_VARS, ("x1", "x2"), _MM_LO, _MM_HI,
-        [
+        (
             (-0.208871, (0, 0)),
             (0.000144, (1, 0)),
             (0.019571, (0, 1)),
-        ],
+        ),
     ),
-    _spec(
+    MachiningSpec(
         "micro_milling", "Mt", "1mm", _MIN, _MM_VARS, ("x1", "x2"), _MM_LO, _MM_HI,
-        [
+        (
             (20.2906, (0, 0)),
             (-0.0015, (1, 0)),
             (-5.8369, (0, 1)),
             (0.0006, (1, 1)),
-        ],
+        ),
     ),
-    _spec(
+    MachiningSpec(
         "micro_drilling", "Bh", "0.5mm", _MIN, _MD_VARS, ("y1", "y2"), _MD_LO, _MD_HI,
-        [
+        (
             (420.94, (0, 0)),
             (-0.234, (1, 0)),
             (-99.91, (0, 1)),
             (6.55e-5, (2, 0)),
             (22.152, (0, 2)),
-        ],
+        ),
     ),
-    _spec(
+    MachiningSpec(
         "micro_drilling", "Bt", "0.5mm", _MIN, _MD_VARS, ("y1", "y2"), _MD_LO, _MD_HI,
-        [
+        (
             (90.57, (0, 0)),
             (-0.049, (1, 0)),
             (-27.12, (0, 1)),
             (1.32e-5, (2, 0)),
             (5.54, (0, 2)),
-        ],
+        ),
     ),
-    _spec(
+    MachiningSpec(
         "micro_drilling", "Bh", "0.6mm", _MIN, _MD_VARS, ("y1", "y2"), _MD_LO, _MD_HI,
-        [
+        (
             (369.67, (0, 0)),
             (-0.028, (1, 0)),
             (-156.79, (0, 1)),
             (6.64e-6, (2, 0)),
             (23.162, (0, 2)),
-        ],
+        ),
     ),
-    _spec(
+    MachiningSpec(
         "micro_drilling", "Bt", "0.6mm", _MIN, _MD_VARS, ("y1", "y2"), _MD_LO, _MD_HI,
-        [
+        (
             (35.34, (0, 0)),
             (-0.019, (1, 0)),
             (-0.59, (0, 1)),
             (6.44e-6, (2, 0)),
             (0.51, (0, 2)),
-        ],
+        ),
     ),
-    _spec(
+    MachiningSpec(
         "micro_drilling", "Bh", "0.8mm", _MIN, _MD_VARS, ("y1", "y2"), _MD_LO, _MD_HI,
-        [
+        (
             (106.116, (0, 0)),
             (0.13, (1, 0)),
             (-6.62, (0, 1)),
             (1.49e-6, (2, 0)),
             (4.75, (0, 2)),
-        ],
+        ),
     ),
-    _spec(
+    MachiningSpec(
         "micro_drilling", "Bt", "0.8mm", _MIN, _MD_VARS, ("y1", "y2"), _MD_LO, _MD_HI,
-        [
+        (
             (59.79, (0, 0)),
             (-0.024, (1, 0)),
             (-11.3, (0, 1)),
             (7.78e-6, (2, 0)),
             (2.18, (0, 2)),
-        ],
+        ),
     ),
-    _spec(
+    MachiningSpec(
         "micro_drilling", "Bh", "0.9mm", _MIN, _MD_VARS, ("y1", "y2"), _MD_LO, _MD_HI,
-        [
+        (
             (450.7, (0, 0)),
             (-0.09, (1, 0)),
             (-34.48, (0, 1)),
             (2.34e-5, (2, 0)),
             (5.03, (0, 2)),
-        ],
+        ),
     ),
-    _spec(
+    MachiningSpec(
         "micro_drilling", "Bt", "0.9mm", _MIN, _MD_VARS, ("y1", "y2"), _MD_LO, _MD_HI,
-        [
+        (
             (80.07, (0, 0)),
             (-0.040, (1, 0)),
             (-14.81, (0, 1)),
             (1.516e-5, (2, 0)),
             (4.65, (0, 2)),
-        ],
+        ),
     ),
-    _spec(
+    MachiningSpec(
         "mql_turning", "Fc", None, _MIN, _MQL_VARS, None, _MQL_LO, _MQL_HI,
-        [
+        (
             (-202.01471, (0, 0, 0)),
             (1.28250, (0, 0, 1)),
             (3225.0, (1, 0, 0)),
             (-0.74167, (0, 1, 0)),
             (-9.4, (1, 0, 1)),
-        ],
+        ),
     ),
-    _spec(
+    MachiningSpec(
         "mql_turning", "VBmax", None, _MIN, _MQL_VARS, None, _MQL_LO, _MQL_HI,
-        [
+        (
             (-0.27368, (0, 0, 0)),
             (0.001575, (0, 0, 1)),
             (2.4, (1, 0, 0)),
             (-0.0010833, (0, 1, 0)),
-        ],
+        ),
     ),
-    _spec(
+    MachiningSpec(
         "mql_turning", "Ra", None, _MIN, _MQL_VARS, None, _MQL_LO, _MQL_HI,
-        [
+        (
             (-0.16294, (0, 0, 0)),
             (0.001425, (0, 0, 1)),
             (3.7, (1, 0, 0)),
             (-0.000416667, (0, 1, 0)),
-        ],
+        ),
     ),
-    _spec(
+    MachiningSpec(
         "mql_turning", "L", None, _MIN, _MQL_VARS, None, _MQL_LO, _MQL_HI,
-        [
+        (
             (0.96302, (0, 0, 0)),
             (-0.00215931, (0, 0, 1)),
             (0.92703, (1, 0, 0)),
             (0.00152807, (0, 1, 0)),
-        ],
+        ),
     ),
 )
 _BY_KEY = {spec.key.lower(): spec for spec in _SPECS}

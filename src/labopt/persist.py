@@ -33,12 +33,15 @@ def _write_text(path: str | Path, text: str) -> Path:
     The text goes to a temporary file beside ``path`` that then replaces
     it in one ``os.replace``, so a write that fails part way leaves any
     earlier file intact and no partial file behind.  A path that cannot
-    be written, such as one below a regular file, raises ConfigError.
+    be written raises ConfigError naming it, or naming its directory if
+    that is what cannot be made, as below a regular file.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    failed = path.parent  # what an OSError is about, until the directory exists
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
+        failed.mkdir(parents=True, exist_ok=True)
+        failed = path
         try:
             with open(tmp, "w", newline="\n") as f:
                 f.write(text)
@@ -46,7 +49,7 @@ def _write_text(path: str | Path, text: str) -> Path:
         finally:
             tmp.unlink(missing_ok=True)
     except OSError as exc:
-        raise ConfigError(f"{path}: cannot be written ({exc.strerror or exc})") from None
+        raise ConfigError(f"{failed}: cannot be written ({exc.strerror or exc})") from None
     return path
 
 
@@ -215,15 +218,15 @@ def write_convergence(traces: Sequence[RunTrace], path: str | Path) -> Path:
     matrix = np.array(series)  # runs x iterations
     header = ["iteration"] + [f"seed{t.seed}" for t in traces]
     header += ["median", "q25", "q75"]
-    median = np.median(matrix, axis=0)
-    q25 = np.quantile(matrix, 0.25, axis=0)
-    q75 = np.quantile(matrix, 0.75, axis=0)
+    # One conversion of the whole table, one row per iteration.  The
+    # quartiles stay two calls: one call for both can differ in the
+    # last bit.
+    rows = np.vstack(
+        [matrix, np.median(matrix, axis=0), np.quantile(matrix, 0.25, axis=0),
+         np.quantile(matrix, 0.75, axis=0)]
+    ).T.tolist()
     lines = [",".join(header)]
-    for it in range(length):
-        row = [str(it)]
-        row += [_fmt(v) for v in matrix[:, it]]
-        row += [_fmt(median[it]), _fmt(q25[it]), _fmt(q75[it])]
-        lines.append(",".join(row))
+    lines += [",".join([str(it), *map(repr, row)]) for it, row in enumerate(rows)]
     return _write_text(path, "\n".join(lines) + "\n")
 
 

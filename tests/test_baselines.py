@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labopt import machining
+from labopt import benchmarks, machining
 from labopt.baselines import (
     ALGORITHM_PSO,
     ALGORITHM_RANDOM,
     ALGORITHM_SA,
     BASELINE_ALGORITHMS,
+    BATCH,
     BaselineConfig,
     run_baseline,
 )
@@ -217,6 +218,34 @@ def test_one_batch_budgets_give_one_trace_for_every_algorithm(make_problem, budg
     assert len(traces[0].records) == 1
     for trace in traces[1:]:
         assert replace(trace, algorithm=traces[0].algorithm) == traces[0]
+
+
+CATALOG_BUILDERS = [
+    pytest.param(lambda seed, spec=spec: spec.problem, id=spec.key)
+    for spec in machining.machining_registry()
+] + [
+    pytest.param(lambda seed, spec=spec: build_problem(spec.id, None, seed), id=spec.id)
+    for spec in benchmarks.registry()
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("build", CATALOG_BUILDERS)
+def test_every_algorithm_starts_from_the_same_batch_as_lab(build, seed):
+    # At the default population, LAB's initial population and every
+    # baseline's first batch are the same uniform draw from the seed's
+    # generator, so the first trace row agrees bit for bit.  F32 gets
+    # the seed's noise stream, fresh, on every side.
+    assert LabConfig().population == BATCH
+
+    def first_row(trace):
+        row = trace.records[0]
+        return row.global_best.hex(), row.best_so_far.hex()
+
+    lab = first_row(run(build(seed), LabConfig(seed=seed, max_iterations=1)))
+    for algorithm in BASELINE_ALGORITHMS:
+        config = BaselineConfig(algorithm=algorithm, budget=BATCH, seed=seed)
+        assert first_row(run_baseline(build(seed), config)) == lab, algorithm
 
 
 def test_sa_flat_calibration_falls_back_to_unit_temperature():

@@ -292,10 +292,10 @@ def test_an_out_path_that_is_a_regular_file_exits_2_naming_it(
     blocker.write_text("kept\n")
     if command == "run":
         argv = ["run", "--problem", "F10", "--iters", "1"]
-        target = blocker / "F10__lab" / "trace_seed0.csv"
+        target = blocker / "F10__lab"
     elif command == "oracle":
         argv = ["oracle", "--problem", "edm:MRR", "--points", "3"]
-        target = blocker / "oracles" / "oracle_edm-MRR.json"
+        target = blocker / "oracles"
     else:
         runs = tmp_path / "runs"
         for algo in ("lab", "random_search"):
@@ -305,7 +305,7 @@ def test_an_out_path_that_is_a_regular_file_exits_2_naming_it(
             ) == 0
         capsys.readouterr()
         argv = ["compare", str(runs)]
-        target = blocker / "report.json"
+        target = blocker
     assert run_cli([*argv, "--out", str(blocker)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -218,6 +218,17 @@ def test_evaluate_rejects_out_of_box_and_bad_shape():
         spec.evaluate(np.array([10.0, 50.0, 100.0]))
 
 
+def test_catalog_specs_are_immutable():
+    # The specs are written as tuples and shared by every caller, so no
+    # caller can change a model in place.
+    for spec in machining_registry():
+        hash(spec)
+        assert type(spec.lower) is tuple and type(spec.upper) is tuple, spec.key
+        assert type(spec.terms) is tuple, spec.key
+        for term in spec.terms:
+            assert type(term) is tuple and type(term[1]) is tuple, spec.key
+
+
 def test_problem_wrapper_round_trips():
     for spec in machining_registry():
         p = spec.problem
@@ -233,9 +244,9 @@ def test_problem_wrapper_round_trips():
 # No catalog model has one variable; these cover grid_oracle's
 # single-column slabs in both senses.
 ONE_VARIABLE_SPECS = [
-    machining._spec(
-        "synthetic", "y", sense.value, sense, [("s1", "mm")], None, [0.5], [3.0],
-        [(sign * 2.0, (0,)), (sign * -3.1, (1,)), (sign * 1.0, (2,)), (sign * 0.4, (0.5,))],
+    machining.MachiningSpec(
+        "synthetic", "y", sense.value, sense, (("s1", "mm"),), None, (0.5,), (3.0,),
+        ((sign * 2.0, (0,)), (sign * -3.1, (1,)), (sign * 1.0, (2,)), (sign * 0.4, (0.5,))),
     )
     for sign, sense in ((1.0, Sense.MINIMIZE), (-1.0, Sense.MAXIMIZE))
 ]
