@@ -288,6 +288,64 @@ def test_grid_oracle_matches_nested_loop_reference():
         assert got_idx == want_idx, spec.key
 
 
+def loop_reference(spec, x):
+    """The plain term loop: every nonzero exponent through ``**``, terms summed in order."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape[:-1])
+    for coef, exps in spec.terms:
+        term = coef
+        for i, e in enumerate(exps):
+            if e == 0:
+                continue
+            term = term * x[..., i] ** e
+        out += term
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec", machining_registry() + ONE_VARIABLE_SPECS, ids=lambda spec: spec.key
+)
+def test_evaluate_equals_the_plain_term_loop_bitwise(spec):
+    rng = np.random.default_rng(5)
+    lo, hi = np.array(spec.lower), np.array(spec.upper)
+    batches = [lo + (hi - lo) * rng.random((m, spec.dim)) for m in (1, 20, 1000)]
+    batches += [
+        lo + (hi - lo) * rng.random((7, 3, spec.dim)),
+        lo,
+        hi,
+        np.array([lo, hi]),
+    ]
+    for x in batches:
+        got = spec.evaluate(x)
+        want = loop_reference(spec, x)
+        assert got.shape == want.shape == x.shape[:-1]
+        assert np.array_equal(got, want), x.shape
+
+
+# Best at its lower bound, 1.011, whose power 1.011 ** 0.495 differs in
+# the last bit between numpy's scalar and array paths (numpy 2.4.6), so
+# an oracle that raised a grid value as a scalar would not match.
+POWER_AT_BOUND = machining.MachiningSpec(
+    "synthetic", "pow", None, Sense.MINIMIZE, (("s1", "mm"),), None, (1.011,), (3.0,),
+    ((1.0, (0.495,)),),
+)
+
+
+@pytest.mark.parametrize("k", (2, 5, 9))
+def test_grid_oracle_equals_exhaustive_evaluate(k):
+    # The oracle's best is the first best of evaluate over the whole
+    # ij-ordered cross product of the same axes, bit for bit.
+    for spec in machining_registry() + ONE_VARIABLE_SPECS + [POWER_AT_BOUND]:
+        axes = [np.linspace(lo, hi, k) for lo, hi in zip(spec.lower, spec.upper)]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, spec.dim)
+        values = spec.evaluate(grid)
+        pick = np.argmax if spec.sense is Sense.MAXIMIZE else np.argmin
+        idx = int(pick(values))
+        gv, gp = grid_oracle(spec, k)
+        assert gv == values[idx], spec.key
+        assert gp.tolist() == grid[idx].tolist(), spec.key
+
+
 def test_grid_oracle_pinned_values():
     for key, (value, point) in PINNED_51_GRID.items():
         gv, gp = grid_oracle(machining.get(key), 51)
