@@ -223,6 +223,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out else Path(args.dirs[0]) / "comparison"
     paths = write_comparison(report, out_dir)
     print(format_report_text(report), end="")
+    # A test whose floor is not below alpha reads "equal" whatever its runs.
+    for row in report.pairwise:
+        pair = (row.algo_a, row.algo_b)
+        tests = [t.result for t in report.per_problem if (t.algo_a, t.algo_b) == pair]
+        stuck = sorted(r.n_effective for r in tests if r.p_floor >= report.alpha)
+        if stuck:
+            n = f"{stuck[0]}" if stuck[0] == stuck[-1] else f"{stuck[0]}-{stuck[-1]}"
+            print(
+                f"note: {row.algo_a} vs {row.algo_b}: {len(stuck)} of {len(tests)} per-problem "
+                f"tests cannot reach p < {report.alpha:g} with {n} nonzero differences"
+            )
     print(f"written: {', '.join(str(p) for p in paths.values())}")
     return 0
 

@@ -5,8 +5,10 @@ abrasive water jet machining (AWJM), electro-discharge machining
 (EDM), micro-turning, micro-milling, micro-drilling, and MQL turning.
 Every model is stored as a flat tuple of terms ``(coefficient,
 exponents)``, written in the table below as the spec uses it, so each
-coefficient appears in exactly one place, evaluation is a single
-generic routine, and audits can diff the tables directly.
+coefficient appears in exactly one place and audits can diff the
+tables directly.  One generic routine sums a model's terms, over the
+columns of a batch in ``evaluate`` and over per-axis power tables in
+``grid_oracle``.
 
 All responses are minimized except EDM material removal rate, which is
 maximized.  One catalog quirk is kept on purpose: the printed variable
@@ -22,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .problem import ConfigError, Problem, Sense, is_better
+from .problem import ConfigError, Problem, Sense, is_better, oriented
 
 Term = tuple[float, tuple[float, ...]]
 
@@ -66,6 +68,34 @@ class MachiningSpec:
             bound.flags.writeable = False
         return box
 
+    @cached_property
+    def _plan(self) -> tuple[tuple, tuple]:
+        """Every term as its coefficient and its nonzero ``(variable,
+        exponent)`` factors, and the distinct factors in order of use."""
+        terms = tuple((c, tuple((i, e) for i, e in enumerate(exps) if e)) for c, exps in self.terms)
+        return terms, tuple(dict.fromkeys(f for _, factors in terms for f in factors))
+
+    def _powers(self, columns) -> dict:
+        """Each distinct factor's power of its variable's column, computed once.
+
+        Every power is an array ``**``; exponent 1 passes the column through.
+        """
+        return {(i, e): columns[i] if e == 1 else columns[i] ** e for i, e in self._plan[1]}
+
+    def _sum_terms(self, powers: dict, shape: tuple[int, ...]) -> np.ndarray:
+        """The model over factor powers that broadcast to ``shape``.
+
+        Each term multiplies its factors left to right, and the terms
+        are added one after another in table order.
+        """
+        out = np.zeros(shape)
+        for coef, factors in self._plan[0]:
+            term = coef
+            for factor in factors:
+                term = term * powers[factor]
+            out += term
+        return out
+
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the model at every row of an ``(m, dim)`` batch.
 
@@ -81,15 +111,7 @@ class MachiningSpec:
         lo, hi = self._box
         if (x < lo).any() or (x > hi).any():
             raise ValueError(f"input outside the {self.key} variable box")
-        out = np.zeros(x.shape[:-1])
-        for coef, exps in self.terms:
-            term = coef
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                term = term * x[..., i] ** e
-            out += term
-        return out
+        return self._sum_terms(self._powers([x[..., i] for i in range(self.dim)]), x.shape[:-1])
 
     @property
     def problem(self) -> Problem:
@@ -397,34 +419,36 @@ def grid_oracle(
     Every axis is sampled with ``points_per_axis`` equally spaced
     values including both endpoints, and the full cross product is
     evaluated.  Returns the best value under the spec's sense and the
-    first grid point attaining it.  Intended as an independent ground
-    truth for small dimensions (all catalog entries have dim <= 4).
+    first grid point, in ``ij`` order, attaining it.  Intended as an
+    independent ground truth for small dimensions (all catalog entries
+    have dim <= 4).
+
+    Each power a term uses is tabled once per axis, over that axis's
+    values.  The cross product is then summed one slab per value of the
+    first axis: the other axes' tables broadcast against each other, so
+    a slab holds about ``points_per_axis ** (dim - 1)`` floats and no
+    grid of points is built.  The values equal ``evaluate`` on the same
+    points bit for bit.
 
     Refining the grid can only improve the result: every grid with
     ``2k - 1`` points per axis contains the ``k``-point grid.
     """
     if points_per_axis < 2:
         raise ConfigError(f"points_per_axis must be >= 2, got {points_per_axis}")
-    axes = [
-        np.linspace(lo, hi, points_per_axis)
-        for lo, hi in zip(spec.lower, spec.upper)
-    ]
-    # One slab per value of the first axis keeps the evaluated block
-    # small.  The other columns hold the grid of the remaining axes,
-    # filled once; only column 0 changes from slab to slab.
-    block = np.empty((points_per_axis ** (spec.dim - 1), spec.dim))
-    for j, grid in enumerate(np.meshgrid(*axes[1:], indexing="ij"), start=1):
-        block[:, j] = grid.ravel()
-    best_value: float | None = None
-    best_point: np.ndarray | None = None
-    for first in axes[0]:
-        block[:, 0] = first
-        values = spec.evaluate(block)
-        idx = int(np.argmax(values) if spec.sense is Sense.MAXIMIZE else np.argmin(values))
+    axes = [np.linspace(lo, hi, points_per_axis) for lo, hi in zip(spec.lower, spec.upper)]
+    shape = (points_per_axis,) * (spec.dim - 1)
+    # Axis j >= 1 runs along slab dimension j - 1, so its tables
+    # broadcast over the slab; axis 0 gives each slab one value.
+    tables = spec._powers([axes[0], *np.ix_(*axes[1:])])
+    best_value, best_point = None, None
+    for k, first in enumerate(axes[0]):
+        powers = {(i, e): t[k] if i == 0 else t for (i, e), t in tables.items()}
+        values = spec._sum_terms(powers, shape)
+        idx = np.unravel_index(np.argmin(oriented(values, spec.sense)), shape)
         value = float(values[idx])
         if best_value is None or is_better(value, best_value, spec.sense):
             best_value = value
-            best_point = block[idx].copy()
+            best_point = np.array([first, *(axis[i] for axis, i in zip(axes[1:], idx))])
     return best_value, best_point
 
 

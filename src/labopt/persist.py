@@ -243,10 +243,17 @@ def _per_problem_row(t: ProblemTest) -> str:
 
 
 def _report_dict(report: ComparisonReport) -> dict:
-    """The report as a dict; each per-problem row holds its result's fields."""
+    """The report as a dict; each per-problem row holds its result's fields.
+
+    ``p_floor`` is left out: ``compare`` states it on stdout, and the
+    report files keep their keys and columns.
+    """
     d = asdict(report)
     for row in d["per_problem"]:
         row.update(row.pop("result"))
+        del row["p_floor"]
+    for row in d["pairwise"]:
+        del row["overall"]["p_floor"]
     return d
 
 

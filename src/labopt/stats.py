@@ -10,7 +10,9 @@ correction and continuity correction is used.
 
 All tests run on oriented values: maximization samples are negated up
 front so smaller is always better and a "less" verdict always means
-the first sample won.
+the first sample won.  Each result also carries its p floor, the p of
+the most extreme sign split, so a caller can tell a verdict that no
+outcome of the runs could have reached.
 """
 from __future__ import annotations
 
@@ -98,7 +100,10 @@ class WilcoxonResult:
     ``t_plus`` ranks differences a - b > 0, so under smaller-is-better
     orientation a ``less`` verdict favors sample a.  ``degenerate``
     flags too few nonzero differences to test; the p-value is then
-    pinned at 1.0.
+    pinned at 1.0.  ``p_floor`` is the smallest p the test could give
+    on these ranks: its p at the most extreme sign split, all
+    differences one way (1.0 when degenerate).  When it is not below
+    alpha, no outcome of these runs could reach a verdict.
     """
 
     t_plus: float
@@ -108,6 +113,7 @@ class WilcoxonResult:
     verdict: str
     degenerate: bool
     method: str
+    p_floor: float
 
 
 def _doubled_midranks(abs_diffs: np.ndarray) -> np.ndarray:
@@ -122,8 +128,11 @@ def _doubled_midranks(abs_diffs: np.ndarray) -> np.ndarray:
     return np.searchsorted(s, abs_diffs, "left") + np.searchsorted(s, abs_diffs, "right") + 1
 
 
-def _exact_two_sided_p(doubled_ranks: np.ndarray, w_plus_doubled: int) -> float:
-    """Exact p over all 2^n sign assignments of the given ranks.
+def _exact_two_sided_p(
+    doubled_ranks: np.ndarray, w_plus_doubled: int
+) -> tuple[float, float]:
+    """Exact p over all 2^n sign assignments of the given ranks, and
+    the floor: the p of a doubled T+ of 0, read from the same table.
 
     ``counts[s]`` ends up as the number of subsets of the doubled
     ranks summing to s, which is the number of assignments with a
@@ -137,10 +146,13 @@ def _exact_two_sided_p(doubled_ranks: np.ndarray, w_plus_doubled: int) -> float:
         r = int(r)
         for s in range(total, r - 1, -1):
             counts[s] += counts[s - r]
-    c_le = sum(counts[: w_plus_doubled + 1])
-    c_ge = sum(counts[w_plus_doubled:])
-    n = len(doubled_ranks)
-    return min(1.0, 2.0 * min(c_le, c_ge) / 2**n)
+
+    def p(w: int) -> float:
+        c_le = sum(counts[: w + 1])
+        c_ge = sum(counts[w:])
+        return min(1.0, 2.0 * min(c_le, c_ge) / 2 ** len(doubled_ranks))
+
+    return p(w_plus_doubled), p(0)
 
 
 def _normal_two_sided_p(
@@ -196,13 +208,14 @@ def wilcoxon_two_sided(
     w_plus2 = int(ranks[nonzero > 0].sum())
     w_minus2 = int(ranks[nonzero < 0].sum())
     if n < MIN_EFFECTIVE:
-        p = 1.0
+        p = p_floor = 1.0
         method = METHOD_DEGENERATE
     elif n <= EXACT_LIMIT:
-        p = _exact_two_sided_p(ranks, w_plus2)
+        p, p_floor = _exact_two_sided_p(ranks, w_plus2)
         method = METHOD_EXACT
     else:
         p = _normal_two_sided_p(ranks, w_plus2, n)
+        p_floor = _normal_two_sided_p(ranks, 0, n)
         method = METHOD_NORMAL
 
     # A degenerate p of 1.0 never passes, since alpha < 1.
@@ -221,6 +234,7 @@ def wilcoxon_two_sided(
         verdict=verdict,
         degenerate=method == METHOD_DEGENERATE,
         method=method,
+        p_floor=p_floor,
     )
 
 

@@ -178,6 +178,35 @@ def test_compare_end_to_end(tmp_path, capsys):
     assert report["per_problem"][0]["n_effective"] <= 6
 
 
+@pytest.mark.parametrize(
+    "runs, alpha, note",
+    [
+        (5, "0.05", "note: lab vs random_search: 1 of 1 per-problem tests "
+                    "cannot reach p < 0.05 with 5 nonzero differences"),
+        (6, "0.05", None),
+        (6, "0.03125", "note: lab vs random_search: 1 of 1 per-problem tests "
+                    "cannot reach p < 0.03125 with 6 nonzero differences"),
+    ],
+)
+def test_compare_notes_the_verdicts_its_runs_cannot_reach(tmp_path, capsys, runs, alpha, note):
+    # Without ties, n runs give n nonzero differences, and the exact
+    # test's smallest p is 2 / 2^n: 0.0625 at 5 runs, 0.03125 at 6, so
+    # 6 runs can reach p < 0.05 but not p < 0.03125.
+    out = tmp_path / "runs"
+    for algo in ("lab", "random_search"):
+        assert run_cli(
+            ["run", "--problem", "F10", "--algo", algo, "--runs", str(runs),
+             "--iters", "10", "--out", str(out)]
+        ) == 0
+    capsys.readouterr()
+    assert run_cli(["compare", str(out), "--alpha", alpha]) == 0
+    notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("note:")]
+    assert notes == ([note] if note else [])
+    report = json.loads((out / "comparison" / "report.json").read_text())
+    assert report["per_problem"][0]["n_effective"] == runs
+    assert "p_floor" not in report["per_problem"][0]
+
+
 def test_compare_relabels_duplicate_algorithms(tmp_path, capsys):
     out = tmp_path / "runs"
     assert run_cli(

@@ -77,6 +77,47 @@ def test_exact_branch_matches_brute_force_enumeration():
         checked += 1
 
 
+def reference_p_floor(abs_diffs):
+    """Smallest exact p over every one of the 2^n sign splits."""
+    ranks = reference_doubled_ranks(abs_diffs)
+    sums = [
+        sum(r for r, s in zip(ranks, signs) if s)
+        for signs in itertools.product((0, 1), repeat=len(ranks))
+    ]
+    return min(
+        min(1.0, 2.0 * min(sum(w <= v for w in sums), sum(w >= v for w in sums)) / len(sums))
+        for v in set(sums)
+    )
+
+
+@pytest.mark.parametrize("ties", (False, True), ids=("distinct", "tied"))
+def test_p_floor_matches_brute_force_enumeration(ties):
+    rng = np.random.default_rng(31)
+    for n in range(2 if ties else 1, EXACT_LIMIT + 1):
+        mags = rng.integers(1, 4, n) if ties else rng.permutation(n) + 1
+        if ties:
+            mags[-1] = mags[0]
+        d = mags * rng.choice((-1.0, 1.0), n)
+        res = wilcoxon_two_sided(d, np.zeros(n))
+        assert res.n_effective == n
+        if n < MIN_EFFECTIVE:
+            assert res.p_floor == 1.0
+        else:
+            assert res.p_floor == reference_p_floor(list(mags)) == 2.0 / 2**n, n
+
+
+def test_p_floor_is_the_p_of_differences_all_one_way():
+    # Beyond the exact branch too: the floor is the p of the same
+    # magnitudes with every difference of one sign.
+    rng = np.random.default_rng(37)
+    for n in range(1, 30):
+        for mags in (rng.permutation(n) + 1.0, rng.integers(1, 4, n).astype(float)):
+            res = wilcoxon_two_sided(mags * rng.choice((-1.0, 1.0), n), np.zeros(n))
+            for sign in (1.0, -1.0):
+                assert res.p_floor == wilcoxon_two_sided(sign * mags, np.zeros(n)).p_value
+            assert res.p_floor <= res.p_value
+
+
 def test_rank_sum_identity_holds_across_many_inputs():
     rng = np.random.default_rng(7)
     for _ in range(1000):
