@@ -75,7 +75,7 @@ class MachiningSpec:
         terms = tuple((c, tuple((i, e) for i, e in enumerate(exps) if e)) for c, exps in self.terms)
         return terms, tuple(dict.fromkeys(f for _, factors in terms for f in factors))
 
-    def _powers(self, columns) -> dict:
+    def _powers(self, columns: list[np.ndarray]) -> dict:
         """Each distinct factor's power of its variable's column, computed once.
 
         Every power is an array ``**``; exponent 1 passes the column through.
