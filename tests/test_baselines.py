@@ -234,18 +234,67 @@ CATALOG_BUILDERS = [
 def test_every_algorithm_starts_from_the_same_batch_as_lab(build, seed):
     # At the default population, LAB's initial population and every
     # baseline's first batch are the same uniform draw from the seed's
-    # generator, so the first trace row agrees bit for bit.  F32 gets
-    # the seed's noise stream, fresh, on every side.
+    # generator, so the objective gets the same bytes first and the
+    # first trace row agrees bit for bit.  F32 gets the seed's noise
+    # stream, fresh, on every side.
     assert LabConfig().population == BATCH
+
+    def watched(problem):
+        """The problem, and the batches its objective receives, in order."""
+        batches = []
+
+        def objective(x):
+            batches.append(x.copy())
+            return problem.objective(x)
+
+        return replace(problem, objective=objective), batches
 
     def first_row(trace):
         row = trace.records[0]
         return row.global_best.hex(), row.best_so_far.hex()
 
-    lab = first_row(run(build(seed), LabConfig(seed=seed, max_iterations=1)))
+    problem, lab_batches = watched(build(seed))
+    lab = first_row(run(problem, LabConfig(seed=seed, max_iterations=1)))
+    initial = lab_batches[0]
+    assert initial.shape == (BATCH, problem.dim)
     for algorithm in BASELINE_ALGORITHMS:
+        problem, batches = watched(build(seed))
         config = BaselineConfig(algorithm=algorithm, budget=BATCH, seed=seed)
-        assert first_row(run_baseline(build(seed), config)) == lab, algorithm
+        assert first_row(run_baseline(problem, config)) == lab, algorithm
+        assert batches[0].dtype == initial.dtype, algorithm
+        assert batches[0].tobytes() == initial.tobytes(), algorithm
+
+
+@pytest.mark.parametrize(
+    "sense, tie, other",
+    [(Sense.MINIMIZE, 5.0, 8.0), (Sense.MAXIMIZE, 15.0, 12.0)],
+    ids=["min", "max"],
+)
+def test_sa_records_a_stage_by_its_first_best_move(sense, tie, other):
+    # Budget 40 is the calibration batch and one temperature stage of
+    # BATCH one-point moves; moves 3 and 7 of the stage tie for its best.
+    batches = []
+
+    def scripted(x):
+        batches.append(x.copy())
+        if len(batches) == 1:
+            return np.full(len(x), 10.0)
+        return np.array([tie if len(batches) - 2 in (3, 7) else other])
+
+    problem = Problem(
+        name="scripted",
+        dim=2,
+        lower=np.full(2, -1.0),
+        upper=np.full(2, 1.0),
+        sense=sense,
+        objective=scripted,
+    )
+    trace = run_baseline(problem, BaselineConfig(algorithm=ALGORITHM_SA, budget=40, seed=6))
+    assert [len(b) for b in batches] == [BATCH] + [1] * BATCH
+    assert not np.array_equal(batches[1 + 3], batches[1 + 7])
+    assert trace.records[1].global_best == tie
+    assert trace.best_fitness == tie
+    assert np.array_equal(trace.best_position, batches[1 + 3][0])
 
 
 def test_sa_flat_calibration_falls_back_to_unit_temperature():

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from labopt import cli
+from labopt import benchmarks, cli, machining
 from labopt.persist import read_summary, read_trace
 
 
@@ -128,6 +128,32 @@ def test_dimension_override_selector(tmp_path):
     ) == 0
     summary = read_summary(tmp_path / "F44@5__lab" / "summary.json")
     assert summary.problem == "F44@5"
+
+
+def test_bundle_selectors_cover_their_catalogs(tmp_path, capsys):
+    # Each command prints one line per catalog entry, in catalog order,
+    # and writes that entry's run directory or oracle file.
+    machining_keys = [spec.key for spec in machining.machining_registry()]
+    benchmark_ids = [spec.id for spec in benchmarks.registry()]
+    commands = [
+        (["run", "--problem", "all-machining", "--algo", "random_search",
+          "--budget", "20"], machining_keys, "random_search"),
+        (["run", "--problem", "all-benchmarks", "--runs", "2", "--iters", "1"],
+         benchmark_ids, "lab"),
+        (["oracle", "--problem", "all-machining", "--points", "2"],
+         machining_keys, None),
+    ]
+    for argv, names, algo in commands:
+        assert run_cli([*argv, "--out", str(tmp_path)]) == 0, argv
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(names), argv
+        for name, line in zip(names, lines):
+            assert line.split()[0] in (name, f"{name}:"), (argv, line)
+            if algo is None:
+                assert (tmp_path / "oracles" / f"oracle_{cli._slug(name)}.json").is_file()
+            else:
+                assert (tmp_path / f"{cli._slug(name)}__{algo}" / "summary.json").is_file()
+    assert (len(machining_keys), len(benchmark_ids)) == (23, 27)
 
 
 def test_unknown_problem_exits_2(tmp_path, capsys):
