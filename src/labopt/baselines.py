@@ -6,9 +6,12 @@ Gaussian moves and geometric cooling, and global-best particle swarm.
 All three spend exactly ``config.budget`` objective evaluations, no
 more and no less, recording one trace row per batch of ``BATCH``
 evaluations, so their rows line up with the main optimizer's at its
-default population of 20.  All three start from the same uniform
-batch drawn from the seed's generator, so up to one batch their traces
-differ only in the algorithm name.
+default population of 20.  All three start from the first batch the
+main optimizer starts from, ``rng.uniform(lower, upper, (n, dim))``
+from ``default_rng(seed)``, so up to one batch their traces differ only
+in the algorithm name.  Each row is its batch's first best point; for
+SA, whose batch is one temperature stage of single moves, that is the
+stage's first best move, kept as the stage runs.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import Recorder, RunTrace, TERMINATION_BUDGET
-from .problem import Problem, ConfigError, Sense, is_better, oriented
+from .problem import Problem, ConfigError, is_better, oriented
 
 ALGORITHM_RANDOM = "random_search"
 ALGORITHM_SA = "sa"
@@ -54,15 +57,9 @@ class BaselineConfig:
 def _observe_batch(
     recorder: Recorder, positions: np.ndarray, fitnesses: np.ndarray
 ) -> None:
-    """Record one evaluation batch by its best point."""
-    sense = recorder.problem.sense
-    idx = int(np.argmax(fitnesses) if sense is Sense.MAXIMIZE else np.argmin(fitnesses))
+    """Record one evaluation batch by its first best point."""
+    idx = int(np.argmin(oriented(fitnesses, recorder.problem.sense)))
     recorder.observe(float(fitnesses[idx]), positions[idx])
-
-
-def _uniform(problem: Problem, rng: np.random.Generator, count: int) -> np.ndarray:
-    span = problem.upper - problem.lower
-    return problem.lower + span * rng.random((count, problem.dim))
 
 
 def _batch_sizes(budget: int) -> list[int]:
@@ -74,7 +71,7 @@ def _batch_sizes(budget: int) -> list[int]:
 
 def _random_search(problem, rng, recorder, positions, fitnesses, sizes):
     for size in sizes:
-        positions = _uniform(problem, rng, size)
+        positions = rng.uniform(problem.lower, problem.upper, (size, problem.dim))
         _observe_batch(recorder, positions, problem.evaluate_batch(positions))
 
 
@@ -88,39 +85,39 @@ def _sa(problem, rng, recorder, positions, fitnesses, sizes):
     temperature = 0.1 * spread if spread > 0 else 1.0
 
     for size in sizes:
-        batch_pos = np.empty((size, problem.dim))
-        batch_fit = np.empty(size)
-        for i in range(size):
-            proposal = np.clip(current + rng.normal(0.0, step), problem.lower, problem.upper)
+        # The stage's row is its first best move.  oriented(inf) is the
+        # worst value in either sense, so the first move replaces it.
+        best_fit = oriented(np.inf, problem.sense)
+        for _ in range(size):
+            proposal = (current + rng.normal(0.0, step)).clip(problem.lower, problem.upper)
             fit = problem.evaluate_batch(proposal[None]).item()
-            batch_pos[i] = proposal
-            batch_fit[i] = fit
+            if is_better(fit, best_fit, problem.sense):
+                best_pos, best_fit = proposal, fit
             # Oriented gap: below zero is downhill in either sense.
             delta = oriented(fit - current_fit, problem.sense)
             if delta < 0 or rng.random() < np.exp(-delta / temperature):
                 current = proposal
                 current_fit = fit
-        _observe_batch(recorder, batch_pos, batch_fit)
+        recorder.observe(best_fit, best_pos)
         temperature *= SA_COOLING
 
 
 def _pso(problem, rng, recorder, positions, fitnesses, sizes):
     # The first batch is the swarm, at rest.
-    swarm = len(positions)
     velocities = np.zeros_like(positions)
     pbest_pos = positions.copy()
     pbest_fit = fitnesses.copy()
     gbest = np.array(recorder.best_position)
 
     for count in sizes:
-        r1 = rng.random((swarm, problem.dim))
-        r2 = rng.random((swarm, problem.dim))
+        r1 = rng.random(positions.shape)
+        r2 = rng.random(positions.shape)
         velocities = (
             PSO_INERTIA * velocities
             + PSO_COGNITIVE * r1 * (pbest_pos - positions)
             + PSO_SOCIAL * r2 * (gbest - positions)
         )
-        positions = np.clip(positions + velocities, problem.lower, problem.upper)
+        positions = (positions + velocities).clip(problem.lower, problem.upper)
         # Partial last batch evaluates a prefix of the swarm only.
         fitnesses = problem.evaluate_batch(positions[:count])
         _observe_batch(recorder, positions[:count], fitnesses)
@@ -153,7 +150,7 @@ def run_baseline(problem: Problem, config: BaselineConfig) -> RunTrace:
     rng = np.random.default_rng(config.seed)
     recorder = Recorder(problem)
     sizes = _batch_sizes(config.budget)
-    positions = _uniform(problem, rng, sizes[0])
+    positions = rng.uniform(problem.lower, problem.upper, (sizes[0], problem.dim))
     fitnesses = problem.evaluate_batch(positions)
     _observe_batch(recorder, positions, fitnesses)
     _RUNNERS[config.algorithm](problem, rng, recorder, positions, fitnesses, sizes[1:])

@@ -185,6 +185,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     accepted: dict[tuple[str, str], object] = {}
     relabeled: list[str] = []
     for root in args.dirs:
+        if not Path(root).is_dir():
+            raise ConfigError(f"compare input {root} is not a directory")
         files = sorted(Path(root).rglob("summary.json"))
         by_algo: dict[str, list] = {}
         for f in files:

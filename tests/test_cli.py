@@ -279,6 +279,27 @@ def test_compare_without_summaries_exits_2(tmp_path, capsys):
     assert "no summary.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("missing_first", [False, True], ids=["typo-last", "typo-first"])
+def test_compare_with_a_missing_directory_exits_2_naming_it(tmp_path, capsys, missing_first):
+    # Path.rglob finds nothing under a missing path, so without the check
+    # a typo would drop that input silently and compare the rest.
+    runs = tmp_path / "runs"
+    for algo in ("lab", "random_search"):
+        assert run_cli(
+            ["run", "--problem", "F10", "--algo", algo, "--runs", "2", "--iters", "1",
+             "--budget", "5", "--out", str(runs)]
+        ) == 0
+    capsys.readouterr()
+    typo = tmp_path / "rnus"
+    dirs = [typo, runs] if missing_first else [runs, typo]
+    assert run_cli(["compare", *map(str, dirs)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: compare input {typo} is not a directory\n"
+    assert not (runs / "comparison").exists()
+    assert not typo.exists()
+
+
 def _without_finals(text):
     summary = json.loads(text)
     del summary["finals"]
