@@ -279,27 +279,6 @@ def test_compare_without_summaries_exits_2(tmp_path, capsys):
     assert "no summary.json" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("missing_first", [False, True], ids=["typo-last", "typo-first"])
-def test_compare_with_a_missing_directory_exits_2_naming_it(tmp_path, capsys, missing_first):
-    # Path.rglob finds nothing under a missing path, so without the check
-    # a typo would drop that input silently and compare the rest.
-    runs = tmp_path / "runs"
-    for algo in ("lab", "random_search"):
-        assert run_cli(
-            ["run", "--problem", "F10", "--algo", algo, "--runs", "2", "--iters", "1",
-             "--budget", "5", "--out", str(runs)]
-        ) == 0
-    capsys.readouterr()
-    typo = tmp_path / "rnus"
-    dirs = [typo, runs] if missing_first else [runs, typo]
-    assert run_cli(["compare", *map(str, dirs)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: compare input {typo} is not a directory\n"
-    assert not (runs / "comparison").exists()
-    assert not typo.exists()
-
-
 def _without_finals(text):
     summary = json.loads(text)
     del summary["finals"]
@@ -427,8 +406,13 @@ def test_oracle_rejects_benchmarks(tmp_path, capsys):
          "run counts differ on F10 (lab: 2, random_search: 3); pairing needs equal counts"),
         (["lab", "rs2"], "1.5", "alpha must be in (0, 1), got 1.5"),
         (["lab", "rs2"], "0", "alpha must be in (0, 1), got 0.0"),
+        # Path.rglob finds nothing under a missing path, so unchecked, a
+        # typo would drop that input and compare the others.
+        (["lab", "rs2", "typo"], "0.05", "compare input {tmp}/typo is not a directory"),
+        (["typo", "lab", "rs2"], "0.05", "compare input {tmp}/typo is not a directory"),
     ],
-    ids=["one-algorithm", "unequal-runs", "alpha-above-1", "alpha-0"],
+    ids=["one-algorithm", "unequal-runs", "alpha-above-1", "alpha-0",
+         "missing-last", "missing-first"],
 )
 def test_bad_compare_input_exits_2_naming_it(tmp_path, capsys, dirs, alpha, expected):
     for sub, algo, runs in (("lab", "lab", 2), ("rs2", "random_search", 2),
@@ -443,7 +427,9 @@ def test_bad_compare_input_exits_2_naming_it(tmp_path, capsys, dirs, alpha, expe
          "--out", str(tmp_path / "cmp")]
     )
     assert code == 2
-    assert capsys.readouterr().err == f"error: {expected}\n"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {expected.format(tmp=tmp_path)}\n"
     assert not (tmp_path / "cmp").exists()
 
 
