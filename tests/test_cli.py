@@ -88,6 +88,22 @@ def test_rerun_is_byte_identical(tmp_path):
     assert sa == sb
 
 
+@pytest.mark.parametrize("budget", ["400", "37"])  # 37: a partial last batch
+@pytest.mark.parametrize("problem", ["edm:MRR", "F10", "F32"])  # F32: noise per seed
+@pytest.mark.parametrize("algo", ["random_search", "sa", "pso"])
+def test_baseline_runs_of_several_seeds_write_each_seeds_lone_trace(
+    tmp_path, algo, problem, budget
+):
+    common = ["run", "--problem", problem, "--algo", algo, "--budget", budget]
+    assert run_cli([*common, "--runs", "5", "--seed", "3", "--out", str(tmp_path / "all")]) == 0
+    for seed in range(3, 8):
+        lone = tmp_path / f"seed{seed}"
+        assert run_cli([*common, "--seed", str(seed), "--out", str(lone)]) == 0
+        [run_dir] = (tmp_path / "all").iterdir()
+        name = f"trace_seed{seed}.csv"
+        assert (run_dir / name).read_bytes() == (lone / run_dir.name / name).read_bytes()
+
+
 def test_out_root_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("LABOPT_OUT", str(tmp_path / "envroot"))
     assert run_cli(["run", "--problem", "F25", "--iters", "5"]) == 0
