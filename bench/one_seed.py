@@ -1,4 +1,4 @@
-"""Time one-seed LAB and SA runs of two revisions in one process, in alternating pairs.
+"""Time one-seed LAB and baseline runs of two revisions in one process, in alternating pairs.
 
     python3 bench/one_seed.py --parent HEAD~1 --change HEAD --tag my-change \\
         --workdir /tmp/one-seed --seeds 0-19
@@ -8,11 +8,12 @@
 script makes ``git archive`` copies of both revisions, as
 ``bench/pairs.py`` does, and imports each copy's ``labopt`` under its own
 package name, so both run in one interpreter.  One pair per seed ``s``
-makes two passes over every catalog problem (the 23 machining models,
+makes four passes over every catalog problem (the 23 machining models,
 then the 27 benchmark functions built for seed ``s``), each on fresh
-problems: a LAB pass with ``engine.run(problem, LabConfig(seed=s))``
-and an SA pass with ``run_baseline`` at ``labopt run``'s default
-budget of 2,020 evaluations.  In each pass both sides run back to back
+problems: a LAB pass with ``engine.run(problem, LabConfig(seed=s))``,
+and an SA, a random-search and a PSO pass with ``run_baseline`` at
+``labopt run``'s default budget of 2,020 evaluations.  In each pass
+both sides run back to back
 problem by problem, the first side alternating, so a drift in machine
 speed falls on both sides alike.  A pass's time per side is the sum of
 its 50 runs; both sides' traces must be equal.  An unrecorded pair
@@ -41,7 +42,7 @@ from pairs import LIMITS, ROOT, SIDES, export, parse_seeds, quartiles
 
 
 # labopt run's default baseline budget: a population of 20 over 1 + 100 iterations.
-SA_BUDGET = 2020
+BASELINE_BUDGET = 2020
 
 
 def load(root: Path, name: str, packages: Path) -> tuple:
@@ -58,13 +59,21 @@ def run_lab(modules: tuple, problem, seed: int):
     return engine.run(problem, engine.LabConfig(seed=seed))
 
 
-def run_sa(modules: tuple, problem, seed: int):
-    baselines = modules[3]
-    config = baselines.BaselineConfig(baselines.ALGORITHM_SA, SA_BUDGET, seed)
-    return baselines.run_baseline(problem, config)
+def baseline_pass(algorithm: str):
+    """A pass that runs ``algorithm`` alone on one problem and seed."""
+
+    def run_one(modules: tuple, problem, seed: int):
+        baselines = modules[3]
+        config = baselines.BaselineConfig(algorithm, BASELINE_BUDGET, seed)
+        return baselines.run_baseline(problem, config)
+
+    return run_one
 
 
-PASSES = {"lab": run_lab, "sa": run_sa}
+PASSES = {
+    "lab": run_lab,
+    **{name: baseline_pass(name) for name in ("sa", "random_search", "pso")},
+}
 
 
 def catalog(modules: tuple, seed: int) -> list:
@@ -159,9 +168,10 @@ def main(argv: list[str] | None = None) -> int:
         },
         "limits": LIMITS.format(nproc=os.cpu_count()),
         "method": (
-            "one interpreter, both revisions imported; per seed s, two passes over fresh "
+            "one interpreter, both revisions imported; per seed s, four passes over fresh "
             "catalog problems, one with engine.run(problem, LabConfig(seed=s)) and one "
-            f"with run_baseline(problem, BaselineConfig('sa', {SA_BUDGET}, s)), each on "
+            f"with run_baseline(problem, BaselineConfig(algorithm, {BASELINE_BUDGET}, s)) "
+            "for each of sa, random_search and pso, each on "
             "both sides back to back, the first side alternating by problem and pair; "
             "a pass's time per side is the sum of its runs"
         ),

@@ -6,7 +6,7 @@ reference optimizers for head-to-head studies, and a paired
 signed-rank comparison harness.  ``labopt.cli`` exposes the same
 machinery as a command-line tool.
 """
-from .baselines import BASELINE_ALGORITHMS, BaselineConfig, run_baseline
+from .baselines import BASELINE_ALGORITHMS, BaselineConfig, run_baseline, run_baseline_seeds
 from .benchmarks import (
     BenchmarkSpec,
     build_problem,
@@ -56,6 +56,7 @@ __all__ = [
     "registry",
     "run",
     "run_baseline",
+    "run_baseline_seeds",
     "run_seeds",
     "summarize",
     "wilcoxon_two_sided",

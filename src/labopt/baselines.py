@@ -7,20 +7,36 @@ All three spend exactly ``config.budget`` objective evaluations, no
 more and no less, recording one trace row per batch of ``BATCH``
 evaluations, so their rows line up with the main optimizer's at its
 default population of 20.  All three start from the first batch the
-main optimizer starts from, ``rng.uniform(lower, upper, (n, dim))``
-from ``default_rng(seed)``, so up to one batch their traces differ only
-in the algorithm name.  Each row is its batch's first best point; for
-SA, whose batch is one temperature stage of single moves, that is the
-stage's first best move, kept as the stage runs.
+main optimizer starts from, ``engine.draw_uniform`` (bit for bit
+``rng.uniform(lower, upper, (n, dim))``) from ``default_rng(seed)``, so
+up to one batch their traces differ only in the algorithm name.  Each
+row is its batch's first best point; for SA, whose batch is one
+temperature stage of single moves, that is the stage's first best move,
+kept as the stage runs.
+
+The seeds of one problem run as one stack, as the main optimizer's do:
+each seed keeps its own generator, and ``engine.evaluate_seeds`` scores
+a batch of every seed (random search's draws, a swarm step, or one SA
+move of each seed) in one objective call when the seeds share an
+objective.  ``run_baseline`` is the one-seed stack.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Recorder, RunTrace, TERMINATION_BUDGET
-from .problem import Problem, ConfigError, is_better, oriented
+from .engine import (
+    TERMINATION_BUDGET,
+    Recorder,
+    RunTrace,
+    StepCost,
+    draw_uniform,
+    evaluate_seeds,
+    stackable,
+)
+from .problem import ConfigError, EvaluationError, Problem, is_better, oriented
 
 ALGORITHM_RANDOM = "random_search"
 ALGORITHM_SA = "sa"
@@ -37,6 +53,8 @@ SA_STEP_FRACTION = 0.1
 PSO_INERTIA = 0.72
 PSO_COGNITIVE = 1.49
 PSO_SOCIAL = 1.49
+# Scales a seed's (r1, r2) draws, shape (2, swarm, dim), in one product.
+_PSO_PULLS = np.array([PSO_COGNITIVE, PSO_SOCIAL])[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -54,12 +72,53 @@ class BaselineConfig:
             raise ConfigError("budget must be at least 1")
 
 
-def _observe_batch(
-    recorder: Recorder, positions: np.ndarray, fitnesses: np.ndarray
-) -> None:
-    """Record one evaluation batch by its first best point."""
-    idx = int(np.argmin(oriented(fitnesses, recorder.problem.sense)))
-    recorder.observe(float(fitnesses[idx]), positions[idx])
+class _Stack:
+    """The live seeds of a baseline stack: their problems, generators and recorders.
+
+    Every seed spends the same batches, and a failing seed leaves with
+    every seed above it, so the live seeds are always seeds ``0..n-1``
+    and an update rule drops the rows of the others by keeping the
+    first ``n``.  ``failed`` is the lowest failing seed's error, or
+    ``None``, and ``cost`` the live seeds' cost so far.
+    """
+
+    def __init__(self, problems: list[Problem], seed: int) -> None:
+        self.problems = problems
+        self.rngs = [np.random.default_rng(seed + k) for k in range(len(problems))]
+        self.recorders = [Recorder(problem) for problem in problems]
+        self.failed: EvaluationError | None = None
+        self.cost = StepCost()
+
+    def evaluate(self, X: np.ndarray) -> np.ndarray:
+        """The values of ``X``, each live seed's equal share of its rows in turn.
+
+        When a seed fails, the time since the last charge is split among
+        the live seeds, then it and the seeds above it leave the stack and
+        the values of the seeds below it are returned; with none below,
+        its error is raised at once.
+        """
+        values, failed = evaluate_seeds(self.problems, X)
+        if failed is not None:
+            if not len(values):
+                raise failed
+            self.failed = failed
+            self.cost.charge(len(self.problems))
+            live = len(values) * len(self.problems) // len(X)
+            del self.problems[live:], self.rngs[live:], self.recorders[live:]
+        return values
+
+    def observe_batch(self, positions: np.ndarray, fitnesses: np.ndarray) -> None:
+        """Record one batch of every live seed by its first best point.
+
+        ``positions[j]`` holds seed ``j``'s points and ``fitnesses`` the
+        live seeds' values, one seed's batch after another.
+        """
+        fitnesses = fitnesses.reshape(len(self.recorders), -1)
+        best = oriented(fitnesses, self.problems[0].sense).argmin(axis=1).tolist()
+        for recorder, seed_fit, seed_pos, i in zip(
+            self.recorders, fitnesses.tolist(), positions, best
+        ):
+            recorder.observe(seed_fit[i], seed_pos[i])
 
 
 def _batch_sizes(budget: int) -> list[int]:
@@ -69,67 +128,94 @@ def _batch_sizes(budget: int) -> list[int]:
     return sizes
 
 
-def _random_search(problem, rng, recorder, positions, fitnesses, sizes):
+def _random_search(stack, positions, fitnesses, sizes):
+    problem = stack.problems[0]
     for size in sizes:
-        positions = rng.uniform(problem.lower, problem.upper, (size, problem.dim))
-        _observe_batch(recorder, positions, problem.evaluate_batch(positions))
+        positions = draw_uniform(stack.rngs, problem, size)
+        stack.observe_batch(positions, stack.evaluate(positions.reshape(-1, problem.dim)))
 
 
-def _sa(problem, rng, recorder, positions, fitnesses, sizes):
-    # The first batch calibrates: start from its best point at a tenth of
-    # its fitness spread (1.0 if the batch is flat).
+def _sa(stack, positions, fitnesses, sizes):
+    # The first batch calibrates: each seed starts from its best point at
+    # a tenth of its fitness spread (1.0 if its batch is flat).
+    problem = stack.problems[0]
+    sense, rngs = problem.sense, stack.rngs
     step = SA_STEP_FRACTION * (problem.upper - problem.lower)
-    current = np.array(recorder.best_position)
-    current_fit = recorder.best_fitness
-    spread = float(np.max(fitnesses) - np.min(fitnesses))
-    temperature = 0.1 * spread if spread > 0 else 1.0
+    current = np.array([recorder.best_position for recorder in stack.recorders])
+    current_fit = [recorder.best_fitness for recorder in stack.recorders]
+    fitnesses = fitnesses.reshape(len(current), -1)
+    spread = (fitnesses.max(axis=1) - fitnesses.min(axis=1)).tolist()
+    temperature = [0.1 * s if s > 0 else 1.0 for s in spread]
+    noise = np.empty_like(current)
 
     for size in sizes:
         # The stage's row is its first best move.  oriented(inf) is the
         # worst value in either sense, so the first move replaces it.
-        best_fit = oriented(np.inf, problem.sense)
+        best_fit = [oriented(np.inf, sense)] * len(current)
+        best_pos = [None] * len(current)
         for _ in range(size):
-            proposal = (current + rng.normal(0.0, step)).clip(problem.lower, problem.upper)
-            fit = problem.evaluate_batch(proposal[None]).item()
-            if is_better(fit, best_fit, problem.sense):
-                best_pos, best_fit = proposal, fit
-            # Oriented gap: below zero is downhill in either sense.
-            delta = oriented(fit - current_fit, problem.sense)
-            if delta < 0 or rng.random() < np.exp(-delta / temperature):
-                current = proposal
-                current_fit = fit
-        recorder.observe(best_fit, best_pos)
-        temperature *= SA_COOLING
+            # Each seed's row, scaled once: the bits and the stream of
+            # rng.normal(0.0, step), at a fraction of its cost.
+            for rng, row in zip(rngs, noise):
+                rng.standard_normal(out=row)
+            noise *= step
+            proposals = (current + noise).clip(problem.lower, problem.upper)
+            fits = stack.evaluate(proposals).tolist()
+            if len(fits) < len(current):  # a failing seed left with those above it
+                current, noise = current[: len(fits)], noise[: len(fits)]
+            for j, fit in enumerate(fits):
+                if is_better(fit, best_fit[j], sense):
+                    best_pos[j], best_fit[j] = proposals[j], fit
+                # Oriented gap: below zero is downhill in either sense.
+                delta = oriented(fit - current_fit[j], sense)
+                if delta < 0 or rngs[j].random() < np.exp(-delta / temperature[j]):
+                    current[j] = proposals[j]
+                    current_fit[j] = fit
+        for recorder, fit, pos in zip(stack.recorders, best_fit, best_pos):
+            recorder.observe(fit, pos)
+        temperature = [t * SA_COOLING for t in temperature]
 
 
-def _pso(problem, rng, recorder, positions, fitnesses, sizes):
-    # The first batch is the swarm, at rest.
+def _pso(stack, positions, fitnesses, sizes):
+    # The first batch is the swarm, at rest, and each particle's best.
+    problem = stack.problems[0]
+    positions = positions[: len(stack.rngs)]
+    fitnesses = fitnesses.reshape(len(positions), -1)
     velocities = np.zeros_like(positions)
-    pbest_pos = positions.copy()
-    pbest_fit = fitnesses.copy()
-    gbest = np.array(recorder.best_position)
+    pbest_pos, pbest_fit = positions.copy(), fitnesses.copy()
 
     for count in sizes:
-        r1 = rng.random(positions.shape)
-        r2 = rng.random(positions.shape)
+        better = is_better(fitnesses, pbest_fit, problem.sense)
+        np.copyto(pbest_fit, fitnesses, where=better)
+        np.copyto(pbest_pos, positions, where=better[..., None])
+        gbest = np.array([recorder.best_position for recorder in stack.recorders])
+        # Each seed draws its r1, then its r2, in one call.
+        pull = np.empty((len(positions), 2, *positions.shape[1:]))
+        for rng, seed_pull in zip(stack.rngs, pull):
+            rng.random(out=seed_pull)
+        pull *= _PSO_PULLS  # PSO_COGNITIVE * r1 and PSO_SOCIAL * r2
         velocities = (
             PSO_INERTIA * velocities
-            + PSO_COGNITIVE * r1 * (pbest_pos - positions)
-            + PSO_SOCIAL * r2 * (gbest - positions)
+            + pull[:, 0] * (pbest_pos - positions)
+            + pull[:, 1] * (gbest[:, None] - positions)
         )
         positions = (positions + velocities).clip(problem.lower, problem.upper)
-        # Partial last batch evaluates a prefix of the swarm only.
-        fitnesses = problem.evaluate_batch(positions[:count])
-        _observe_batch(recorder, positions[:count], fitnesses)
-        better = is_better(fitnesses, pbest_fit[:count], problem.sense)
-        pbest_fit[:count][better] = fitnesses[better]
-        pbest_pos[:count][better] = positions[:count][better]
-        gbest = np.array(recorder.best_position)
+        # A partial batch, always the last, evaluates a prefix of each
+        # swarm only; no step follows to read its particles' bests.
+        batch = positions[:, :count]
+        fitnesses = stack.evaluate(batch.reshape(-1, problem.dim))
+        stack.observe_batch(batch, fitnesses)
+        live = len(stack.rngs)
+        if live < len(positions):  # a failing seed left with those above it
+            positions, velocities = positions[:live], velocities[:live]
+            pbest_pos, pbest_fit = pbest_pos[:live], pbest_fit[:live]
+        fitnesses = fitnesses.reshape(live, count)
 
 
-# The update rules.  Each continues a run whose first batch (``positions``
-# and their ``fitnesses``) is drawn and recorded, spending one batch per
-# entry of ``sizes`` and drawing from ``rng``.
+# The update rules.  Each continues a stack whose first batch
+# (``positions``, shape ``(seeds, n, dim)``, and their ``fitnesses``, one
+# seed's after another) is drawn and recorded, spending one batch per
+# entry of ``sizes``.
 _RUNNERS = {
     ALGORITHM_RANDOM: _random_search,
     ALGORITHM_SA: _sa,
@@ -139,19 +225,55 @@ _RUNNERS = {
 BASELINE_ALGORITHMS = tuple(_RUNNERS)
 
 
-def run_baseline(problem: Problem, config: BaselineConfig) -> RunTrace:
-    """Run one reference optimizer to budget exhaustion.
+def run_baseline_seeds(
+    problems: Sequence[Problem], config: BaselineConfig
+) -> Iterator[RunTrace]:
+    """Run one reference optimizer on every seed of one problem as one stack.
 
-    Every algorithm starts from the same uniform batch drawn from the
-    seed's generator and recorded as the first trace row; its rule then
-    spends the remaining batches.
+    Seed ``k`` runs on ``problems[k]`` with the generator
+    ``default_rng(config.seed + k)``; the problems must share name,
+    dimension, box and sense.  Every seed starts from the same uniform
+    batch its generator gives ``engine.init``, recorded as the first
+    trace row, and its rule then spends the remaining batches.  A seed's
+    trace equals its lone run's whenever its objective gives it the
+    values a lone run gets, as ``engine.run_seeds`` says.
+
+    The traces are yielded in seed order once every seed has spent its
+    budget; a trace's ``runtime_seconds`` is the seed's share of each
+    batch's wall time (see ``RunTrace``).  When an objective returns a
+    non-finite value, the lowest failing seed's ``EvaluationError`` (the
+    one its lone run raises) is raised in place of its trace, after the
+    traces of the seeds below it.  As in ``engine.run_seeds``, a shared
+    call that meets that value is evaluated again one seed at a time, up
+    to the failing seed.
+
+    Raises
+    ------
+    ConfigError
+        At the call, for an invalid config, no problems, or problems
+        that differ in name, dimension, box or sense.
     """
     config.validate()
-    rng = np.random.default_rng(config.seed)
-    recorder = Recorder(problem)
+    return _run_stack(stackable(problems), config)
+
+
+def _run_stack(problems: list[Problem], config: BaselineConfig) -> Iterator[RunTrace]:
+    stack = _Stack(problems, config.seed)
     sizes = _batch_sizes(config.budget)
-    positions = rng.uniform(problem.lower, problem.upper, (sizes[0], problem.dim))
-    fitnesses = problem.evaluate_batch(positions)
-    _observe_batch(recorder, positions, fitnesses)
-    _RUNNERS[config.algorithm](problem, rng, recorder, positions, fitnesses, sizes[1:])
-    return recorder.trace(config.algorithm, config.seed, config.budget, TERMINATION_BUDGET)
+    positions = draw_uniform(stack.rngs, problems[0], sizes[0])
+    fitnesses = stack.evaluate(positions.reshape(-1, problems[0].dim))
+    stack.observe_batch(positions, fitnesses)
+    _RUNNERS[config.algorithm](stack, positions, fitnesses, sizes[1:])
+    stack.cost.charge(len(stack.recorders))
+    for k, recorder in enumerate(stack.recorders):
+        yield recorder.trace(
+            config.algorithm, config.seed + k, config.budget, TERMINATION_BUDGET,
+            stack.cost.seconds,
+        )
+    if stack.failed is not None:
+        raise stack.failed
+
+
+def run_baseline(problem: Problem, config: BaselineConfig) -> RunTrace:
+    """Run one reference optimizer to budget exhaustion: the one-seed stack."""
+    return next(run_baseline_seeds([problem], config))

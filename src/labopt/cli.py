@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from . import benchmarks, machining
-from .baselines import BASELINE_ALGORITHMS, BaselineConfig, run_baseline
+from .baselines import BASELINE_ALGORITHMS, BaselineConfig, run_baseline_seeds
 from .engine import ALGORITHM_LAB, LabConfig, RunTrace, run_seeds
 from .persist import (
     format_report_text,
@@ -120,13 +120,12 @@ def cmd_list_problems(args: argparse.Namespace) -> int:
     return 0
 
 
-def _traces(
-    args: argparse.Namespace, build: Callable[[int], Problem]
-) -> Iterator[RunTrace]:
-    """Each seed's trace, in seed order; LAB runs all seeds as one stack."""
-    seeds = range(args.seed, args.seed + args.runs)
+def _stack(
+    args: argparse.Namespace,
+) -> tuple[Callable[..., Iterator[RunTrace]], LabConfig | BaselineConfig]:
+    """``--algo``'s stacked run and the config it takes from the options."""
     if args.algo == ALGORITHM_LAB:
-        config = LabConfig(
+        return run_seeds, LabConfig(
             num_groups=args.groups,
             group_size=args.group_size,
             max_iterations=args.iters,
@@ -135,15 +134,20 @@ def _traces(
             greedy_acceptance=args.greedy,
             seed=args.seed,
         )
-        return run_seeds([build(seed) for seed in seeds], config)
     # Same spend as a full-length population run by default.
     budget = args.budget or args.groups * args.group_size * (args.iters + 1)
-    return (
-        run_baseline(
-            build(seed), BaselineConfig(algorithm=args.algo, budget=budget, seed=seed)
-        )
-        for seed in seeds
+    return run_baseline_seeds, BaselineConfig(
+        algorithm=args.algo, budget=budget, seed=args.seed
     )
+
+
+def _traces(
+    args: argparse.Namespace, build: Callable[[int], Problem]
+) -> Iterator[RunTrace]:
+    """Each seed's trace, in seed order: the seeds of a problem run as one stack."""
+    run_stack, config = _stack(args)
+    seeds = range(args.seed, args.seed + args.runs)
+    return run_stack([build(seed) for seed in seeds], config)
 
 
 def cmd_run(args: argparse.Namespace) -> int:

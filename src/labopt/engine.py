@@ -25,6 +25,8 @@ evaluates them in one batch when the seeds share an objective; each
 seed keeps its own generator, ranking and stopping rule, so a seed
 runs as it would alone as long as the objective gives it the same
 values (``run_seeds`` says when).  ``run`` is the one-seed stack.
+The baselines stack their seeds the same way, through the same
+``evaluate_seeds`` and ``Recorder``.
 """
 from __future__ import annotations
 
@@ -130,8 +132,12 @@ class RunTrace:
     leader and may regress when ``greedy_acceptance`` is off;
     ``best_so_far`` never regresses.  Fitness values are reported in
     the user's sense (maximization values are not negated).
-    ``runtime_seconds`` is the run's wall time, initialization
-    included; it is not persisted and takes no part in equality.
+    ``runtime_seconds`` is the run's cost in wall seconds: the wall
+    time of each step it took (initialization being step 0), split
+    evenly among the seeds of its stack that took that step.  A lone
+    run's cost is its wall time, and the costs of a stack's seeds add
+    up to the stack's.  It is not persisted and takes no part in
+    equality.
     """
 
     problem: str
@@ -151,11 +157,10 @@ class RunTrace:
 
 
 class Recorder:
-    """One run's records, its best point so far and its wall time.
+    """One run's records and its best point so far.
 
-    The clock starts when the recorder is made.  ``observe`` is called
-    once after initialization and once per step, with that step's best
-    point; ``trace`` builds the finished run.
+    ``observe`` is called once after initialization and once per step,
+    with that step's best point; ``trace`` builds the finished run.
     """
 
     def __init__(self, problem: Problem) -> None:
@@ -163,7 +168,6 @@ class Recorder:
         self.records: list[IterationRecord] = []
         self.best_fitness: float | None = None
         self.best_position: np.ndarray | None = None
-        self._start = time.perf_counter()
 
     def observe(
         self, fitness: float, position: np.ndarray, leaders: Sequence[float] = ()
@@ -184,7 +188,12 @@ class Recorder:
         )
 
     def trace(
-        self, algorithm: str, seed: int, n_evaluations: int, termination: str
+        self,
+        algorithm: str,
+        seed: int,
+        n_evaluations: int,
+        termination: str,
+        runtime_seconds: float,
     ) -> RunTrace:
         return RunTrace(
             problem=self.problem.name,
@@ -196,8 +205,34 @@ class Recorder:
             best_position=tuple(float(v) for v in self.best_position),
             n_evaluations=n_evaluations,
             termination=termination,
-            runtime_seconds=time.perf_counter() - self._start,
+            runtime_seconds=runtime_seconds,
         )
+
+
+class StepCost:
+    """A stacked seed's cost so far: its share of the wall time of each step.
+
+    Every seed of a stack takes the steps from the first until it
+    leaves, so the seeds still in the stack have the same cost so far,
+    ``seconds``.  The share of a step only changes when the stack does,
+    so the clock is read then: ``charge`` splits the time since the
+    last charge evenly among the ``seeds`` that took those steps.  A
+    seed that failed in them leaves without a trace, and its share with
+    it.  ``restart`` leaves the time since the last charge out of every
+    seed's cost.
+    """
+
+    def __init__(self) -> None:
+        self.seconds = 0.0
+        self.restart()
+
+    def restart(self) -> None:
+        self._since = time.perf_counter()
+
+    def charge(self, seeds: int) -> None:
+        now = time.perf_counter()
+        self.seconds += (now - self._since) / seeds
+        self._since = now
 
 
 ALGORITHM_LAB = "lab"
@@ -281,38 +316,70 @@ def rank(state: State, sense: Sense) -> None:
         state.order = np.array(stacks)
 
 
-def _evaluate(state: State, problems: Sequence[Problem], X: np.ndarray) -> np.ndarray:
-    """The values of ``X``, each live seed's batch in turn, as one array.
+def evaluate_seeds(
+    problems: Sequence[Problem], X: np.ndarray
+) -> tuple[np.ndarray, EvaluationError | None]:
+    """The values of ``X``, seed ``j``'s equal share of its rows in turn.
 
-    One objective call scores the whole stack when the live seeds share
-    an objective, as a lone seed does.  Otherwise, or when that call
-    meets a non-finite value in a stack of several seeds, each seed's
-    batch (its equal share of the rows) is evaluated alone, in seed
-    order, so a failing seed gets the very error a run of it alone
-    raises.  That error, with the iteration, replaces ``failed``: any
+    Seed ``j`` is evaluated by ``problems[j]``.  One objective call
+    scores all of ``X`` when the seeds' objectives compare equal, as a
+    lone seed's does.  Otherwise, or when that call meets a non-finite
+    value in a stack of several seeds, each seed's share is evaluated
+    alone, in seed order, so a failing seed gets the very error a run of
+    it alone raises.  Returns the values and ``None``; or, when seed
+    ``j`` fails, the values of seeds ``0..j-1`` and seed ``j``'s error.
+    """
+    values: list[np.ndarray] = []
+    try:
+        if all(p.objective == problems[0].objective for p in problems[1:]):
+            try:
+                return problems[0].evaluate_batch(X), None
+            except EvaluationError:
+                if len(problems) == 1:
+                    raise
+                # found again below, with the failing seed's own share
+        size = len(X) // len(problems)
+        for j, problem in enumerate(problems):
+            values.append(problem.evaluate_batch(X[j * size : (j + 1) * size]))
+    except EvaluationError as exc:
+        return np.ravel(values), exc
+    return np.ravel(values), None
+
+
+def _evaluate(state: State, problems: Sequence[Problem], X: np.ndarray) -> np.ndarray:
+    """The values of ``X``, each live seed's batch in turn, by ``evaluate_seeds``.
+
+    A failing seed's error, with the iteration, replaces ``failed``: any
     earlier one came from a higher seed, which has left the stack.  The
     failing seed leaves it too, together with every seed above it, whose
     traces would not be reported; the values of the seeds below it are
     returned.
     """
-    live = [problems[k] for k in state.seeds]
-    values: list[np.ndarray] = []
-    try:
-        if all(p.objective == live[0].objective for p in live[1:]):
-            try:
-                return live[0].evaluate_batch(X)
-            except EvaluationError:
-                if len(live) == 1:
-                    raise
-                # found again below, with the failing seed's own batch
-        size = len(X) // len(live)
-        for j, problem in enumerate(live):
-            values.append(problem.evaluate_batch(X[j * size : (j + 1) * size]))
-    except EvaluationError as exc:
-        exc.iteration = state.iteration
-        state.failed = exc
-        state.keep(list(range(len(values))))
-    return np.ravel(values)
+    values, failed = evaluate_seeds([problems[k] for k in state.seeds], X)
+    if failed is not None:
+        failed.iteration = state.iteration
+        state.failed = failed
+        state.keep(list(range(len(values) * len(state.seeds) // len(X))))
+    return values
+
+
+def draw_uniform(
+    rngs: Sequence[np.random.Generator], problem: Problem, size: int
+) -> np.ndarray:
+    """A ``(size, dim)`` batch drawn uniformly over the box from each generator.
+
+    Returns shape ``(len(rngs), size, dim)``.  Seed ``j``'s batch is
+    ``rngs[j].uniform(problem.lower, problem.upper, (size, dim))`` bit
+    for bit and draw for draw: numpy computes that as ``lower + (upper -
+    lower) * rng.random((size, dim))``, one draw per element, behind
+    argument checks that cost most of its time at these sizes.
+    """
+    block = np.empty((len(rngs), size, problem.dim))
+    for rng, seed_block in zip(rngs, block):
+        rng.random(out=seed_block)
+    block *= problem.upper - problem.lower
+    block += problem.lower
+    return block
 
 
 def init(problems: Sequence[Problem], config: LabConfig) -> State:
@@ -327,9 +394,7 @@ def init(problems: Sequence[Problem], config: LabConfig) -> State:
     first = problems[0]
     pop = config.population
     rngs = [np.random.default_rng(config.seed + k) for k in range(len(problems))]
-    pos = np.concatenate(
-        [rng.uniform(first.lower, first.upper, size=(pop, first.dim)) for rng in rngs]
-    )
+    pos = draw_uniform(rngs, first, pop).reshape(-1, first.dim)
     state = State(
         pos=pos,
         fit=np.full(len(pos), np.nan),
@@ -452,8 +517,9 @@ def run_seeds(
     leader fitness ever seen in that slot; slot 0's is the best fitness.
 
     Traces are yielded in seed order, trace ``k`` once seeds ``0..k``
-    have all finished; its ``runtime_seconds`` is the wall time from the
-    start of the stack to the end of seed ``k``.  When an objective
+    have all finished; its ``runtime_seconds`` is seed ``k``'s cost, its
+    share of each step it took (see ``RunTrace``), and the time the
+    caller holds a yielded trace is no seed's cost.  When an objective
     returns a non-finite value, the lowest failing seed's
     ``EvaluationError`` (the one ``run`` raises for it, with its
     ``iteration``) is raised in place of its trace, after the traces of
@@ -470,8 +536,17 @@ def run_seeds(
     if config is None:
         config = LabConfig()
     config.validate()
+    return _run_stack(stackable(problems), config)
+
+
+def stackable(problems: Sequence[Problem]) -> list[Problem]:
+    """``problems`` as a list, checked to be one problem, one per seed.
+
+    Raises ``ConfigError`` for no problems, or for problems that differ
+    in name, dimension, box or sense.
+    """
     if not problems:
-        raise ConfigError("run_seeds needs at least one problem")
+        raise ConfigError("stacked seeds need at least one problem")
     first = problems[0]
     for problem in problems[1:]:
         if (
@@ -484,7 +559,7 @@ def run_seeds(
                 f"stacked seeds need one problem; '{problem.name}' differs from "
                 f"'{first.name}' in name, dimension, box or sense"
             )
-    return _run_stack(list(problems), config)
+    return list(problems)
 
 
 def _run_stack(problems: list[Problem], config: LabConfig) -> Iterator[RunTrace]:
@@ -493,32 +568,40 @@ def _run_stack(problems: list[Problem], config: LabConfig) -> Iterator[RunTrace]
     histories: list[list[list[float]]] = [[] for _ in problems]
     finished: dict[int, RunTrace] = {}
     reported = 0
+    cost = StepCost()
     state = init(problems, config)
+    taking = len(problems)  # the seeds that took every step since the last charge
     while True:
         heads = state.order[..., 0]
-        bests = zip(state.seeds, state.fit[heads].tolist(), heads[:, 0].tolist())
-        stay = []
-        for j, (k, leaders, best) in enumerate(bests):
+        fit = state.fit[heads]
+        bests = zip(
+            state.seeds, fit.tolist(), oriented(fit, sense).tolist(), heads[:, 0].tolist()
+        )
+        stay, done = [], []
+        for j, (k, leaders, current, best) in enumerate(bests):
             recorders[k].observe(leaders[0], state.pos[best], leaders)
             history = histories[k]
-            current = [oriented(v, sense) for v in leaders]
             history.append(list(map(min, history[-1], current)) if history else current)
             if state.iteration == config.max_iterations:
-                termination = TERMINATION_MAX_ITERATIONS
+                done.append((k, TERMINATION_MAX_ITERATIONS))
             elif _stalled(history, config.stall_window, config.stall_epsilon):
-                termination = TERMINATION_STALLED
+                done.append((k, TERMINATION_STALLED))
             else:
                 stay.append(j)
-                continue
-            evaluations = config.population * (state.iteration + 1)
+        if len(stay) < taking:  # seeds finished or failed: the stack changes
+            cost.charge(taking)
+            taking = len(stay)
+        evaluations = config.population * (state.iteration + 1)
+        for k, termination in done:
             finished[k] = recorders[k].trace(
-                ALGORITHM_LAB, config.seed + k, evaluations, termination
+                ALGORITHM_LAB, config.seed + k, evaluations, termination, cost.seconds
             )
         if len(stay) < len(state.seeds):
             state.keep(stay)
         while reported in finished:
             yield finished.pop(reported)
             reported += 1
+            cost.restart()  # the caller's time is no seed's cost
         if not state.seeds:
             if state.failed is not None:
                 raise state.failed

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from labopt import cli, machining
-from labopt.baselines import ALGORITHM_RANDOM, BaselineConfig, run_baseline
+from labopt.baselines import ALGORITHM_RANDOM, BaselineConfig, run_baseline_seeds
 from labopt.benchmarks import build_problem, get as get_benchmark
 from labopt.engine import LabConfig, draw_weights, init, run_seeds, step
 from labopt.machining import grid_oracle, machining_registry
@@ -310,14 +310,16 @@ def test_beats_random_search_at_equal_budget():
             [build_problem(spec_id) for _ in EQUAL_BUDGET_SEEDS],
             LabConfig(seed=EQUAL_BUDGET_SEEDS[0]),
         )
-        for seed, trace in zip(EQUAL_BUDGET_SEEDS, lab, strict=True):
+        rs = run_baseline_seeds(
+            [build_problem(spec_id) for _ in EQUAL_BUDGET_SEEDS],
+            BaselineConfig(
+                algorithm=ALGORITHM_RANDOM, budget=budget, seed=EQUAL_BUDGET_SEEDS[0]
+            ),
+        )
+        for trace, rs_trace in zip(lab, rs, strict=True):
             lab_finals.append(trace.best_fitness)
             lab_evals.append(trace.n_evaluations)
-            rs = run_baseline(
-                build_problem(spec_id),
-                BaselineConfig(algorithm=ALGORITHM_RANDOM, budget=budget, seed=seed),
-            )
-            rs_finals.append(rs.best_fitness)
+            rs_finals.append(rs_trace.best_fitness)
         lab_med = float(np.median(lab_finals))
         rs_med = float(np.median(rs_finals))
         won = lab_med < rs_med  # all seven problems minimize

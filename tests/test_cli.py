@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from labopt import benchmarks, cli, machining
+from labopt.baselines import BaselineConfig, run_baseline
 from labopt.persist import read_summary, read_trace
+from labopt.problem import EvaluationError
 
 
 def run_cli(argv):
@@ -620,6 +622,39 @@ def test_nonfinite_value_at_an_sa_move_is_reported_as_a_batch_row(
         "error: F10 [sa] seed 4: objective of 'F10' returned nan (batch row 0) "
         f"at position ({position})\n"
     )
+
+
+@pytest.mark.parametrize("algo, center", [("random_search", -3.0), ("sa", 5.5), ("pso", 7.5)])
+def test_a_baseline_seed_failing_in_a_shared_objective_is_named_with_its_own_error(
+    tmp_path, capsys, monkeypatch, algo, center
+):
+    # One objective for every seed, NaN in a band of F10 that seed 1
+    # alone meets after its first batch and seed 0 alone never meets.
+    real_build = cli.benchmarks.build_problem
+    f10 = real_build("F10").objective
+
+    def nan_in_a_band(x):
+        return np.where(np.abs(x[:, 0] - center) < 0.05, np.nan, f10(x))
+
+    def build(spec_id, dim=None, noise_seed=None):
+        problem = real_build(spec_id, dim=dim, noise_seed=noise_seed)
+        problem.objective = nan_in_a_band
+        return problem
+
+    monkeypatch.setattr(cli.benchmarks, "build_problem", build)
+    with pytest.raises(EvaluationError) as alone:
+        run_baseline(build("F10"), BaselineConfig(algorithm=algo, budget=400, seed=1))
+    code = run_cli(
+        ["run", "--problem", "F10", "--algo", algo, "--budget", "400", "--runs", "3",
+         "--out", str(tmp_path)]
+    )
+    assert code == 2
+    position = ", ".join(repr(v) for v in alone.value.position.tolist())
+    assert capsys.readouterr().err == (
+        f"error: F10 [{algo}] seed 1: {alone.value} at position ({position})\n"
+    )
+    run_dir = tmp_path / f"F10__{algo}"
+    assert sorted(p.name for p in run_dir.iterdir()) == ["trace_seed0.csv"]
 
 
 def test_value_error_inside_an_objective_gives_a_traceback(tmp_path, monkeypatch):

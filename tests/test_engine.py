@@ -883,6 +883,31 @@ def test_a_failing_shared_call_is_evaluated_again_only_up_to_the_failing_seed():
     assert np.array_equal(lone.failed.position, X[config.population + 4])
 
 
+def test_a_seeds_cost_is_its_share_of_each_step_it_took(step_clock):
+    # Seed 0's constant objective stalls at iteration 21, seed 1 runs to
+    # 40; each objective call takes one second.  Both seeds take the 22
+    # steps 0..21, of two calls each, and seed 1 alone the 19 after them.
+    clock = step_clock
+    config = LabConfig(num_groups=2, group_size=3, max_iterations=40)
+    flat = box_problem(objective=clock.ticking(lambda x: np.full(len(x), 4.25)))
+    bowl = box_problem(objective=clock.ticking(sphere))
+    stack = run_seeds([flat, bowl], config)
+    first = next(stack)
+    clock.now += 100.0  # the caller's time with a trace is no seed's cost
+    second = next(stack)
+    assert first.iterations == 21 and second.iterations == 40
+    assert first.runtime_seconds == 22.0
+    assert second.runtime_seconds == 22.0 + 19.0
+    assert first.runtime_seconds + second.runtime_seconds == clock.now - 100.0
+
+    # A lone seed's cost is its wall time, on a shared call or its own.
+    for seeds in ([bowl], [bowl, bowl]):
+        clock.now = 0.0
+        costs = [trace.runtime_seconds for trace in run_seeds(seeds, config)]
+        assert sum(costs) == pytest.approx(clock.now) and clock.now == 41.0
+        assert costs == [pytest.approx(41.0 / len(seeds))] * len(seeds)
+
+
 def test_run_seeds_rejects_problems_that_differ():
     p = box_problem()
     for other in (
