@@ -14,11 +14,12 @@ row is its batch's first best point; for SA, whose batch is one
 temperature stage of single moves, that is the stage's first best move,
 kept as the stage runs.
 
-The seeds of one problem run as one stack, as the main optimizer's do:
-each seed keeps its own generator, and ``engine.evaluate_seeds`` scores
-a batch of every seed (random search's draws, a swarm step, or one SA
-move of each seed) in one objective call when the seeds share an
-objective.  ``run_baseline`` is the one-seed stack.
+The seeds of one problem run as one ``engine.Stack``, as the main
+optimizer's do, under the same rules: each seed keeps its own generator,
+one objective call scores a batch of every seed (random search's draws,
+a swarm step, or one SA move of each seed) when the seeds share an
+objective, and the lowest failing seed's error is raised in place of
+its trace.  ``run_baseline`` is the one-seed stack.
 """
 from __future__ import annotations
 
@@ -27,16 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (
-    TERMINATION_BUDGET,
-    Recorder,
-    RunTrace,
-    StepCost,
-    draw_uniform,
-    evaluate_seeds,
-    stackable,
-)
-from .problem import ConfigError, EvaluationError, Problem, is_better, oriented
+from .engine import TERMINATION_BUDGET, RunTrace, Stack, draw_uniform, stackable
+from .problem import ConfigError, Problem, is_better, oriented
 
 ALGORITHM_RANDOM = "random_search"
 ALGORITHM_SA = "sa"
@@ -72,53 +65,18 @@ class BaselineConfig:
             raise ConfigError("budget must be at least 1")
 
 
-class _Stack:
-    """The live seeds of a baseline stack: their problems, generators and recorders.
+def observe_batch(stack: Stack, positions: np.ndarray, fitnesses: np.ndarray) -> None:
+    """Record one batch of every live seed by its first best point.
 
-    Every seed spends the same batches, and a failing seed leaves with
-    every seed above it, so the live seeds are always seeds ``0..n-1``
-    and an update rule drops the rows of the others by keeping the
-    first ``n``.  ``failed`` is the lowest failing seed's error, or
-    ``None``, and ``cost`` the live seeds' cost so far.
+    ``positions[j]`` holds live seed ``j``'s points and ``fitnesses`` the
+    live seeds' values, one seed's batch after another.
     """
-
-    def __init__(self, problems: list[Problem], seed: int) -> None:
-        self.problems = problems
-        self.rngs = [np.random.default_rng(seed + k) for k in range(len(problems))]
-        self.recorders = [Recorder(problem) for problem in problems]
-        self.failed: EvaluationError | None = None
-        self.cost = StepCost()
-
-    def evaluate(self, X: np.ndarray) -> np.ndarray:
-        """The values of ``X``, each live seed's equal share of its rows in turn.
-
-        When a seed fails, the time since the last charge is split among
-        the live seeds, then it and the seeds above it leave the stack and
-        the values of the seeds below it are returned; with none below,
-        its error is raised at once.
-        """
-        values, failed = evaluate_seeds(self.problems, X)
-        if failed is not None:
-            if not len(values):
-                raise failed
-            self.failed = failed
-            self.cost.charge(len(self.problems))
-            live = len(values) * len(self.problems) // len(X)
-            del self.problems[live:], self.rngs[live:], self.recorders[live:]
-        return values
-
-    def observe_batch(self, positions: np.ndarray, fitnesses: np.ndarray) -> None:
-        """Record one batch of every live seed by its first best point.
-
-        ``positions[j]`` holds seed ``j``'s points and ``fitnesses`` the
-        live seeds' values, one seed's batch after another.
-        """
-        fitnesses = fitnesses.reshape(len(self.recorders), -1)
-        best = oriented(fitnesses, self.problems[0].sense).argmin(axis=1).tolist()
-        for recorder, seed_fit, seed_pos, i in zip(
-            self.recorders, fitnesses.tolist(), positions, best
-        ):
-            recorder.observe(seed_fit[i], seed_pos[i])
+    fitnesses = fitnesses.reshape(len(stack.recorders), -1)
+    best = oriented(fitnesses, stack.problems[0].sense).argmin(axis=1).tolist()
+    for recorder, seed_fit, seed_pos, i in zip(
+        stack.recorders, fitnesses.tolist(), positions, best
+    ):
+        recorder.observe(seed_fit[i], seed_pos[i])
 
 
 def _batch_sizes(budget: int) -> list[int]:
@@ -132,7 +90,7 @@ def _random_search(stack, positions, fitnesses, sizes):
     problem = stack.problems[0]
     for size in sizes:
         positions = draw_uniform(stack.rngs, problem, size)
-        stack.observe_batch(positions, stack.evaluate(positions.reshape(-1, problem.dim)))
+        observe_batch(stack, positions, stack.evaluate(positions.reshape(-1, problem.dim)))
 
 
 def _sa(stack, positions, fitnesses, sizes):
@@ -204,7 +162,7 @@ def _pso(stack, positions, fitnesses, sizes):
         # swarm only; no step follows to read its particles' bests.
         batch = positions[:, :count]
         fitnesses = stack.evaluate(batch.reshape(-1, problem.dim))
-        stack.observe_batch(batch, fitnesses)
+        observe_batch(stack, batch, fitnesses)
         live = len(stack.rngs)
         if live < len(positions):  # a failing seed left with those above it
             positions, velocities = positions[:live], velocities[:live]
@@ -234,18 +192,14 @@ def run_baseline_seeds(
     ``default_rng(config.seed + k)``; the problems must share name,
     dimension, box and sense.  Every seed starts from the same uniform
     batch its generator gives ``engine.init``, recorded as the first
-    trace row, and its rule then spends the remaining batches.  A seed's
-    trace equals its lone run's whenever its objective gives it the
-    values a lone run gets, as ``engine.run_seeds`` says.
-
-    The traces are yielded in seed order once every seed has spent its
-    budget; a trace's ``runtime_seconds`` is the seed's share of each
-    batch's wall time (see ``RunTrace``).  When an objective returns a
-    non-finite value, the lowest failing seed's ``EvaluationError`` (the
-    one its lone run raises) is raised in place of its trace, after the
-    traces of the seeds below it.  As in ``engine.run_seeds``, a shared
-    call that meets that value is evaluated again one seed at a time, up
-    to the failing seed.
+    trace row, and its rule then spends the remaining batches.  The
+    ``engine.Stack`` rules hold as for ``engine.run_seeds``, a batch
+    being a step: one objective call scores a batch of every seed that
+    shares an objective, the traces come in seed order, once every seed
+    has spent its budget, each with its seed's share of the batches as
+    its cost, and the lowest failing seed's ``EvaluationError`` (the one
+    its lone run raises, with no ``iteration``) is raised in place of
+    its trace.
 
     Raises
     ------
@@ -258,20 +212,14 @@ def run_baseline_seeds(
 
 
 def _run_stack(problems: list[Problem], config: BaselineConfig) -> Iterator[RunTrace]:
-    stack = _Stack(problems, config.seed)
+    stack = Stack(problems, config.seed)
     sizes = _batch_sizes(config.budget)
     positions = draw_uniform(stack.rngs, problems[0], sizes[0])
     fitnesses = stack.evaluate(positions.reshape(-1, problems[0].dim))
-    stack.observe_batch(positions, fitnesses)
+    observe_batch(stack, positions, fitnesses)
     _RUNNERS[config.algorithm](stack, positions, fitnesses, sizes[1:])
-    stack.cost.charge(len(stack.recorders))
-    for k, recorder in enumerate(stack.recorders):
-        yield recorder.trace(
-            config.algorithm, config.seed + k, config.budget, TERMINATION_BUDGET,
-            stack.cost.seconds,
-        )
-    if stack.failed is not None:
-        raise stack.failed
+    done = dict.fromkeys(range(len(stack.seeds)), TERMINATION_BUDGET)
+    yield from stack.finish(done, config.algorithm, config.budget)
 
 
 def run_baseline(problem: Problem, config: BaselineConfig) -> RunTrace:

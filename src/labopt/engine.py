@@ -24,9 +24,10 @@ draws every seed's weights, builds every proposal by broadcasting and
 evaluates them in one batch when the seeds share an objective; each
 seed keeps its own generator, ranking and stopping rule, so a seed
 runs as it would alone as long as the objective gives it the same
-values (``run_seeds`` says when).  ``run`` is the one-seed stack.
-The baselines stack their seeds the same way, through the same
-``evaluate_seeds`` and ``Recorder``.
+values.  ``run`` is the one-seed stack.  A ``Stack`` holds the live
+seeds of LAB and of the baselines alike: their generators and
+recorders, the shared objective call, the failure rule, the seed-order
+yield of the traces and each seed's cost.
 """
 from __future__ import annotations
 
@@ -44,36 +45,25 @@ _WEIGHT_SUM_TOL = 1e-12
 
 @dataclass
 class State:
-    """The stacked populations of a problem's seeds and their run state.
+    """The stacked populations of a problem's seeds and their ``Stack``.
 
     Individual ``i`` of stack seed ``k`` has id ``k * population + i``.
     ``pos`` has shape ``(seeds * population, dim)`` and ``fit`` shape
     ``(seeds * population,)``, both indexed by id; ids never change and
-    break fitness ties.  The other fields cover the live seeds only:
-    ``seeds[j]`` is the stack index of live seed ``j`` and ``rngs[j]``
-    its generator, and ``order`` has shape ``(live, num_groups,
-    group_size)``: ``order[j, g]`` holds the ids of live seed ``j``'s
-    ``g``-th ranked group, leader first, then advocate, then believers,
-    so ``order[j, 0, 0]`` is its global leader.  Live seeds have all
-    taken ``iteration`` steps, so each has made ``population *
-    (iteration + 1)`` evaluations.  ``failed`` is the error of the
-    lowest seed whose objective returned a non-finite value, or
-    ``None``; every seed from that one up has left the stack.
+    break fitness ties.  ``order`` covers the live seeds of ``stack``
+    only, in its order: it has shape ``(live, num_groups, group_size)``,
+    and ``order[j, g]`` holds the ids of live seed ``j``'s ``g``-th
+    ranked group, leader first, then advocate, then believers, so
+    ``order[j, 0, 0]`` is its global leader.  Live seeds have all taken
+    ``iteration`` steps, so each has made ``population * (iteration +
+    1)`` evaluations.
     """
 
     pos: np.ndarray
     fit: np.ndarray
     order: np.ndarray
-    rngs: list[np.random.Generator]
-    seeds: list[int]
+    stack: Stack
     iteration: int
-    failed: EvaluationError | None = None
-
-    def keep(self, rows: list[int]) -> None:
-        """Keep only the live seeds in ``rows`` (positions in ``seeds``)."""
-        self.order = self.order[rows]
-        self.rngs = [self.rngs[j] for j in rows]
-        self.seeds = [self.seeds[j] for j in rows]
 
 
 @dataclass(frozen=True)
@@ -209,30 +199,120 @@ class Recorder:
         )
 
 
-class StepCost:
-    """A stacked seed's cost so far: its share of the wall time of each step.
+class Stack:
+    """The live seeds of one problem's stack, for every algorithm.
 
-    Every seed of a stack takes the steps from the first until it
-    leaves, so the seeds still in the stack have the same cost so far,
-    ``seconds``.  The share of a step only changes when the stack does,
-    so the clock is read then: ``charge`` splits the time since the
-    last charge evenly among the ``seeds`` that took those steps.  A
-    seed that failed in them leaves without a trace, and its share with
-    it.  ``restart`` leaves the time since the last charge out of every
-    seed's cost.
+    Stack seed ``k`` runs ``problems[k]`` with the generator
+    ``default_rng(seed + k)`` and its own ``Recorder``.  The lists
+    ``problems``, ``rngs``, ``recorders`` and ``seeds`` (stack indices)
+    cover the live seeds, lowest first.  The rules of every stack:
+
+    * The shared call.  ``evaluate`` scores a batch of every live seed
+      in one objective call when their objectives compare equal;
+      otherwise each seed's share is its own call, in seed order.  A
+      seed's trace equals its lone run's whenever its objective sees the
+      batches a lone run gives it: always when every seed has its own
+      objective, and in the shared call only when the objective is pure
+      and gives each row the same bits at any batch size, as every
+      catalog objective does (each noisy Quartic of the catalog has its
+      own, so its seeds go one at a time).  A stateful shared objective
+      sees the whole stack's batch, so give each seed its own objective,
+      or run it alone.
+    * The failure rule.  When an objective returns a non-finite value,
+      the lowest failing seed leaves with every seed above it, and its
+      ``EvaluationError`` (the one its lone run raises) is raised in
+      place of its trace, after the traces of the seeds below it.
+      ``failed`` holds it until then.  When the shared call meets that
+      value, the batch is evaluated again one seed at a time to find the
+      seed, so the batches of that seed and of the seeds below it are
+      evaluated twice.
+    * The seed-order yield.  A seed leaves when it finishes, and
+      ``finish`` yields trace ``k`` once seeds ``0..k`` have all
+      finished.
+    * The per-seed cost.  A trace's ``runtime_seconds`` is its seed's
+      share of the wall time of each step it took (see ``RunTrace``).
+      The live seeds have all taken the steps since the first, so they
+      share one cost so far, ``seconds``; the share of a step only
+      changes when the stack does, so ``keep`` reads the clock and
+      splits the time since the last reading evenly among the seeds
+      that took it.  A failing seed leaves without a trace, and its
+      share with it.  The time the caller holds a yielded trace is no
+      seed's cost.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, problems: Sequence[Problem], seed: int) -> None:
+        self.problems = list(problems)
+        self.rngs = [np.random.default_rng(seed + k) for k in range(len(problems))]
+        self.recorders = [Recorder(problem) for problem in problems]
+        self.seeds = list(range(len(problems)))
+        self.seed = seed
+        self.failed: EvaluationError | None = None
         self.seconds = 0.0
-        self.restart()
-
-    def restart(self) -> None:
         self._since = time.perf_counter()
+        self._finished: dict[int, RunTrace] = {}
+        self._reported = 0
 
-    def charge(self, seeds: int) -> None:
+    def keep(self, rows: Sequence[int]) -> None:
+        """Keep only the live seeds in ``rows`` (positions in ``seeds``), charging first."""
         now = time.perf_counter()
-        self.seconds += (now - self._since) / seeds
+        self.seconds += (now - self._since) / len(self.seeds)
         self._since = now
+        for live in (self.problems, self.rngs, self.recorders, self.seeds):
+            live[:] = [live[j] for j in rows]
+
+    def evaluate(self, X: np.ndarray, iteration: int | None = None) -> np.ndarray:
+        """The values of ``X``, live seed ``j``'s equal share of its rows in turn.
+
+        By the shared-call and failure rules: a failing seed's error,
+        given ``iteration``, replaces ``failed`` (any earlier one came
+        from a higher seed), and the values of the seeds below it are
+        returned.  With none below, the error is raised at once; every
+        lower seed has been yielded by then.
+        """
+        problems = self.problems
+        values: list[np.ndarray] = []
+        try:
+            if all(p.objective == problems[0].objective for p in problems[1:]):
+                try:
+                    return problems[0].evaluate_batch(X)
+                except EvaluationError:
+                    if len(problems) == 1:
+                        raise
+                    # found again below, with the failing seed's own share
+            size = len(X) // len(problems)
+            for j, problem in enumerate(problems):
+                values.append(problem.evaluate_batch(X[j * size : (j + 1) * size]))
+        except EvaluationError as failed:
+            failed.iteration = iteration
+            if not values:
+                raise
+            self.failed = failed
+            self.keep(range(len(values)))
+        return np.ravel(values)
+
+    def finish(
+        self, done: dict[int, str], algorithm: str, evaluations: int
+    ) -> Iterator[RunTrace]:
+        """Trace the live seeds ``done`` maps to their termination; yield what is ready.
+
+        The leaving seeds are charged their steps, each has made
+        ``evaluations`` evaluations, and every trace whose lower seeds
+        have all been yielded is yielded, in seed order.  Once no seed is
+        left, the lowest failure is raised.
+        """
+        if done:
+            leaving = [(self.seeds[j], self.recorders[j], done[j]) for j in done]
+            self.keep([j for j in range(len(self.seeds)) if j not in done])
+            for k, recorder, termination in leaving:
+                self._finished[k] = recorder.trace(
+                    algorithm, self.seed + k, evaluations, termination, self.seconds
+                )
+        while self._reported in self._finished:
+            yield self._finished.pop(self._reported)
+            self._reported += 1
+            self._since = time.perf_counter()  # the caller's time is no seed's cost
+        if not self.seeds and self.failed is not None:
+            raise self.failed
 
 
 ALGORITHM_LAB = "lab"
@@ -312,55 +392,7 @@ def rank(state: State, sense: Sense) -> None:
         rows = [sorted(row, key=lambda i: (key[i], i)) for row in groups]
         rows.sort(key=lambda row: (key[row[0]], row[0]))
         stacks.append(rows)
-    if stacks:  # an empty stack keeps its (0, num_groups, group_size) shape
-        state.order = np.array(stacks)
-
-
-def evaluate_seeds(
-    problems: Sequence[Problem], X: np.ndarray
-) -> tuple[np.ndarray, EvaluationError | None]:
-    """The values of ``X``, seed ``j``'s equal share of its rows in turn.
-
-    Seed ``j`` is evaluated by ``problems[j]``.  One objective call
-    scores all of ``X`` when the seeds' objectives compare equal, as a
-    lone seed's does.  Otherwise, or when that call meets a non-finite
-    value in a stack of several seeds, each seed's share is evaluated
-    alone, in seed order, so a failing seed gets the very error a run of
-    it alone raises.  Returns the values and ``None``; or, when seed
-    ``j`` fails, the values of seeds ``0..j-1`` and seed ``j``'s error.
-    """
-    values: list[np.ndarray] = []
-    try:
-        if all(p.objective == problems[0].objective for p in problems[1:]):
-            try:
-                return problems[0].evaluate_batch(X), None
-            except EvaluationError:
-                if len(problems) == 1:
-                    raise
-                # found again below, with the failing seed's own share
-        size = len(X) // len(problems)
-        for j, problem in enumerate(problems):
-            values.append(problem.evaluate_batch(X[j * size : (j + 1) * size]))
-    except EvaluationError as exc:
-        return np.ravel(values), exc
-    return np.ravel(values), None
-
-
-def _evaluate(state: State, problems: Sequence[Problem], X: np.ndarray) -> np.ndarray:
-    """The values of ``X``, each live seed's batch in turn, by ``evaluate_seeds``.
-
-    A failing seed's error, with the iteration, replaces ``failed``: any
-    earlier one came from a higher seed, which has left the stack.  The
-    failing seed leaves it too, together with every seed above it, whose
-    traces would not be reported; the values of the seeds below it are
-    returned.
-    """
-    values, failed = evaluate_seeds([problems[k] for k in state.seeds], X)
-    if failed is not None:
-        failed.iteration = state.iteration
-        state.failed = failed
-        state.keep(list(range(len(values) * len(state.seeds) // len(X))))
-    return values
+    state.order = np.array(stacks)
 
 
 def draw_uniform(
@@ -385,25 +417,23 @@ def draw_uniform(
 def init(problems: Sequence[Problem], config: LabConfig) -> State:
     """Sample, evaluate, and rank the initial population of every seed.
 
-    Stack seed ``k`` runs ``problems[k]`` with the generator
-    ``default_rng(config.seed + k)``.  Its individuals are drawn
-    uniformly over the box and dealt into ``num_groups`` groups of
-    ``group_size`` by id; both ranking passes are applied before the
-    state is returned.
+    The seeds are a ``Stack(problems, config.seed)``.  Each seed's
+    individuals are drawn uniformly over the box and dealt into
+    ``num_groups`` groups of ``group_size`` by id; both ranking passes
+    are applied before the state is returned.
     """
     first = problems[0]
-    pop = config.population
-    rngs = [np.random.default_rng(config.seed + k) for k in range(len(problems))]
-    pos = draw_uniform(rngs, first, pop).reshape(-1, first.dim)
+    stack = Stack(problems, config.seed)
+    pos = draw_uniform(stack.rngs, first, config.population).reshape(-1, first.dim)
+    fit = stack.evaluate(pos, 0)
+    order = np.arange(len(pos)).reshape(-1, config.num_groups, config.group_size)
     state = State(
         pos=pos,
         fit=np.full(len(pos), np.nan),
-        order=np.arange(len(pos)).reshape(-1, config.num_groups, config.group_size),
-        rngs=rngs,
-        seeds=list(range(len(problems))),
+        order=order[: len(stack.seeds)],
+        stack=stack,
         iteration=0,
     )
-    fit = _evaluate(state, problems, pos)
     state.fit[: fit.size] = fit
     rank(state, first.sense)
     return state
@@ -451,25 +481,26 @@ def propose(
 
 
 def step(state: State, problems: Sequence[Problem], config: LabConfig) -> State:
-    """Advance every live seed by one synchronous iteration.
+    """Advance every live seed of ``state.stack`` by one synchronous iteration.
 
     All candidate positions are computed from the current (unmutated)
     state, then evaluated and applied.  With greedy acceptance an
     individual keeps its old position unless the candidate is strictly
     better; otherwise candidates replace unconditionally.  Every
     individual is re-evaluated each iteration, whatever the acceptance.
-    A seed whose evaluation fails leaves the stack as ``_evaluate``
-    says.
+    A seed whose evaluation fails leaves the stack as ``Stack.evaluate``
+    says; when it was the only one, its error is raised.
     """
     _, num_groups, group_size = state.order.shape
     proposals = propose(
-        state, problems[0], *draw_weights(state.rngs, num_groups, group_size)
+        state, problems[0], *draw_weights(state.stack.rngs, num_groups, group_size)
     )
     state.iteration += 1
-    fit = _evaluate(state, problems, proposals)
-    # a seed that failed has left with every seed above it: keep the rest
+    fit = state.stack.evaluate(proposals, state.iteration)
+    if len(fit) < len(proposals):  # a failing seed left with every seed above it
+        state.order = state.order[: len(state.stack.seeds)]
+        proposals = proposals[: len(fit)]
     ids = state.order.ravel()
-    proposals = proposals[: len(ids)]
     if config.greedy_acceptance:
         keep = is_better(fit, state.fit[ids], problems[0].sense)
         ids, proposals, fit = ids[keep], proposals[keep], fit[keep]
@@ -493,39 +524,23 @@ def _stalled(history: list[list[float]], window: int, epsilon: float) -> bool:
 def run_seeds(
     problems: Sequence[Problem], config: LabConfig | None = None
 ) -> Iterator[RunTrace]:
-    """Run LAB on every seed of one problem as one stack; yield the traces.
+    """Run LAB on every seed of one problem as one ``Stack``; yield the traces.
 
     Seed ``k`` runs on ``problems[k]`` with seed ``config.seed + k``.  The
-    problems must share name, dimension, box and sense.  When the live
-    seeds' objectives compare equal, one objective call scores a step of
-    all of them; otherwise each seed's batch is its own call, in seed
-    order.  Each seed keeps its own weights, ranking and stopping, so
-    its trace equals the one ``run`` returns for it alone whenever its
-    objective sees the batches a lone run gives it: always when every
-    seed has its own objective, and in the shared call only when the
-    objective is pure and gives each row the same bits at any batch
-    size, as every catalog objective does (each noisy Quartic of the
-    catalog has its own, so its seeds go one at a time).  A stateful
-    shared objective sees the whole stack's batch, so a seed's values
-    depend on the seeds beside it; give each seed its own objective, or
-    use ``run``, for such an objective.
+    problems must share name, dimension, box and sense.  Each seed keeps
+    its own weights, ranking and stopping, and the stack's rules hold:
+    one objective call scores a step of every seed that shares an
+    objective, so a seed's trace equals the one ``run`` returns for it
+    alone when the objective is pure; traces come in seed order, each
+    with its seed's share of the steps it took as its cost; and the
+    lowest failing seed's ``EvaluationError``, with its ``iteration``,
+    is raised in place of its trace.
 
     Each seed stops at ``max_iterations``, or earlier when no rank
     slot's best leader has improved by at least ``stall_epsilon`` over
     the last ``stall_window`` iterations.  Slot ``k`` is whichever group
     ranks ``k``-th after each step, and its best leader is the best
     leader fitness ever seen in that slot; slot 0's is the best fitness.
-
-    Traces are yielded in seed order, trace ``k`` once seeds ``0..k``
-    have all finished; its ``runtime_seconds`` is seed ``k``'s cost, its
-    share of each step it took (see ``RunTrace``), and the time the
-    caller holds a yielded trace is no seed's cost.  When an objective
-    returns a non-finite value, the lowest failing seed's
-    ``EvaluationError`` (the one ``run`` raises for it, with its
-    ``iteration``) is raised in place of its trace, after the traces of
-    the seeds below it.  When the shared call meets that value, the step
-    is evaluated again one seed at a time to find the seed, so the
-    batches of that seed and of the seeds below it are evaluated twice.
 
     Raises
     ------
@@ -564,48 +579,33 @@ def stackable(problems: Sequence[Problem]) -> list[Problem]:
 
 def _run_stack(problems: list[Problem], config: LabConfig) -> Iterator[RunTrace]:
     sense = problems[0].sense
-    recorders = [Recorder(problem) for problem in problems]
     histories: list[list[list[float]]] = [[] for _ in problems]
-    finished: dict[int, RunTrace] = {}
-    reported = 0
-    cost = StepCost()
     state = init(problems, config)
-    taking = len(problems)  # the seeds that took every step since the last charge
+    stack = state.stack
     while True:
         heads = state.order[..., 0]
         fit = state.fit[heads]
         bests = zip(
-            state.seeds, fit.tolist(), oriented(fit, sense).tolist(), heads[:, 0].tolist()
+            stack.seeds, stack.recorders, fit.tolist(), oriented(fit, sense).tolist(),
+            heads[:, 0].tolist(),
         )
-        stay, done = [], []
-        for j, (k, leaders, current, best) in enumerate(bests):
-            recorders[k].observe(leaders[0], state.pos[best], leaders)
+        stay, done = [], {}
+        for j, (k, recorder, leaders, current, best) in enumerate(bests):
+            recorder.observe(leaders[0], state.pos[best], leaders)
             history = histories[k]
             history.append(list(map(min, history[-1], current)) if history else current)
             if state.iteration == config.max_iterations:
-                done.append((k, TERMINATION_MAX_ITERATIONS))
+                done[j] = TERMINATION_MAX_ITERATIONS
             elif _stalled(history, config.stall_window, config.stall_epsilon):
-                done.append((k, TERMINATION_STALLED))
+                done[j] = TERMINATION_STALLED
             else:
                 stay.append(j)
-        if len(stay) < taking:  # seeds finished or failed: the stack changes
-            cost.charge(taking)
-            taking = len(stay)
         evaluations = config.population * (state.iteration + 1)
-        for k, termination in done:
-            finished[k] = recorders[k].trace(
-                ALGORITHM_LAB, config.seed + k, evaluations, termination, cost.seconds
-            )
-        if len(stay) < len(state.seeds):
-            state.keep(stay)
-        while reported in finished:
-            yield finished.pop(reported)
-            reported += 1
-            cost.restart()  # the caller's time is no seed's cost
-        if not state.seeds:
-            if state.failed is not None:
-                raise state.failed
+        yield from stack.finish(done, ALGORITHM_LAB, evaluations)
+        if not stack.seeds:
             return
+        if done:
+            state.order = state.order[stay]
         step(state, problems, config)
 
 

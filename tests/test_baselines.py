@@ -18,7 +18,7 @@ from labopt.baselines import (
 )
 from labopt.benchmarks import build_problem
 from labopt.engine import TERMINATION_BUDGET, LabConfig, run
-from labopt.problem import ConfigError, EvaluationError, Problem, Sense
+from labopt.problem import ConfigError, Problem, Sense
 
 
 def sphere(dim: int = 2, half_width: float = 5.0) -> Problem:
@@ -339,60 +339,6 @@ def test_small_budget_shrinks_swarm():
 def test_invalid_configs_are_rejected(kwargs):
     with pytest.raises(ConfigError):
         run_baseline(sphere(), BaselineConfig(**kwargs))
-
-
-# A band of F10 where the objective is NaN, placed so that seed 1 alone
-# meets it after its first batch (at an SA move, a one-row batch) and
-# seed 0 alone never does.
-NAN_BANDS = [(ALGORITHM_RANDOM, -3.0), (ALGORITHM_SA, 5.5), (ALGORITHM_PSO, 7.5)]
-
-
-def f10_with_nan_band(center, calls):
-    """F10 whose objective is NaN where ``|x0 - center| < 0.05``; it logs batch sizes."""
-    f10 = build_problem("F10")
-
-    def objective(x):
-        calls.append(len(x))
-        return np.where(np.abs(x[:, 0] - center) < 0.05, np.nan, f10.objective(x))
-
-    return replace(f10, objective=objective)
-
-
-@pytest.mark.parametrize("algorithm, center", NAN_BANDS)
-def test_failure_in_a_shared_objective_is_the_lowest_failing_seeds_own(algorithm, center):
-    calls = []
-    problem = f10_with_nan_band(center, calls)
-    config = BaselineConfig(algorithm=algorithm, budget=400, seed=0)
-    lone = run_baseline(problem, config)
-    calls.clear()
-    with pytest.raises(EvaluationError) as alone:
-        run_baseline(problem, replace(config, seed=1))
-    assert len(calls) > 1
-    assert calls[-1] == (1 if algorithm == ALGORITHM_SA else BATCH)
-
-    calls.clear()
-    stack = run_baseline_seeds([problem] * 3, config)
-    assert next(stack) == lone
-    with pytest.raises(EvaluationError) as got:
-        next(stack)
-    assert calls[0] == 3 * BATCH  # one call scores the seeds' first batches
-    assert str(got.value) == str(alone.value)
-    assert np.array_equal(got.value.position, alone.value.position)
-    assert got.value.iteration is None
-    with pytest.raises(StopIteration):
-        next(stack)
-
-
-def test_a_stack_whose_lowest_seed_fails_raises_its_error_at_once():
-    calls = []
-    problem = f10_with_nan_band(5.5, calls)
-    config = BaselineConfig(algorithm=ALGORITHM_SA, budget=400, seed=1)
-    with pytest.raises(EvaluationError) as alone:
-        run_baseline(problem, config)
-    with pytest.raises(EvaluationError) as got:
-        next(run_baseline_seeds([problem] * 2, config))
-    assert str(got.value) == str(alone.value)
-    assert np.array_equal(got.value.position, alone.value.position)
 
 
 @pytest.mark.parametrize("algorithm", BASELINE_ALGORITHMS)

@@ -6,13 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labopt import machining
+from labopt.baselines import (
+    ALGORITHM_PSO,
+    ALGORITHM_RANDOM,
+    ALGORITHM_SA,
+    BATCH,
+    BaselineConfig,
+    run_baseline_seeds,
+)
 from labopt.benchmarks import build_problem
 from labopt.engine import (
+    ALGORITHM_LAB,
     LabConfig,
+    Stack,
     State,
     TERMINATION_MAX_ITERATIONS,
     TERMINATION_STALLED,
-    _evaluate,
     believer_mean,
     draw_weights,
     init,
@@ -66,8 +75,7 @@ def make_state(groups, problem):
         pos=pos,
         fit=problem.evaluate_batch(pos),
         order=order,
-        rngs=[np.random.default_rng(0)],
-        seeds=[0],
+        stack=Stack([problem], 0),
         iteration=0,
     )
 
@@ -266,11 +274,11 @@ def replay_step(p, cfg, seeds=1, block=None, stubbed=0):
     state = init([p] * seeds, cfg)
 
     mirrors = []
-    for rng in state.rngs:
+    for rng in state.stack.rngs:
         mirrors.append(np.random.default_rng())
         mirrors[-1].bit_generator.state = rng.bit_generator.state
     if block is not None:
-        state.rngs[stubbed] = StubGenerator([block], state.rngs[stubbed])
+        state.stack.rngs[stubbed] = StubGenerator([block], state.stack.rngs[stubbed])
         mirrors[stubbed].random(np.shape(block))
 
     expected: dict[int, np.ndarray] = {}
@@ -369,7 +377,7 @@ def test_rejected_block_is_redrawn_whole(cell, value):
     for i in range(cfg.population):
         assert np.array_equal(state.pos[i], expected[i]), i
     # the stream continues where the replay left it
-    assert state.rngs[0].random(1) == mirror.random(1)
+    assert state.stack.rngs[0].random(1) == mirror.random(1)
 
 
 @REJECTED_CELLS
@@ -383,7 +391,7 @@ def test_rejected_block_in_one_seed_is_redrawn_for_that_seed_only(cell, value):
     state, expected, mirrors = replay_step(p, cfg, seeds=3, block=block, stubbed=1)
     for i in range(3 * cfg.population):
         assert np.array_equal(state.pos[i], expected[i]), i
-    for rng, mirror in zip(state.rngs, mirrors):
+    for rng, mirror in zip(state.stack.rngs, mirrors):
         assert rng.random(1) == mirror.random(1)
 
 
@@ -461,14 +469,13 @@ def test_step_propagates_evaluation_errors():
     p = box_problem(objective=sometimes_nan)
     cfg = LabConfig()
     state = init([p], cfg)
-    step(state, [p], cfg)
-    # the failing seed leaves the stack and keeps its error
-    error = state.failed
-    assert isinstance(error, EvaluationError)
+    # the failing seed was the only one: its error is raised at once
+    with pytest.raises(EvaluationError) as raised:
+        step(state, [p], cfg)
+    error = raised.value
     assert error.iteration == 1
     assert "returned nan (batch row 0)" in str(error)
     assert np.array_equal(error.position, batches[1][0])
-    assert state.seeds == [] and state.order.shape == (0, cfg.num_groups, cfg.group_size)
 
 
 # --- config validation -----------------------------------------------------
@@ -659,11 +666,11 @@ def assert_state_invariants(state, problem, config, rows):
     ``rows`` holds the row count of every batch the objective was given.
     """
     pop = config.population
-    assert rows == [len(state.seeds) * pop] * (state.iteration + 1)
+    assert rows == [len(state.stack.seeds) * pop] * (state.iteration + 1)
     assert np.array_equal(state.pos.clip(problem.lower, problem.upper), state.pos)
     assert all(problem.contains(x) for x in state.pos)
     key = oriented(state.fit, problem.sense).tolist()
-    for k, groups in zip(state.seeds, state.order.tolist()):
+    for k, groups in zip(state.stack.seeds, state.order.tolist()):
         ids = [i for row in groups for i in row]
         assert sorted(ids) == list(range(k * pop, (k + 1) * pop))
         for row in groups:
@@ -683,12 +690,12 @@ def test_engine_invariants_over_random_shapes_boxes_and_senses(case):
     problems = [problem] * seeds
     tolerance = WIDTH_TOLERANCE * (problem.upper - problem.lower)
     state = init(problems, config)
-    assert state.seeds == list(range(seeds))
+    assert state.stack.seeds == list(range(seeds))
     assert_state_invariants(state, problem, config, rows)
     widths = support_widths(state, seeds)
     for _ in range(steps):
         step(state, problems, config)
-        assert state.seeds == list(range(seeds))
+        assert state.stack.seeds == list(range(seeds))
         assert_state_invariants(state, problem, config, rows)
         now = support_widths(state, seeds)
         assert np.all(now <= widths + tolerance)
@@ -802,6 +809,68 @@ def nan_from_call(call, row=3):
     return objective
 
 
+# A band of F10 where the objective is NaN, |x0 - center| < 0.05, placed
+# per algorithm so that seed 1 alone meets it after its first batch (for
+# SA at a move, a one-row batch) and seed 0 alone never does.
+NAN_BANDS = {ALGORITHM_LAB: 1.2, ALGORITHM_RANDOM: -3.0, ALGORITHM_SA: 5.5, ALGORITHM_PSO: 7.5}
+
+
+def f10_with_nan_band(center, calls):
+    """F10 whose objective is NaN where ``|x0 - center| < 0.05``; it logs batch sizes."""
+    f10 = build_problem("F10")
+
+    def objective(x):
+        calls.append(len(x))
+        return np.where(np.abs(x[:, 0] - center) < 0.05, np.nan, f10.objective(x))
+
+    return dataclasses.replace(f10, objective=objective)
+
+
+def stacked_run(algorithm, problems, seed):
+    """``algorithm`` on ``problems`` as one stack: LAB at its defaults, a baseline at budget 400."""
+    if algorithm == ALGORITHM_LAB:
+        return run_seeds(problems, LabConfig(seed=seed))
+    return run_baseline_seeds(problems, BaselineConfig(algorithm, budget=400, seed=seed))
+
+
+@pytest.mark.parametrize("algorithm", sorted(NAN_BANDS))
+def test_every_stack_raises_the_lowest_failing_seeds_lone_error(algorithm):
+    calls = []
+    problem = f10_with_nan_band(NAN_BANDS[algorithm], calls)
+    (lone,) = stacked_run(algorithm, [problem], 0)
+    calls.clear()
+    with pytest.raises(EvaluationError) as alone:
+        next(stacked_run(algorithm, [problem], 1))
+    lone_calls = list(calls)
+    assert len(lone_calls) > 1
+    assert lone_calls[-1] == (1 if algorithm == ALGORITHM_SA else BATCH)
+    # LAB's error carries its iteration, the baselines' none
+    assert (alone.value.iteration is None) == (algorithm != ALGORITHM_LAB)
+
+    # Seed 0's trace, then seed 1's error in place of its trace.
+    calls.clear()
+    stack = stacked_run(algorithm, [problem] * 3, 0)
+    assert next(stack) == lone
+    with pytest.raises(EvaluationError) as got:
+        next(stack)
+    assert calls[0] == 3 * BATCH  # one call scores the seeds' first batches
+    assert str(got.value) == str(alone.value)
+    assert np.array_equal(got.value.position, alone.value.position)
+    assert got.value.iteration == alone.value.iteration
+    with pytest.raises(StopIteration):
+        next(stack)
+
+    # Seed 1 as the lowest live seed: its error is raised at once, and the
+    # last objective call is its own share of the batch that failed.
+    calls.clear()
+    with pytest.raises(EvaluationError) as got:
+        next(stacked_run(algorithm, [problem] * 2, 1))
+    assert str(got.value) == str(alone.value)
+    assert np.array_equal(got.value.position, alone.value.position)
+    assert got.value.iteration == alone.value.iteration
+    assert calls[-1] == lone_calls[-1]
+
+
 def test_lowest_failing_seed_raises_its_own_error_after_lower_traces():
     # Seed 2 fails first (iteration 3), seed 1 later (iteration 7) and
     # seed 0 never: trace 0 comes out, then seed 1's error, the same
@@ -866,21 +935,22 @@ def test_a_failing_shared_call_is_evaluated_again_only_up_to_the_failing_seed():
     config = LabConfig(num_groups=2, group_size=3)
     X = np.zeros((3 * config.population, 2))
     X[config.population + 4, 0] = 2.0  # row 4 of seed 1's batch
-    state = init([p] * 3, config)
-    sizes.clear()
-    values = _evaluate(state, [p] * 3, X)
+    stack = Stack([p] * 3, 0)
+    values = stack.evaluate(X, 5)
     assert sizes == [18, 6, 6]
     assert values.shape == (6,)
-    assert state.seeds == [0]
-    assert np.array_equal(state.failed.position, X[config.population + 4])
-    assert "(batch row 4)" in str(state.failed)
+    assert stack.seeds == [0]
+    assert stack.failed.iteration == 5
+    assert np.array_equal(stack.failed.position, X[config.population + 4])
+    assert "(batch row 4)" in str(stack.failed)
 
-    lone = init([p], config)
+    # a lone seed has none below it: its error is raised at once
     sizes.clear()
-    assert _evaluate(lone, [p], X[6:12]).shape == (0,)
+    with pytest.raises(EvaluationError) as lone:
+        Stack([p], 0).evaluate(X[6:12])
     assert sizes == [6]
-    assert lone.seeds == []
-    assert np.array_equal(lone.failed.position, X[config.population + 4])
+    assert lone.value.iteration is None
+    assert np.array_equal(lone.value.position, X[config.population + 4])
 
 
 def test_a_seeds_cost_is_its_share_of_each_step_it_took(step_clock):
