@@ -28,7 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import TERMINATION_BUDGET, RunTrace, Stack, draw_uniform, stackable
+from .engine import (
+    TERMINATION_BUDGET, RunTrace, Stack, _random_blocks, draw_uniform, stackable,
+)
 from .problem import ConfigError, Problem, is_better, oriented
 
 ALGORITHM_RANDOM = "random_search"
@@ -71,12 +73,10 @@ def observe_batch(stack: Stack, positions: np.ndarray, fitnesses: np.ndarray) ->
     ``positions[j]`` holds live seed ``j``'s points and ``fitnesses`` the
     live seeds' values, one seed's batch after another.
     """
-    fitnesses = fitnesses.reshape(len(stack.recorders), -1)
+    fitnesses = fitnesses.reshape(len(stack.seeds), -1)
     best = oriented(fitnesses, stack.problems[0].sense).argmin(axis=1).tolist()
-    for recorder, seed_fit, seed_pos, i in zip(
-        stack.recorders, fitnesses.tolist(), positions, best
-    ):
-        recorder.observe(seed_fit[i], seed_pos[i])
+    for j, (seed_fit, seed_pos, i) in enumerate(zip(fitnesses.tolist(), positions, best)):
+        stack.observe(j, seed_fit[i], seed_pos[i])
 
 
 def _batch_sizes(budget: int) -> list[int]:
@@ -99,8 +99,8 @@ def _sa(stack, positions, fitnesses, sizes):
     problem = stack.problems[0]
     sense, rngs = problem.sense, stack.rngs
     step = SA_STEP_FRACTION * (problem.upper - problem.lower)
-    current = np.array([recorder.best_position for recorder in stack.recorders])
-    current_fit = [recorder.best_fitness for recorder in stack.recorders]
+    current = np.array(stack.best_position)
+    current_fit = stack.best_fitness[:]
     fitnesses = fitnesses.reshape(len(current), -1)
     spread = (fitnesses.max(axis=1) - fitnesses.min(axis=1)).tolist()
     temperature = [0.1 * s if s > 0 else 1.0 for s in spread]
@@ -129,8 +129,9 @@ def _sa(stack, positions, fitnesses, sizes):
                 if delta < 0 or rngs[j].random() < np.exp(-delta / temperature[j]):
                     current[j] = proposals[j]
                     current_fit[j] = fit
-        for recorder, fit, pos in zip(stack.recorders, best_fit, best_pos):
-            recorder.observe(fit, pos)
+        # A seed that failed in the stage left the stack but not best_fit.
+        for j in range(len(stack.seeds)):
+            stack.observe(j, best_fit[j], best_pos[j])
         temperature = [t * SA_COOLING for t in temperature]
 
 
@@ -146,11 +147,9 @@ def _pso(stack, positions, fitnesses, sizes):
         better = is_better(fitnesses, pbest_fit, problem.sense)
         np.copyto(pbest_fit, fitnesses, where=better)
         np.copyto(pbest_pos, positions, where=better[..., None])
-        gbest = np.array([recorder.best_position for recorder in stack.recorders])
+        gbest = np.array(stack.best_position)
         # Each seed draws its r1, then its r2, in one call.
-        pull = np.empty((len(positions), 2, *positions.shape[1:]))
-        for rng, seed_pull in zip(stack.rngs, pull):
-            rng.random(out=seed_pull)
+        pull = _random_blocks(stack.rngs, (2, *positions.shape[1:]))
         pull *= _PSO_PULLS  # PSO_COGNITIVE * r1 and PSO_SOCIAL * r2
         velocities = (
             PSO_INERTIA * velocities

@@ -25,9 +25,9 @@ evaluates them in one batch when the seeds share an objective; each
 seed keeps its own generator, ranking and stopping rule, so a seed
 runs as it would alone as long as the objective gives it the same
 values.  ``run`` is the one-seed stack.  A ``Stack`` holds the live
-seeds of LAB and of the baselines alike: their generators and
-recorders, the shared objective call, the failure rule, the seed-order
-yield of the traces and each seed's cost.
+seeds of LAB and of the baselines alike: their generators, trace rows
+and best points, the shared objective call, the failure rule, the
+seed-order yield of the traces and each seed's cost.
 """
 from __future__ import annotations
 
@@ -146,66 +146,18 @@ class RunTrace:
         return self.records[-1].iteration
 
 
-class Recorder:
-    """One run's records and its best point so far.
-
-    ``observe`` is called once after initialization and once per step,
-    with that step's best point; ``trace`` builds the finished run.
-    """
-
-    def __init__(self, problem: Problem) -> None:
-        self.problem = problem
-        self.records: list[IterationRecord] = []
-        self.best_fitness: float | None = None
-        self.best_position: np.ndarray | None = None
-
-    def observe(
-        self, fitness: float, position: np.ndarray, leaders: Sequence[float] = ()
-    ) -> None:
-        """Record one step whose best point is ``position``, of value ``fitness``."""
-        if self.best_fitness is None or is_better(
-            fitness, self.best_fitness, self.problem.sense
-        ):
-            self.best_fitness = fitness
-            self.best_position = np.array(position, dtype=float)
-        self.records.append(
-            IterationRecord(
-                iteration=len(self.records),
-                global_best=fitness,
-                leaders=tuple(leaders),
-                best_so_far=self.best_fitness,
-            )
-        )
-
-    def trace(
-        self,
-        algorithm: str,
-        seed: int,
-        n_evaluations: int,
-        termination: str,
-        runtime_seconds: float,
-    ) -> RunTrace:
-        return RunTrace(
-            problem=self.problem.name,
-            algorithm=algorithm,
-            sense=self.problem.sense,
-            seed=seed,
-            records=tuple(self.records),
-            best_fitness=self.best_fitness,
-            best_position=tuple(float(v) for v in self.best_position),
-            n_evaluations=n_evaluations,
-            termination=termination,
-            runtime_seconds=runtime_seconds,
-        )
-
-
 class Stack:
     """The live seeds of one problem's stack, for every algorithm.
 
     Stack seed ``k`` runs ``problems[k]`` with the generator
-    ``default_rng(seed + k)`` and its own ``Recorder``.  The lists
-    ``problems``, ``rngs``, ``recorders`` and ``seeds`` (stack indices)
-    cover the live seeds, lowest first.  The rules of every stack:
+    ``default_rng(seed + k)``.  The lists ``problems``, ``rngs``,
+    ``records`` (each seed's ``IterationRecord`` rows so far),
+    ``best_fitness`` and ``best_position`` (each seed's best value so far
+    and a copy of its point, both kept by ``observe``) and ``seeds``
+    (stack indices) cover the live seeds, lowest first, and ``keep``
+    filters them together.  A seed's best value starts at
+    ``oriented(inf, sense)``, the worst value in either sense, so its
+    first observation replaces it.  The rules of every stack:
 
     * The shared call.  ``evaluate`` scores a batch of every live seed
       in one objective call when their objectives compare equal;
@@ -243,7 +195,9 @@ class Stack:
     def __init__(self, problems: Sequence[Problem], seed: int) -> None:
         self.problems = list(problems)
         self.rngs = [np.random.default_rng(seed + k) for k in range(len(problems))]
-        self.recorders = [Recorder(problem) for problem in problems]
+        self.records: list[list[IterationRecord]] = [[] for _ in problems]
+        self.best_fitness = [oriented(np.inf, p.sense) for p in self.problems]
+        self.best_position: list[np.ndarray | None] = [None] * len(problems)
         self.seeds = list(range(len(problems)))
         self.seed = seed
         self.failed: EvaluationError | None = None
@@ -257,8 +211,27 @@ class Stack:
         now = time.perf_counter()
         self.seconds += (now - self._since) / len(self.seeds)
         self._since = now
-        for live in (self.problems, self.rngs, self.recorders, self.seeds):
+        for live in (
+            self.problems, self.rngs, self.records, self.best_fitness,
+            self.best_position, self.seeds,
+        ):
             live[:] = [live[j] for j in rows]
+
+    def observe(
+        self, j: int, fitness: float, position: np.ndarray, leaders: Sequence[float] = ()
+    ) -> None:
+        """Record one step of live seed ``j``, whose best point is ``position``.
+
+        ``fitness`` is the point's value and ``leaders`` the step's leader
+        values, if any.  The seed's best point changes only on a strict
+        improvement, to a copy of ``position``.
+        """
+        records = self.records[j]
+        best = self.best_fitness[j]
+        if is_better(fitness, best, self.problems[j].sense):
+            best = self.best_fitness[j] = fitness
+            self.best_position[j] = np.array(position, dtype=float)
+        records.append(IterationRecord(len(records), fitness, tuple(leaders), best))
 
     def evaluate(self, X: np.ndarray, iteration: int | None = None) -> np.ndarray:
         """The values of ``X``, live seed ``j``'s equal share of its rows in turn.
@@ -301,11 +274,24 @@ class Stack:
         left, the lowest failure is raised.
         """
         if done:
-            leaving = [(self.seeds[j], self.recorders[j], done[j]) for j in done]
+            leaving = [
+                (self.seeds[j], self.problems[j], self.records[j], self.best_fitness[j],
+                 self.best_position[j], termination)
+                for j, termination in done.items()
+            ]
             self.keep([j for j in range(len(self.seeds)) if j not in done])
-            for k, recorder, termination in leaving:
-                self._finished[k] = recorder.trace(
-                    algorithm, self.seed + k, evaluations, termination, self.seconds
+            for k, problem, records, fitness, position, termination in leaving:
+                self._finished[k] = RunTrace(
+                    problem=problem.name,
+                    algorithm=algorithm,
+                    sense=problem.sense,
+                    seed=self.seed + k,
+                    records=tuple(records),
+                    best_fitness=fitness,
+                    best_position=tuple(position.tolist()),
+                    n_evaluations=evaluations,
+                    termination=termination,
+                    runtime_seconds=self.seconds,
                 )
         while self._reported in self._finished:
             yield self._finished.pop(self._reported)
@@ -339,6 +325,16 @@ def weights_valid(leader: np.ndarray, u: np.ndarray) -> bool:
     )
 
 
+def _random_blocks(
+    rngs: Sequence[np.random.Generator], shape: tuple[int, ...]
+) -> np.ndarray:
+    """One ``rng.random(shape)`` block from each generator, shape ``(len(rngs), *shape)``."""
+    block = np.empty((len(rngs), *shape))
+    for rng, seed_block in zip(rngs, block):
+        rng.random(out=seed_block)
+    return block
+
+
 def draw_weights(
     rngs: Sequence[np.random.Generator], num_groups: int, group_size: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -362,9 +358,7 @@ def draw_weights(
     after a rejection differs.  A rejection needs an event of about
     2**-53 per draw.
     """
-    block = np.empty((len(rngs), num_groups, group_size + 2))
-    for rng, seed_block in zip(rngs, block):
-        rng.random(out=seed_block)
+    block = _random_blocks(rngs, (num_groups, group_size + 2))
     while True:
         draws = block[..., :3]
         leader = np.sort(draws / draws.sum(axis=-1, keepdims=True), axis=-1)[..., ::-1]
@@ -406,9 +400,7 @@ def draw_uniform(
     lower) * rng.random((size, dim))``, one draw per element, behind
     argument checks that cost most of its time at these sizes.
     """
-    block = np.empty((len(rngs), size, problem.dim))
-    for rng, seed_block in zip(rngs, block):
-        rng.random(out=seed_block)
+    block = _random_blocks(rngs, (size, problem.dim))
     block *= problem.upper - problem.lower
     block += problem.lower
     return block
@@ -480,10 +472,11 @@ def propose(
     return mix.clip(problem.lower, problem.upper).reshape(-1, problem.dim)
 
 
-def step(state: State, problems: Sequence[Problem], config: LabConfig) -> State:
+def step(state: State, config: LabConfig) -> State:
     """Advance every live seed of ``state.stack`` by one synchronous iteration.
 
-    All candidate positions are computed from the current (unmutated)
+    The stack's problems share a box and sense, so the first one's are
+    every seed's.  All candidate positions are computed from the current (unmutated)
     state, then evaluated and applied.  With greedy acceptance an
     individual keeps its old position unless the candidate is strictly
     better; otherwise candidates replace unconditionally.  Every
@@ -491,9 +484,10 @@ def step(state: State, problems: Sequence[Problem], config: LabConfig) -> State:
     A seed whose evaluation fails leaves the stack as ``Stack.evaluate``
     says; when it was the only one, its error is raised.
     """
+    problem = state.stack.problems[0]
     _, num_groups, group_size = state.order.shape
     proposals = propose(
-        state, problems[0], *draw_weights(state.stack.rngs, num_groups, group_size)
+        state, problem, *draw_weights(state.stack.rngs, num_groups, group_size)
     )
     state.iteration += 1
     fit = state.stack.evaluate(proposals, state.iteration)
@@ -502,11 +496,11 @@ def step(state: State, problems: Sequence[Problem], config: LabConfig) -> State:
         proposals = proposals[: len(fit)]
     ids = state.order.ravel()
     if config.greedy_acceptance:
-        keep = is_better(fit, state.fit[ids], problems[0].sense)
+        keep = is_better(fit, state.fit[ids], problem.sense)
         ids, proposals, fit = ids[keep], proposals[keep], fit[keep]
     state.pos[ids] = proposals
     state.fit[ids] = fit
-    rank(state, problems[0].sense)
+    rank(state, problem.sense)
     return state
 
 
@@ -586,12 +580,11 @@ def _run_stack(problems: list[Problem], config: LabConfig) -> Iterator[RunTrace]
         heads = state.order[..., 0]
         fit = state.fit[heads]
         bests = zip(
-            stack.seeds, stack.recorders, fit.tolist(), oriented(fit, sense).tolist(),
-            heads[:, 0].tolist(),
+            stack.seeds, fit.tolist(), oriented(fit, sense).tolist(), heads[:, 0].tolist()
         )
         stay, done = [], {}
-        for j, (k, recorder, leaders, current, best) in enumerate(bests):
-            recorder.observe(leaders[0], state.pos[best], leaders)
+        for j, (k, leaders, current, best) in enumerate(bests):
+            stack.observe(j, leaders[0], state.pos[best], leaders)
             history = histories[k]
             history.append(list(map(min, history[-1], current)) if history else current)
             if state.iteration == config.max_iterations:
@@ -606,7 +599,7 @@ def _run_stack(problems: list[Problem], config: LabConfig) -> Iterator[RunTrace]
             return
         if done:
             state.order = state.order[stay]
-        step(state, problems, config)
+        step(state, config)
 
 
 def run(problem: Problem, config: LabConfig | None = None) -> RunTrace:

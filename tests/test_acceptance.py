@@ -91,7 +91,7 @@ def test_engine_property_suite():
             prev_widths = widths
 
             if t < config.max_iterations:
-                step(state, [problem], config)
+                step(state, config)
 
     # weight sampler: ordered, strictly inside (0, 1), unit sum
     rng = np.random.default_rng(99)

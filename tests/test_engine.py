@@ -308,7 +308,7 @@ def replay_step(p, cfg, seeds=1, block=None, stubbed=0):
                     u * lead + (1.0 - u) * adv, p.lower, p.upper
                 )
 
-    step(state, [p] * seeds, cfg)
+    step(state, cfg)
     return state, expected, mirrors
 
 
@@ -400,10 +400,10 @@ def test_step_counts_evaluations_and_increments_iteration():
     p = box_problem(objective=counting(sphere, rows))
     cfg = LabConfig()
     state = init([p], cfg)
-    step(state, [p], cfg)
+    step(state, cfg)
     assert state.iteration == 1
     assert rows == [20, 20]
-    step(state, [p], cfg)
+    step(state, cfg)
     assert state.iteration == 2
     assert rows == [20, 20, 20]
 
@@ -413,7 +413,7 @@ def test_step_keeps_rankings_valid():
     cfg = LabConfig(seed=3)
     state = init([p], cfg)
     for _ in range(5):
-        step(state, [p], cfg)
+        step(state, cfg)
         for row in state.order[0]:
             fits = state.fit[row].tolist()
             assert fits == sorted(fits)
@@ -428,7 +428,7 @@ def test_collapsed_society_is_a_fixed_point():
     state.pos[:] = spot
     state.fit[:] = p.evaluate(spot)
     rank(state, p.sense)
-    step(state, [p], cfg)
+    step(state, cfg)
     # exact in real arithmetic; each w1*x + w2*x + w3*x re-rounds in floats
     for position in state.pos:
         assert np.allclose(position, spot, rtol=1e-14, atol=0.0)
@@ -440,7 +440,7 @@ def test_greedy_acceptance_never_worsens_the_global_leader():
     state = init([p], cfg)
     prev = state.fit[best(state)]
     for _ in range(30):
-        step(state, [p], cfg)
+        step(state, cfg)
         cur = state.fit[best(state)]
         assert cur <= prev
         prev = cur
@@ -471,7 +471,7 @@ def test_step_propagates_evaluation_errors():
     state = init([p], cfg)
     # the failing seed was the only one: its error is raised at once
     with pytest.raises(EvaluationError) as raised:
-        step(state, [p], cfg)
+        step(state, cfg)
     error = raised.value
     assert error.iteration == 1
     assert "returned nan (batch row 0)" in str(error)
@@ -586,7 +586,7 @@ def test_run_stays_feasible_throughout():
     cfg = LabConfig(seed=8, stall_epsilon=0.0)
     state = init([p], cfg)
     for _ in range(40):
-        step(state, [p], cfg)
+        step(state, cfg)
         for position in state.pos:
             assert p.contains(position)
 
@@ -602,7 +602,7 @@ def test_population_hull_never_expands():
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     prev = state.pos.copy()
     for _ in range(30):
-        step(state, [p], cfg)
+        step(state, cfg)
         cur = state.pos.copy()
         hi_prev = (dirs @ prev.T).max(axis=1)
         hi_cur = (dirs @ cur.T).max(axis=1)
@@ -694,7 +694,7 @@ def test_engine_invariants_over_random_shapes_boxes_and_senses(case):
     assert_state_invariants(state, problem, config, rows)
     widths = support_widths(state, seeds)
     for _ in range(steps):
-        step(state, problems, config)
+        step(state, config)
         assert state.stack.seeds == list(range(seeds))
         assert_state_invariants(state, problem, config, rows)
         now = support_widths(state, seeds)
@@ -951,6 +951,42 @@ def test_a_failing_shared_call_is_evaluated_again_only_up_to_the_failing_seed():
     assert sizes == [6]
     assert lone.value.iteration is None
     assert np.array_equal(lone.value.position, X[config.population + 4])
+
+
+def test_stack_observe_keeps_each_seeds_rows_and_first_strict_best():
+    # All values are negative under maximization, so a best that did not
+    # start at the worst value would never take the first observation.
+    p = box_problem(sense=Sense.MAXIMIZE, objective=lambda x: -1.0 - sphere(x))
+    stack = Stack([p, p], 0)
+    point = np.array([1.0, 2.0])
+    stack.observe(0, -5.0, point, (-5.0, -6.0))
+    stack.observe(1, -9.0, np.array([3.0, 3.0]))
+    point[:] = 7.0  # the stack holds its own copy
+    stack.observe(0, -5.0, np.array([0.0, 0.0]))  # a tie keeps the first point
+    stack.observe(0, -7.0, np.array([4.0, 4.0]))
+    first = list(stack.finish({0: "first"}, "algo", 10))
+    assert stack.seeds == [1]
+    assert stack.best_fitness == [-9.0] and len(stack.records[0]) == 1
+    stack.observe(0, -2.0, np.array([5.0, 5.0]))  # live seed 0 is seed 1 now
+    stack.observe(0, -3.0, np.array([6.0, 6.0]))
+    second = list(stack.finish({0: "second"}, "algo", 20))
+    assert stack.seeds == stack.records == stack.best_position == []
+
+    (first,), (second,) = first, second
+    assert (first.problem, first.algorithm, first.sense, first.seed) == (
+        "sq", "algo", Sense.MAXIMIZE, 0
+    )
+    assert (first.n_evaluations, first.termination) == (10, "first")
+    assert first.best_fitness == -5.0 and first.best_position == (1.0, 2.0)
+    assert [(r.iteration, r.global_best, r.best_so_far) for r in first.records] == [
+        (0, -5.0, -5.0), (1, -5.0, -5.0), (2, -7.0, -5.0)
+    ]
+    assert [r.leaders for r in first.records] == [(-5.0, -6.0), (), ()]
+    assert (second.seed, second.n_evaluations, second.termination) == (1, 20, "second")
+    assert second.best_fitness == -2.0 and second.best_position == (5.0, 5.0)
+    assert [(r.iteration, r.global_best, r.best_so_far) for r in second.records] == [
+        (0, -9.0, -9.0), (1, -2.0, -2.0), (2, -3.0, -2.0)
+    ]
 
 
 def test_a_seeds_cost_is_its_share_of_each_step_it_took(step_clock):
