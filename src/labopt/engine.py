@@ -476,13 +476,14 @@ def step(state: State, config: LabConfig) -> State:
     """Advance every live seed of ``state.stack`` by one synchronous iteration.
 
     The stack's problems share a box and sense, so the first one's are
-    every seed's.  All candidate positions are computed from the current (unmutated)
-    state, then evaluated and applied.  With greedy acceptance an
-    individual keeps its old position unless the candidate is strictly
-    better; otherwise candidates replace unconditionally.  Every
-    individual is re-evaluated each iteration, whatever the acceptance.
-    A seed whose evaluation fails leaves the stack as ``Stack.evaluate``
-    says; when it was the only one, its error is raised.
+    every seed's.  All candidate positions are computed from the current
+    (unmutated) state, then evaluated and applied.  With greedy
+    acceptance an individual keeps its old position unless the candidate
+    is strictly better; otherwise candidates replace unconditionally.
+    Every individual is re-evaluated each iteration, whatever the
+    acceptance.  A seed whose evaluation fails leaves the stack as
+    ``Stack.evaluate`` says; when it was the only one, its error is
+    raised.
     """
     problem = state.stack.problems[0]
     _, num_groups, group_size = state.order.shape
