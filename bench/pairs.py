@@ -22,8 +22,10 @@ wall times; and the measurement limits.
 A gain needs at least ten pairs, wins in at least nine tenths of the
 pairs run (ties, and pairs in which a side did not report the metric,
 count for neither side), a median difference larger than the parent's
-IQR, and a change whose every run exited 0 and matched the golden
-digest, with no more failed operations than the parent.
+IQR and at least a tenth of the metric's bound in ``BENCHMARK.json``,
+relative to the parent's median, and a change whose every run exited 0
+and matched the golden digest, with no more failed operations than the
+parent.
 Any other metric is "worse" when the change's median is worse than the
 parent's by more than the bound in ``BENCHMARK.json``, "unresolved"
 when the parent's own IQR is wider than that bound, and "within bound"
@@ -56,6 +58,9 @@ from perfbench.context import code_lines  # noqa: E402
 SIDES = ("parent", "change")
 # Fewer pairs cannot tell a gain from the machine's drift.
 MIN_GAIN_PAIRS = 10
+# A gain's median gap, relative to the parent's median, is at least this
+# share of the metric's bound: a steady metric's tiny move is no gain.
+MIN_GAIN_SHARE_OF_BOUND = 0.1
 TIER1 = (
     "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
     "-rA", "--durations=5",
@@ -189,6 +194,7 @@ def verdicts(runs: list[dict], metrics: list[dict]) -> dict:
             and len(runs) >= MIN_GAIN_PAIRS
             and wins >= 0.9 * len(runs)
             and gap > p3 - p1
+            and gap >= MIN_GAIN_SHARE_OF_BOUND * metric["bound"] * pm
         ):
             verdict = "gain"
         elif worse_by > metric["bound"]:
@@ -250,7 +256,8 @@ def main(argv: list[str] | None = None) -> int:
             f"perfbench/run.py --trace 0 --seconds {seconds:g}, one pair per seed and "
             "workload, parent first in even pairs and change first in odd ones; gain = "
             f"at least {MIN_GAIN_PAIRS} pairs, wins in at least 9/10 of them and a "
-            "median gap above the parent's IQR"
+            "median gap above the parent's IQR and at least "
+            f"{MIN_GAIN_SHARE_OF_BOUND:g} of the metric's bound times the parent's median"
         ),
         "seeds": args.seeds,
         "source_code_lines": {side: source_lines(copies[side]) for side in SIDES},

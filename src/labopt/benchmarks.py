@@ -410,11 +410,6 @@ class BenchmarkSpec:
     known_minimizer: tuple[float, ...] | None
     objective: Callable[[np.ndarray], np.ndarray]
 
-    @property
-    def problem(self) -> Problem:
-        """A fresh Problem at the canonical dimension."""
-        return build_problem(self.id)
-
 
 # Entries whose implementation really is additively separable.  Foxholes
 # and Booth carry an S tag in the printed table but contain cross terms,
@@ -504,9 +499,9 @@ _BY_ID = {spec.id: spec for spec in _SPECS}
 def registry() -> list[BenchmarkSpec]:
     """The full 27-entry catalog, in table order.
 
-    Specs hold no evaluation state; each ``.problem`` read builds a
-    fresh Problem, so the Quartic noise stream always starts from its
-    seed and repeated experiments stay reproducible.
+    Specs hold no evaluation state; :func:`build_problem` builds a
+    fresh Problem from one, so the Quartic noise stream always starts
+    from its seed and repeated experiments stay reproducible.
     """
     return list(_SPECS)
 

@@ -141,15 +141,6 @@ def _stack(
     )
 
 
-def _traces(
-    args: argparse.Namespace, build: Callable[[int], Problem]
-) -> Iterator[RunTrace]:
-    """Each seed's trace, in seed order: the seeds of a problem run as one stack."""
-    run_stack, config = _stack(args)
-    seeds = range(args.seed, args.seed + args.runs)
-    return run_stack([build(seed) for seed in seeds], config)
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     if args.runs < 1:
         raise ConfigError(f"--runs must be at least 1, got {args.runs}")
@@ -157,11 +148,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     problems = _resolve_selector(args.problem)
     out_root = _out_root(args.out)
+    run_stack, config = _stack(args)
+    seeds = range(args.seed, args.seed + args.runs)
     for name, build in problems:
         run_dir = out_root / f"{_slug(name)}__{args.algo}"
         traces = []
         try:
-            for trace in _traces(args, build):
+            # The seeds of a problem run as one stack, yielded in seed order.
+            for trace in run_stack([build(seed) for seed in seeds], config):
                 # Written as it is yielded, so a later failure keeps it.
                 write_trace(trace, run_dir / f"trace_seed{trace.seed}.csv")
                 traces.append(trace)

@@ -33,9 +33,7 @@ Term = tuple[float, tuple[float, ...]]
 class MachiningSpec:
     """One process/response regression model.
 
-    ``var_names`` pairs each decision symbol with its unit;
-    ``var_aliases`` records alternate symbols used in prose
-    descriptions of the same model, where they differ.
+    ``var_names`` pairs each decision symbol with its unit.
     """
 
     process: str
@@ -43,7 +41,6 @@ class MachiningSpec:
     variant: str | None
     sense: Sense
     var_names: tuple[tuple[str, str], ...]
-    var_aliases: tuple[str, ...] | None
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     terms: tuple[Term, ...]
@@ -158,7 +155,7 @@ _MQL_HI = (300.0, 0.2, 90.0)
 # Built once at import; specs are immutable, Problems are built per call.
 _SPECS = (
     MachiningSpec(
-        "awjm", "Ra", None, _MIN, _AWJM_VARS, None, _AWJM_LO, _AWJM_HI,
+        "awjm", "Ra", None, _MIN, _AWJM_VARS, _AWJM_LO, _AWJM_HI,
         (
             (-23.309555, (0, 0, 0, 0)),
             (16.6968, (1, 0, 0, 0)),
@@ -174,7 +171,7 @@ _SPECS = (
         ),
     ),
     MachiningSpec(
-        "awjm", "kerf", None, _MIN, _AWJM_VARS, None, _AWJM_LO, _AWJM_HI,
+        "awjm", "kerf", None, _MIN, _AWJM_VARS, _AWJM_LO, _AWJM_HI,
         (
             (-1.15146, (0, 0, 0, 0)),
             (0.70118, (1, 0, 0, 0)),
@@ -192,7 +189,7 @@ _SPECS = (
         ),
     ),
     MachiningSpec(
-        "edm", "MRR", None, _MAX, _EDM_VARS, None, _EDM_LO, _EDM_HI,
+        "edm", "MRR", None, _MAX, _EDM_VARS, _EDM_LO, _EDM_HI,
         (
             (-235.15, (0, 0, 0, 0)),
             (39.7, (1, 0, 0, 0)),
@@ -204,7 +201,7 @@ _SPECS = (
         ),
     ),
     MachiningSpec(
-        "edm", "Ra", None, _MIN, _EDM_VARS, None, _EDM_LO, _EDM_HI,
+        "edm", "Ra", None, _MIN, _EDM_VARS, _EDM_LO, _EDM_HI,
         (
             (30.347, (0, 0, 0, 0)),
             (-0.618, (1, 0, 0, 0)),
@@ -216,7 +213,7 @@ _SPECS = (
         ),
     ),
     MachiningSpec(
-        "edm", "REWR", None, _MIN, _EDM_VARS, None, _EDM_LO, _EDM_HI,
+        "edm", "REWR", None, _MIN, _EDM_VARS, _EDM_LO, _EDM_HI,
         (
             (196.564, (0, 0, 0, 0)),
             (-24.19, (1, 0, 0, 0)),
@@ -235,15 +232,15 @@ _SPECS = (
         ),
     ),
     MachiningSpec(
-        "micro_turning", "fb", None, _MIN, _MT_VARS, None, _MT_LO, _MT_HI,
+        "micro_turning", "fb", None, _MIN, _MT_VARS, _MT_LO, _MT_HI,
         ((0.004, (0.495, 0.545, 0.763)),),
     ),
     MachiningSpec(
-        "micro_turning", "Ra", None, _MIN, _MT_VARS, None, _MT_LO, _MT_HI,
+        "micro_turning", "Ra", None, _MIN, _MT_VARS, _MT_LO, _MT_HI,
         ((0.048, (-0.062, 0.445, 0.516)),),
     ),
     MachiningSpec(
-        "micro_milling", "Ra", "0.7mm", _MIN, _MM_VARS, ("x1", "x2"), _MM_LO, _MM_HI,
+        "micro_milling", "Ra", "0.7mm", _MIN, _MM_VARS, _MM_LO, _MM_HI,
         (
             (-0.455378, (0, 0)),
             (0.00027, (1, 0)),
@@ -252,7 +249,7 @@ _SPECS = (
         ),
     ),
     MachiningSpec(
-        "micro_milling", "Mt", "0.7mm", _MIN, _MM_VARS, ("x1", "x2"), _MM_LO, _MM_HI,
+        "micro_milling", "Mt", "0.7mm", _MIN, _MM_VARS, _MM_LO, _MM_HI,
         (
             (17.71644, (0, 0)),
             (-0.0002, (1, 0)),
@@ -261,7 +258,7 @@ _SPECS = (
         ),
     ),
     MachiningSpec(
-        "micro_milling", "Ra", "1mm", _MIN, _MM_VARS, ("x1", "x2"), _MM_LO, _MM_HI,
+        "micro_milling", "Ra", "1mm", _MIN, _MM_VARS, _MM_LO, _MM_HI,
         (
             (-0.208871, (0, 0)),
             (0.000144, (1, 0)),
@@ -269,7 +266,7 @@ _SPECS = (
         ),
     ),
     MachiningSpec(
-        "micro_milling", "Mt", "1mm", _MIN, _MM_VARS, ("x1", "x2"), _MM_LO, _MM_HI,
+        "micro_milling", "Mt", "1mm", _MIN, _MM_VARS, _MM_LO, _MM_HI,
         (
             (20.2906, (0, 0)),
             (-0.0015, (1, 0)),
@@ -278,7 +275,7 @@ _SPECS = (
         ),
     ),
     MachiningSpec(
-        "micro_drilling", "Bh", "0.5mm", _MIN, _MD_VARS, ("y1", "y2"), _MD_LO, _MD_HI,
+        "micro_drilling", "Bh", "0.5mm", _MIN, _MD_VARS, _MD_LO, _MD_HI,
         (
             (420.94, (0, 0)),
             (-0.234, (1, 0)),
@@ -288,7 +285,7 @@ _SPECS = (
         ),
     ),
     MachiningSpec(
-        "micro_drilling", "Bt", "0.5mm", _MIN, _MD_VARS, ("y1", "y2"), _MD_LO, _MD_HI,
+        "micro_drilling", "Bt", "0.5mm", _MIN, _MD_VARS, _MD_LO, _MD_HI,
         (
             (90.57, (0, 0)),
             (-0.049, (1, 0)),
@@ -298,7 +295,7 @@ _SPECS = (
         ),
     ),
     MachiningSpec(
-        "micro_drilling", "Bh", "0.6mm", _MIN, _MD_VARS, ("y1", "y2"), _MD_LO, _MD_HI,
+        "micro_drilling", "Bh", "0.6mm", _MIN, _MD_VARS, _MD_LO, _MD_HI,
         (
             (369.67, (0, 0)),
             (-0.028, (1, 0)),
@@ -308,7 +305,7 @@ _SPECS = (
         ),
     ),
     MachiningSpec(
-        "micro_drilling", "Bt", "0.6mm", _MIN, _MD_VARS, ("y1", "y2"), _MD_LO, _MD_HI,
+        "micro_drilling", "Bt", "0.6mm", _MIN, _MD_VARS, _MD_LO, _MD_HI,
         (
             (35.34, (0, 0)),
             (-0.019, (1, 0)),
@@ -318,7 +315,7 @@ _SPECS = (
         ),
     ),
     MachiningSpec(
-        "micro_drilling", "Bh", "0.8mm", _MIN, _MD_VARS, ("y1", "y2"), _MD_LO, _MD_HI,
+        "micro_drilling", "Bh", "0.8mm", _MIN, _MD_VARS, _MD_LO, _MD_HI,
         (
             (106.116, (0, 0)),
             (0.13, (1, 0)),
@@ -328,7 +325,7 @@ _SPECS = (
         ),
     ),
     MachiningSpec(
-        "micro_drilling", "Bt", "0.8mm", _MIN, _MD_VARS, ("y1", "y2"), _MD_LO, _MD_HI,
+        "micro_drilling", "Bt", "0.8mm", _MIN, _MD_VARS, _MD_LO, _MD_HI,
         (
             (59.79, (0, 0)),
             (-0.024, (1, 0)),
@@ -338,7 +335,7 @@ _SPECS = (
         ),
     ),
     MachiningSpec(
-        "micro_drilling", "Bh", "0.9mm", _MIN, _MD_VARS, ("y1", "y2"), _MD_LO, _MD_HI,
+        "micro_drilling", "Bh", "0.9mm", _MIN, _MD_VARS, _MD_LO, _MD_HI,
         (
             (450.7, (0, 0)),
             (-0.09, (1, 0)),
@@ -348,7 +345,7 @@ _SPECS = (
         ),
     ),
     MachiningSpec(
-        "micro_drilling", "Bt", "0.9mm", _MIN, _MD_VARS, ("y1", "y2"), _MD_LO, _MD_HI,
+        "micro_drilling", "Bt", "0.9mm", _MIN, _MD_VARS, _MD_LO, _MD_HI,
         (
             (80.07, (0, 0)),
             (-0.040, (1, 0)),
@@ -358,7 +355,7 @@ _SPECS = (
         ),
     ),
     MachiningSpec(
-        "mql_turning", "Fc", None, _MIN, _MQL_VARS, None, _MQL_LO, _MQL_HI,
+        "mql_turning", "Fc", None, _MIN, _MQL_VARS, _MQL_LO, _MQL_HI,
         (
             (-202.01471, (0, 0, 0)),
             (1.28250, (0, 0, 1)),
@@ -368,7 +365,7 @@ _SPECS = (
         ),
     ),
     MachiningSpec(
-        "mql_turning", "VBmax", None, _MIN, _MQL_VARS, None, _MQL_LO, _MQL_HI,
+        "mql_turning", "VBmax", None, _MIN, _MQL_VARS, _MQL_LO, _MQL_HI,
         (
             (-0.27368, (0, 0, 0)),
             (0.001575, (0, 0, 1)),
@@ -377,7 +374,7 @@ _SPECS = (
         ),
     ),
     MachiningSpec(
-        "mql_turning", "Ra", None, _MIN, _MQL_VARS, None, _MQL_LO, _MQL_HI,
+        "mql_turning", "Ra", None, _MIN, _MQL_VARS, _MQL_LO, _MQL_HI,
         (
             (-0.16294, (0, 0, 0)),
             (0.001425, (0, 0, 1)),
@@ -386,7 +383,7 @@ _SPECS = (
         ),
     ),
     MachiningSpec(
-        "mql_turning", "L", None, _MIN, _MQL_VARS, None, _MQL_LO, _MQL_HI,
+        "mql_turning", "L", None, _MIN, _MQL_VARS, _MQL_LO, _MQL_HI,
         (
             (0.96302, (0, 0, 0)),
             (-0.00215931, (0, 0, 1)),

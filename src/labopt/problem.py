@@ -131,13 +131,6 @@ class Problem:
                     )
         return values
 
-    def contains(self, x: np.ndarray, atol: float = 0.0) -> bool:
-        """True when ``x`` lies inside the box (within ``atol`` slack)."""
-        x = np.asarray(x, dtype=float)
-        return bool(
-            np.all(x >= self.lower - atol) and np.all(x <= self.upper + atol)
-        )
-
 
 def oriented(value: float, sense: Sense) -> float:
     """Map a fitness to minimize-space (maximize problems are negated).

@@ -1,6 +1,13 @@
+import numpy as np
 import pytest
 
 from labopt import engine
+
+
+def in_box(problem, x):
+    """True when ``x`` lies inside ``problem``'s box, both bounds included."""
+    x = np.asarray(x, dtype=float)
+    return bool(np.all(x >= problem.lower) and np.all(x <= problem.upper))
 
 
 class StepClock:

@@ -22,6 +22,8 @@ from labopt.persist import read_summary, read_trace
 from labopt.problem import Sense, is_better, oriented
 from labopt.stats import METHOD_EXACT, wilcoxon_two_sided
 
+from conftest import in_box
+
 SEEDS = range(30)
 
 
@@ -61,7 +63,7 @@ def test_engine_property_suite():
             positions = state.pos
 
             # feasibility: in the box, and clamping is a no-op
-            assert all(problem.contains(x) for x in positions)
+            assert all(in_box(problem, x) for x in positions)
             for x in positions:
                 assert np.array_equal(np.clip(x, problem.lower, problem.upper), x)
 

@@ -20,6 +20,8 @@ from labopt.benchmarks import build_problem
 from labopt.engine import TERMINATION_BUDGET, LabConfig, run
 from labopt.problem import ConfigError, Problem, Sense
 
+from conftest import in_box
+
 
 def sphere(dim: int = 2, half_width: float = 5.0) -> Problem:
     return Problem(
@@ -90,7 +92,7 @@ def test_trace_contract(algorithm):
     assert [r.iteration for r in trace.records] == list(range(len(trace.records)))
     assert all(r.leaders == () for r in trace.records)
     assert trace.records[-1].best_so_far == trace.best_fitness
-    assert problem.contains(np.array(trace.best_position))
+    assert in_box(problem, np.array(trace.best_position))
     assert trace.best_fitness == problem.evaluate(np.array(trace.best_position))
 
 
@@ -157,7 +159,7 @@ def test_trace_contract_over_random_shapes_boxes_and_senses(case):
         == series[-1].hex()
         == problem.evaluate(best).hex()
     )
-    assert problem.contains(best)
+    assert in_box(problem, best)
     assert [r.iteration for r in trace.records] == list(range(len(trace.records)))
 
 

@@ -19,6 +19,8 @@ from labopt.benchmarks import (
 from labopt.engine import LabConfig, run
 from labopt.problem import Sense
 
+from conftest import in_box
+
 # id, name, tags, dim, lower, upper, known_best
 EXPECTED_ROWS = [
     ("F1", "Foxholes", "MS", 2, -65.536, 65.536, 0.998003838818649),
@@ -61,7 +63,7 @@ def test_registry_matches_frozen_table():
 
 def test_every_entry_builds_a_consistent_problem():
     for spec in registry():
-        p = spec.problem
+        p = build_problem(spec.id)
         assert p.dim == spec.dim
         assert p.sense is Sense.MINIMIZE
         assert np.all(p.lower == spec.lower)
@@ -71,7 +73,7 @@ def test_every_entry_builds_a_consistent_problem():
 
 def test_each_lab_step_is_one_objective_call():
     for spec in registry():
-        p = spec.problem
+        p = build_problem(spec.id)
         batch_sizes = []
         objective = p.objective
         p.objective = lambda x, f=objective: batch_sizes.append(len(x)) or f(x)
@@ -86,8 +88,9 @@ def test_known_minimizers_reproduce_known_best():
         if spec.known_minimizer is None or spec.id == "F32":
             continue  # Langermann has no published optimum; Quartic is noisy
         x = np.array(spec.known_minimizer, dtype=float)
-        assert spec.problem.contains(x), spec.id
-        value = spec.problem.evaluate(x)
+        p = build_problem(spec.id)
+        assert in_box(p, x), spec.id
+        value = p.evaluate(x)
         assert abs(value - spec.known_best) <= 1e-9, (spec.id, value)
         checked += 1
     assert checked >= 16
@@ -196,25 +199,24 @@ def test_ackley_and_rastrigin_at_origin():
 def test_dixon_price_minimizer_is_analytic():
     for dim in (2, 5, 30):
         x = dixon_price_minimizer(dim)
-        spec = benchmarks.get("F13")
-        p = build_problem("F13", dim=dim) if dim != spec.dim else spec.problem
+        p = build_problem("F13", dim=dim)
         assert p.evaluate(x) <= 1e-20
 
 
 def test_fletcher_targets_are_exact_zeros():
     for sid in ("F15", "F16", "F17"):
-        spec = benchmarks.get(sid)
-        alpha = np.array(spec.known_minimizer)
-        assert spec.problem.evaluate(alpha) == 0.0
+        p = build_problem(sid)
+        alpha = np.array(benchmarks.get(sid).known_minimizer)
+        assert p.evaluate(alpha) == 0.0
         # moving away from alpha leaves the floor
-        assert spec.problem.evaluate(np.clip(alpha + 0.5, -3.1416, 3.1416)) > 0.0
+        assert p.evaluate(np.clip(alpha + 0.5, -3.1416, 3.1416)) > 0.0
 
 
 def test_langermann_values_are_reasonable():
     for sid in ("F23", "F24"):
         spec = benchmarks.get(sid)
         assert spec.known_best is None
-        v = spec.problem.evaluate(np.full(spec.dim, 5.0))
+        v = build_problem(sid).evaluate(np.full(spec.dim, 5.0))
         assert math.isfinite(v)
 
 
@@ -240,29 +242,20 @@ def test_quartic_noiseless_variant_is_deterministic():
     assert noisy(x) != noisy(x)  # fresh draw per call
 
 
-def test_registry_rebuilds_fresh_noise_stream():
-    xs = np.full(30, 0.3)
-    first = [s for s in registry() if s.id == "F32"][0].problem.evaluate(xs)
-    second = [s for s in registry() if s.id == "F32"][0].problem.evaluate(xs)
-    assert first == second  # same registry seed, fresh stream each call
-
-
 def test_every_build_returns_a_fresh_problem():
-    # Quartic noise restarts from its seed on every build and every read
+    # Quartic noise restarts from its seed on every build
     x = np.full(30, 0.3)
     built = [build_problem("F32").evaluate(x) for _ in range(2)]
-    read = [[s for s in registry() if s.id == "F32"][0].problem.evaluate(x) for _ in range(2)]
-    assert built[0] == built[1] == read[0] == read[1]
+    assert built[0] == built[1]
     # changes to one returned Problem never reach the next one
-    for make in (lambda: build_problem("F10"), lambda: benchmarks.get("F10").problem):
-        first = make()
-        first.lower[:] = 5.0
-        first.lower = np.full(2, 7.0)
-        first.objective = lambda x: float("nan")
-        second = make()
-        assert second is not first
-        assert np.all(second.lower == -10.0)
-        assert second.evaluate(np.array([1.0, 3.0])) == 0.0
+    first = build_problem("F10")
+    first.lower[:] = 5.0
+    first.lower = np.full(2, 7.0)
+    first.objective = lambda x: float("nan")
+    second = build_problem("F10")
+    assert second is not first
+    assert np.all(second.lower == -10.0)
+    assert second.evaluate(np.array([1.0, 3.0])) == 0.0
 
 
 def test_build_problem_dim_override_for_scalable_families():

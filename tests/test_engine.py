@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labopt import machining
+from labopt import benchmarks, machining
 from labopt.baselines import (
     ALGORITHM_PSO,
     ALGORITHM_RANDOM,
@@ -34,6 +34,8 @@ from labopt.engine import (
 )
 from labopt.persist import write_trace
 from labopt.problem import ConfigError, EvaluationError, Problem, Sense, oriented
+
+from conftest import in_box
 
 
 def sphere(x):
@@ -222,7 +224,7 @@ def test_initialize_society_shape_and_accounting():
     assert sorted(state.order.ravel().tolist()) == list(range(20))
     assert state.iteration == 0
     for i in range(20):
-        assert p.contains(state.pos[i])
+        assert in_box(p, state.pos[i])
         assert state.fit[i] == p.evaluate(state.pos[i])
     # groups are ranked locally and globally
     for row in state.order[0]:
@@ -538,7 +540,7 @@ def test_run_record_structure_and_accounting():
     assert all(len(r.leaders) == cfg.num_groups for r in trace.records)
     assert trace.algorithm == "lab"
     assert trace.sense is Sense.MINIMIZE
-    assert p.contains(np.array(trace.best_position))
+    assert in_box(p, np.array(trace.best_position))
     assert trace.best_fitness == p.evaluate(np.array(trace.best_position))
 
 
@@ -588,7 +590,7 @@ def test_run_stays_feasible_throughout():
     for _ in range(40):
         step(state, cfg)
         for position in state.pos:
-            assert p.contains(position)
+            assert in_box(p, position)
 
 
 def test_population_hull_never_expands():
@@ -668,7 +670,7 @@ def assert_state_invariants(state, problem, config, rows):
     pop = config.population
     assert rows == [len(state.stack.seeds) * pop] * (state.iteration + 1)
     assert np.array_equal(state.pos.clip(problem.lower, problem.upper), state.pos)
-    assert all(problem.contains(x) for x in state.pos)
+    assert all(in_box(problem, x) for x in state.pos)
     key = oriented(state.fit, problem.sense).tolist()
     for k, groups in zip(state.stack.seeds, state.order.tolist()):
         ids = [i for row in groups for i in row]
@@ -756,42 +758,104 @@ def test_run_seeds_yields_what_run_returns_for_each_seed(case, tmp_path):
         assert trace_bytes(trace, tmp_path) == trace_bytes(alone, tmp_path), k
 
 
+def run_stack(problems, config):
+    """``problems`` as one stack of ``config``'s algorithm: LAB's or a baseline's."""
+    if isinstance(config, LabConfig):
+        return run_seeds(problems, config)
+    return run_baseline_seeds(problems, config)
+
+
+def stack_config(algorithm, seed, budget=400, max_iterations=LabConfig().max_iterations):
+    """LAB for ``max_iterations``, or a baseline at ``budget``, from ``seed``."""
+    if algorithm == ALGORITHM_LAB:
+        return LabConfig(max_iterations=max_iterations, seed=seed)
+    return BaselineConfig(algorithm, budget=budget, seed=seed)
+
+
+ALGORITHMS = (ALGORITHM_LAB, ALGORITHM_RANDOM, ALGORITHM_SA, ALGORITHM_PSO)
+
+# Every catalog entry's per-seed problem, as `labopt run` builds it.
+CATALOG = {
+    **{spec.key: machining_problem(spec.key) for spec in machining.machining_registry()},
+    **{spec.id: benchmark_problem(spec.id) for spec in benchmarks.registry()},
+}
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_every_catalog_entry_stacked_yields_each_seeds_lone_trace(algorithm):
+    # A baseline spends two full batches and a partial one.  F32 gives
+    # each seed its own noise stream, so its stack takes per-seed calls;
+    # every other entry shares one call.
+    config = stack_config(algorithm, 2, budget=2 * BATCH + 17, max_iterations=5)
+    for name, make in CATALOG.items():
+        stacked = list(run_stack([make(2 + k) for k in range(3)], config))
+        assert [t.seed for t in stacked] == [2, 3, 4], name
+        for k, trace in enumerate(stacked):
+            (alone,) = run_stack([make(2 + k)], dataclasses.replace(config, seed=2 + k))
+            assert trace == alone, (name, k)
+
+
 @st.composite
 def stacks(draw):
-    """A problem with a random box and sense, a config and a seed count."""
+    """Problems with a random box and sense, a config and a seed count.
+
+    The config is LAB's or a baseline's; a baseline's budget is below
+    one batch, whole batches, or ends on a partial batch.  The seeds
+    share one objective or each get their own closure of the same
+    formula, so both the shared and the per-seed call are taken.
+    """
+    algorithm = draw(st.sampled_from(ALGORITHMS))
+    seeds = draw(st.integers(1, 5))
+    shared = draw(st.booleans())
     dim = draw(st.integers(1, 4))
     lower = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim)))
     span = 10.0 ** np.array(
         draw(st.lists(st.floats(-3.0, 3.0), min_size=dim, max_size=dim))
     )
     center = draw(st.floats(-3.0, 3.0))
+
+    def formula():
+        return lambda x: np.sum((4.0 * (x - lower) / span - 2.0 - center) ** 2, axis=-1)
+
     problem = Problem(
         name="random",
         dim=dim,
         lower=lower,
         upper=lower + span,
         sense=draw(st.sampled_from(Sense)),
-        objective=lambda x: np.sum((4.0 * (x - lower) / span - 2.0 - center) ** 2, axis=-1),
+        objective=formula(),
     )
+    if shared:
+        problems = [problem] * seeds
+    else:
+        problems = [dataclasses.replace(problem, objective=formula()) for _ in range(seeds)]
+    seed = draw(st.integers(0, 2**32 - 1))
+    if algorithm != ALGORITHM_LAB:
+        budget = draw(st.one_of(
+            st.integers(1, BATCH - 1),
+            st.integers(1, 5).map(lambda n: n * BATCH),
+            st.integers(BATCH + 1, 5 * BATCH).filter(lambda b: b % BATCH),
+        ))
+        return problems, BaselineConfig(algorithm, budget=budget, seed=seed)
     config = LabConfig(
         num_groups=draw(st.integers(2, 4)),
         group_size=draw(st.integers(3, 8)),
         max_iterations=draw(st.integers(1, 25)),
         stall_window=draw(st.integers(1, 6)),
         greedy_acceptance=draw(st.booleans()),
-        seed=draw(st.integers(0, 2**32 - 1)),
+        seed=seed,
     )
-    return problem, config, draw(st.integers(1, 5))
+    return problems, config
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(stacks())
-def test_run_seeds_matches_run_over_random_shapes_boxes_and_senses(case):
-    problem, config, seeds = case
-    stacked = list(run_seeds([problem] * seeds, config))
-    assert len(stacked) == seeds
+def test_stacked_seeds_match_lone_runs_over_random_shapes_boxes_and_senses(case):
+    problems, config = case
+    stacked = list(run_stack(problems, config))
+    assert len(stacked) == len(problems)
     for k, trace in enumerate(stacked):
-        alone = run(problem, dataclasses.replace(config, seed=config.seed + k))
+        alone = next(run_stack([problems[k]], dataclasses.replace(config, seed=config.seed + k)))
         assert trace == alone, k
 
 
@@ -828,9 +892,7 @@ def f10_with_nan_band(center, calls):
 
 def stacked_run(algorithm, problems, seed):
     """``algorithm`` on ``problems`` as one stack: LAB at its defaults, a baseline at budget 400."""
-    if algorithm == ALGORITHM_LAB:
-        return run_seeds(problems, LabConfig(seed=seed))
-    return run_baseline_seeds(problems, BaselineConfig(algorithm, budget=400, seed=seed))
+    return run_stack(problems, stack_config(algorithm, seed))
 
 
 @pytest.mark.parametrize("algorithm", sorted(NAN_BANDS))

@@ -245,7 +245,7 @@ def test_problem_wrapper_round_trips():
 # single-column slabs in both senses.
 ONE_VARIABLE_SPECS = [
     machining.MachiningSpec(
-        "synthetic", "y", sense.value, sense, (("s1", "mm"),), None, (0.5,), (3.0,),
+        "synthetic", "y", sense.value, sense, (("s1", "mm"),), (0.5,), (3.0,),
         ((sign * 2.0, (0,)), (sign * -3.1, (1,)), (sign * 1.0, (2,)), (sign * 0.4, (0.5,))),
     )
     for sign, sense in ((1.0, Sense.MINIMIZE), (-1.0, Sense.MAXIMIZE))
@@ -326,7 +326,7 @@ def test_evaluate_equals_the_plain_term_loop_bitwise(spec):
 # the last bit between numpy's scalar and array paths (numpy 2.4.6), so
 # an oracle that raised a grid value as a scalar would not match.
 POWER_AT_BOUND = machining.MachiningSpec(
-    "synthetic", "pow", None, Sense.MINIMIZE, (("s1", "mm"),), None, (1.011,), (3.0,),
+    "synthetic", "pow", None, Sense.MINIMIZE, (("s1", "mm"),), (1.011,), (3.0,),
     ((1.0, (0.495,)),),
 )
 
@@ -377,13 +377,11 @@ def test_lookup_is_case_insensitive_and_strict():
         machining.get("edm:XYZ")
 
 
-def test_variables_carry_units_and_aliases():
+def test_variables_carry_units():
     spec = machining.get("micro_milling:Ra:0.7mm")
     assert spec.var_names == (("f1", "rpm"), ("f2", "mm/min"))
-    assert spec.var_aliases == ("x1", "x2")
     spec = machining.get("micro_turning:fb")
     assert [sym for sym, _ in spec.var_names] == ["mt_w1", "mt_w2", "mt_w3"]
-    assert machining.get("edm:Ra").var_aliases is None
 
 
 def test_catalog_is_json_ready():

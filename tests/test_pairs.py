@@ -10,10 +10,11 @@ pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(pairs)
 
 WALL = {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}
+RSS = {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.05}
 
 
-def _side(wall, exit=0, correct=True, failed=0):
-    metrics = {} if wall is None else {"wall_s": wall}
+def _side(wall, exit=0, correct=True, failed=0, metric="wall_s"):
+    metrics = {} if wall is None else {metric: wall}
     return {"exit": exit, "correct": correct, "failed": failed, "metrics": metrics}
 
 
@@ -27,6 +28,21 @@ def test_ten_clean_wins_are_a_gain():
     verdict = pairs.verdicts(runs, [WALL])["wall_s"]
     assert verdict["wins"] == "10/10"
     assert verdict["verdict"] == "gain"
+
+
+def test_ten_clean_wins_below_a_tenth_of_the_bound_are_not_a_gain():
+    # A change that moved no memory read baselines-oracle's peak RSS
+    # 40.594 -> 40.566 MB in 10 of 10 pairs, against a parent IQR of
+    # 0.006 MB: a gap above the IQR, but 0.07% against a 5% bound.
+    spread = [-0.005, -0.004, -0.003, -0.003, -0.001, 0.001, 0.003, 0.003, 0.004, 0.005]
+    runs = _runs([_side(40.594 + d, metric="peak_rss_mb") for d in spread],
+                 [_side(40.566 + d, metric="peak_rss_mb") for d in spread])
+    verdict = pairs.verdicts(runs, [RSS])["peak_rss_mb"]
+    assert verdict["wins"] == "10/10"
+    assert verdict["parent"]["median"] == pytest.approx(40.594)
+    assert verdict["parent"]["iqr"] == pytest.approx(0.006)
+    assert verdict["change"]["median"] == pytest.approx(40.566)
+    assert verdict["verdict"] == "within bound"
 
 
 def test_five_clean_wins_are_not_a_gain():

@@ -150,14 +150,6 @@ def test_evaluate_batch_rejects_a_result_of_the_wrong_shape(objective):
         p.evaluate(np.array([0.25, 0.5]))
 
 
-def test_contains_with_and_without_slack():
-    p = make_problem()
-    assert p.contains([0.0, 0.0])
-    assert p.contains([1.0, 2.0])
-    assert not p.contains([1.0 + 1e-9, 0.0])
-    assert p.contains([1.0 + 1e-9, 0.0], atol=1e-8)
-
-
 def test_oriented_negates_only_maximization():
     assert oriented(3.5, Sense.MINIMIZE) == 3.5
     assert oriented(3.5, Sense.MAXIMIZE) == -3.5
