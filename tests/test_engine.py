@@ -890,19 +890,14 @@ def f10_with_nan_band(center, calls):
     return dataclasses.replace(f10, objective=objective)
 
 
-def stacked_run(algorithm, problems, seed):
-    """``algorithm`` on ``problems`` as one stack: LAB at its defaults, a baseline at budget 400."""
-    return run_stack(problems, stack_config(algorithm, seed))
-
-
 @pytest.mark.parametrize("algorithm", sorted(NAN_BANDS))
 def test_every_stack_raises_the_lowest_failing_seeds_lone_error(algorithm):
     calls = []
     problem = f10_with_nan_band(NAN_BANDS[algorithm], calls)
-    (lone,) = stacked_run(algorithm, [problem], 0)
+    (lone,) = run_stack([problem], stack_config(algorithm, 0))
     calls.clear()
     with pytest.raises(EvaluationError) as alone:
-        next(stacked_run(algorithm, [problem], 1))
+        next(run_stack([problem], stack_config(algorithm, 1)))
     lone_calls = list(calls)
     assert len(lone_calls) > 1
     assert lone_calls[-1] == (1 if algorithm == ALGORITHM_SA else BATCH)
@@ -911,7 +906,7 @@ def test_every_stack_raises_the_lowest_failing_seeds_lone_error(algorithm):
 
     # Seed 0's trace, then seed 1's error in place of its trace.
     calls.clear()
-    stack = stacked_run(algorithm, [problem] * 3, 0)
+    stack = run_stack([problem] * 3, stack_config(algorithm, 0))
     assert next(stack) == lone
     with pytest.raises(EvaluationError) as got:
         next(stack)
@@ -926,7 +921,7 @@ def test_every_stack_raises_the_lowest_failing_seeds_lone_error(algorithm):
     # last objective call is its own share of the batch that failed.
     calls.clear()
     with pytest.raises(EvaluationError) as got:
-        next(stacked_run(algorithm, [problem] * 2, 1))
+        next(run_stack([problem] * 2, stack_config(algorithm, 1)))
     assert str(got.value) == str(alone.value)
     assert np.array_equal(got.value.position, alone.value.position)
     assert got.value.iteration == alone.value.iteration
