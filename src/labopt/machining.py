@@ -6,9 +6,10 @@ abrasive water jet machining (AWJM), electro-discharge machining
 Every model is stored as a flat tuple of terms ``(coefficient,
 exponents)``, written in the table below as the spec uses it, so each
 coefficient appears in exactly one place and audits can diff the
-tables directly.  One generic routine sums a model's terms, over the
-columns of a batch in ``evaluate`` and over per-axis power tables in
-``grid_oracle``.
+tables directly.  One generic routine sums a model's terms straight
+from one column per variable: the columns of a batch in ``evaluate``,
+and in ``grid_oracle`` one value of the first axis beside the other
+axes laid out to broadcast.
 
 All responses are minimized except EDM material removal rate, which is
 maximized.  One catalog quirk is kept on purpose: the printed variable
@@ -66,30 +67,23 @@ class MachiningSpec:
         return box
 
     @cached_property
-    def _plan(self) -> tuple[tuple, tuple]:
+    def _plan(self) -> tuple:
         """Every term as its coefficient and its nonzero ``(variable,
-        exponent)`` factors, and the distinct factors in order of use."""
-        terms = tuple((c, tuple((i, e) for i, e in enumerate(exps) if e)) for c, exps in self.terms)
-        return terms, tuple(dict.fromkeys(f for _, factors in terms for f in factors))
+        exponent)`` factors."""
+        return tuple((c, tuple((i, e) for i, e in enumerate(exps) if e)) for c, exps in self.terms)
 
-    def _powers(self, columns: list[np.ndarray]) -> dict:
-        """Each distinct factor's power of its variable's column, computed once.
+    def _sum_terms(self, columns: list, shape: tuple[int, ...]) -> np.ndarray:
+        """The model over one column per variable, broadcast to ``shape``.
 
-        Every power is an array ``**``; exponent 1 passes the column through.
-        """
-        return {(i, e): columns[i] if e == 1 else columns[i] ** e for i, e in self._plan[1]}
-
-    def _sum_terms(self, powers: dict, shape: tuple[int, ...]) -> np.ndarray:
-        """The model over factor powers that broadcast to ``shape``.
-
-        Each term multiplies its factors left to right, and the terms
-        are added one after another in table order.
+        Each term multiplies its factors left to right: exponent 1 passes
+        the column through, any other exponent is an array ``**``.  The
+        terms are added one after another in table order.
         """
         out = np.zeros(shape)
-        for coef, factors in self._plan[0]:
+        for coef, factors in self._plan:
             term = coef
-            for factor in factors:
-                term = term * powers[factor]
+            for i, e in factors:
+                term = term * (columns[i] if e == 1 else columns[i] ** e)
             out += term
         return out
 
@@ -108,7 +102,7 @@ class MachiningSpec:
         lo, hi = self._box
         if (x < lo).any() or (x > hi).any():
             raise ValueError(f"input outside the {self.key} variable box")
-        return self._sum_terms(self._powers([x[..., i] for i in range(self.dim)]), x.shape[:-1])
+        return self._sum_terms([x[..., i] for i in range(self.dim)], x.shape[:-1])
 
     @property
     def problem(self) -> Problem:
@@ -420,12 +414,14 @@ def grid_oracle(
     independent ground truth for small dimensions (all catalog entries
     have dim <= 4).
 
-    Each power a term uses is tabled once per axis, over that axis's
-    values.  The cross product is then summed one slab per value of the
-    first axis: the other axes' tables broadcast against each other, so
-    a slab holds about ``points_per_axis ** (dim - 1)`` floats and no
-    grid of points is built.  The values equal ``evaluate`` on the same
-    points bit for bit.
+    The cross product is summed one slab per value of the first axis:
+    the other axes broadcast against each other, so a slab holds about
+    ``points_per_axis ** (dim - 1)`` floats and no grid of points or
+    table of powers is built.  The first axis's value enters as a 0-d
+    array, not a numpy scalar, so its powers take the same array ``**``
+    as ``evaluate``'s columns (the scalar ``**`` differs in the last bit
+    for some values).  The values equal ``evaluate`` on the same points
+    bit for bit.
 
     Refining the grid can only improve the result: every grid with
     ``2k - 1`` points per axis contains the ``k``-point grid.
@@ -434,13 +430,12 @@ def grid_oracle(
         raise ConfigError(f"points_per_axis must be >= 2, got {points_per_axis}")
     axes = [np.linspace(lo, hi, points_per_axis) for lo, hi in zip(spec.lower, spec.upper)]
     shape = (points_per_axis,) * (spec.dim - 1)
-    # Axis j >= 1 runs along slab dimension j - 1, so its tables
-    # broadcast over the slab; axis 0 gives each slab one value.
-    tables = spec._powers([axes[0], *np.ix_(*axes[1:])])
+    # Axis j >= 1 runs along slab dimension j - 1 and broadcasts over
+    # the slab; axis 0 gives each slab one value, as a 0-d array.
+    rest = np.ix_(*axes[1:])
     best_value, best_point = None, None
     for k, first in enumerate(axes[0]):
-        powers = {(i, e): t[k] if i == 0 else t for (i, e), t in tables.items()}
-        values = spec._sum_terms(powers, shape)
+        values = spec._sum_terms([axes[0][k, ...], *rest], shape)
         idx = np.unravel_index(np.argmin(oriented(values, spec.sense)), shape)
         value = float(values[idx])
         if best_value is None or is_better(value, best_value, spec.sense):
