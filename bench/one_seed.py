@@ -1,4 +1,4 @@
-"""Time one-seed LAB and baseline runs of two revisions in one process, in alternating pairs.
+"""Time one-seed LAB and baseline runs and the grid oracle of two revisions in one process, in alternating pairs.
 
     python3 bench/one_seed.py --parent HEAD~1 --change HEAD --tag my-change \\
         --workdir /tmp/one-seed --seeds 0-19
@@ -12,12 +12,14 @@ makes four passes over every catalog problem (the 23 machining models,
 then the 27 benchmark functions built for seed ``s``), each on fresh
 problems: a LAB pass with ``engine.run(problem, LabConfig(seed=s))``,
 and an SA, a random-search and a PSO pass with ``run_baseline`` at
-``labopt run``'s default budget of 2,020 evaluations.  In each pass
-both sides run back to back
-problem by problem, the first side alternating, so a drift in machine
-speed falls on both sides alike.  A pass's time per side is the sum of
-its 50 runs; both sides' traces must be equal.  An unrecorded pair
-warms both sides up first.
+``labopt run``'s default budget of 2,020 evaluations.  A fifth pass
+runs ``grid_oracle(spec, 51)``, as ``labopt oracle`` does, on each of
+the 23 machining models; it does not depend on the seed.  In each pass
+both sides run back to back problem by problem, the first side
+alternating, so a drift in machine speed falls on both sides alike.  A
+pass's time per side is the sum of its runs; both sides' traces, or
+oracle values and points, must be equal.  An unrecorded pair warms
+both sides up first.
 
 Writes ``BENCH_<tag>-one-seed.json`` at the repository root, with one
 section per pass: both sides' pass times, medians, quartiles and IQR,
@@ -43,6 +45,8 @@ from pairs import LIMITS, ROOT, SIDES, export, parse_seeds, quartiles
 
 # labopt run's default baseline budget: a population of 20 over 1 + 100 iterations.
 BASELINE_BUDGET = 2020
+# labopt oracle's default grid.
+ORACLE_POINTS = 51
 
 
 def load(root: Path, name: str, packages: Path) -> tuple:
@@ -70,10 +74,8 @@ def baseline_pass(algorithm: str):
     return run_one
 
 
-PASSES = {
-    "lab": run_lab,
-    **{name: baseline_pass(name) for name in ("sa", "random_search", "pso")},
-}
+def run_oracle(modules: tuple, spec, seed: int) -> tuple:
+    return modules[1].grid_oracle(spec, ORACLE_POINTS)
 
 
 def catalog(modules: tuple, seed: int) -> list:
@@ -84,25 +86,41 @@ def catalog(modules: tuple, seed: int) -> list:
     ]
 
 
-def fingerprint(trace) -> tuple:
-    """A trace's content, comparable across the two packages' classes."""
-    records = [(r.iteration, r.global_best, r.leaders, r.best_so_far) for r in trace.records]
-    return (trace.problem, trace.seed, trace.best_fitness, trace.best_position,
-            trace.n_evaluations, trace.termination, records)
+def models(modules: tuple, seed: int) -> list:
+    return modules[1].machining_registry()
 
 
-def pair(modules: dict, seed: int, flip: int, run_one) -> tuple[dict, bool]:
-    """One pass: each side's total run time and whether the traces agree."""
-    problems = {side: catalog(modules[side], seed) for side in SIDES}
+# Each pass: what it runs on, built afresh per pair, and one run.
+PASSES = {
+    "lab": (catalog, run_lab),
+    **{name: (catalog, baseline_pass(name)) for name in ("sa", "random_search", "pso")},
+    "oracle": (models, run_oracle),
+}
+
+
+def fingerprint(result) -> tuple:
+    """A trace's content, or an oracle's value and point, comparable
+    across the two packages' classes."""
+    if isinstance(result, tuple):  # grid_oracle's (value, point)
+        value, point = result
+        return value, point.tolist()
+    records = [(r.iteration, r.global_best, r.leaders, r.best_so_far) for r in result.records]
+    return (result.problem, result.seed, result.best_fitness, result.best_position,
+            result.n_evaluations, result.termination, records)
+
+
+def pair(modules: dict, seed: int, flip: int, items, run_one) -> tuple[dict, bool]:
+    """One pass: each side's total run time and whether the results agree."""
+    inputs = {side: items(modules[side], seed) for side in SIDES}
     total = dict.fromkeys(SIDES, 0.0)
-    traces: dict[str, list] = {side: [] for side in SIDES}
-    for i in range(len(problems["parent"])):
+    results: dict[str, list] = {side: [] for side in SIDES}
+    for i in range(len(inputs["parent"])):
         for side in SIDES if (i + flip) % 2 == 0 else SIDES[::-1]:
             start = time.perf_counter()
-            trace = run_one(modules[side], problems[side][i], seed)
+            result = run_one(modules[side], inputs[side][i], seed)
             total[side] += time.perf_counter() - start
-            traces[side].append(fingerprint(trace))
-    return total, traces["parent"] == traces["change"]
+            results[side].append(fingerprint(result))
+    return total, results["parent"] == results["change"]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -127,19 +145,19 @@ def main(argv: list[str] | None = None) -> int:
         commits[side] = export(getattr(args, side), workdir / side)
         modules[side] = load(workdir / side, f"labopt_{side}", packages)
 
-    for run_one in PASSES.values():  # warm-up, not recorded
-        pair(modules, args.seeds[0], 0, run_one)
+    for items, run_one in PASSES.values():  # warm-up, not recorded
+        pair(modules, args.seeds[0], 0, items, run_one)
     times = {name: {side: [] for side in SIDES} for name in PASSES}
     equal = dict.fromkeys(PASSES, True)
     for i, seed in enumerate(args.seeds):
-        for name, run_one in PASSES.items():
-            total, same = pair(modules, seed, i % 2, run_one)
+        for name, (items, run_one) in PASSES.items():
+            total, same = pair(modules, seed, i % 2, items, run_one)
             equal[name] &= same
             for side in SIDES:
                 times[name][side].append(total[side])
             print(f"pair {i + 1}/{len(args.seeds)} seed {seed} {name}: "
                   f"parent {total['parent']:.4f} s, change {total['change']:.4f} s, "
-                  f"traces equal: {same}", file=sys.stderr, flush=True)
+                  f"results equal: {same}", file=sys.stderr, flush=True)
 
     passes = {}
     for name in PASSES:
@@ -171,9 +189,11 @@ def main(argv: list[str] | None = None) -> int:
             "one interpreter, both revisions imported; per seed s, four passes over fresh "
             "catalog problems, one with engine.run(problem, LabConfig(seed=s)) and one "
             f"with run_baseline(problem, BaselineConfig(algorithm, {BASELINE_BUDGET}, s)) "
-            "for each of sa, random_search and pso, each on "
+            "for each of sa, random_search and pso, and one with "
+            f"grid_oracle(spec, {ORACLE_POINTS}) over the 23 machining models, each on "
             "both sides back to back, the first side alternating by problem and pair; "
-            "a pass's time per side is the sum of its runs"
+            "a pass's time per side is the sum of its runs; traces_equal also covers "
+            "the oracle's values and points"
         ),
         "seeds": args.seeds,
         "traces_equal": all(equal.values()),

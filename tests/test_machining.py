@@ -331,19 +331,34 @@ POWER_AT_BOUND = machining.MachiningSpec(
 )
 
 
-@pytest.mark.parametrize("k", (2, 5, 9))
-def test_grid_oracle_equals_exhaustive_evaluate(k):
-    # The oracle's best is the first best of evaluate over the whole
-    # ij-ordered cross product of the same axes, bit for bit.
-    for spec in machining_registry() + ONE_VARIABLE_SPECS + [POWER_AT_BOUND]:
+@pytest.mark.parametrize("k", (2, 5, 9, 51))
+def test_grid_oracle_equals_exhaustive_evaluate(k, monkeypatch):
+    # Every slab the oracle sums equals evaluate over the same ij-ordered
+    # cross product, bit for bit, and the oracle's best is the first best
+    # there.  At 51 points only the 2- and 3-variable models run.
+    slabs = []
+    sum_terms = machining.MachiningSpec._sum_terms
+
+    def recording(spec, columns, shape):
+        slabs.append(sum_terms(spec, columns, shape))
+        return slabs[-1]
+
+    monkeypatch.setattr(machining.MachiningSpec, "_sum_terms", recording)
+    specs = machining_registry() + ONE_VARIABLE_SPECS + [POWER_AT_BOUND]
+    for spec in [spec for spec in specs if k < 51 or spec.dim <= 3]:
         axes = [np.linspace(lo, hi, k) for lo, hi in zip(spec.lower, spec.upper)]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, spec.dim)
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         values = spec.evaluate(grid)
-        pick = np.argmax if spec.sense is Sense.MAXIMIZE else np.argmin
-        idx = int(pick(values))
+        slabs.clear()
         gv, gp = grid_oracle(spec, k)
-        assert gv == values[idx], spec.key
-        assert gp.tolist() == grid[idx].tolist(), spec.key
+        summed = np.stack(slabs)
+        assert summed.shape == values.shape, spec.key
+        assert summed.tobytes() == values.tobytes(), spec.key
+        flat = values.reshape(-1)
+        pick = np.argmax if spec.sense is Sense.MAXIMIZE else np.argmin
+        idx = int(pick(flat))
+        assert gv == flat[idx], spec.key
+        assert gp.tolist() == grid.reshape(-1, spec.dim)[idx].tolist(), spec.key
 
 
 def test_grid_oracle_pinned_values():

@@ -26,23 +26,6 @@ from labopt.problem import ConfigError, Sense
 from labopt.stats import pairwise_compare, summarize
 
 
-def strip_timing(trace):
-    return (
-        trace.problem,
-        trace.algorithm,
-        trace.sense,
-        trace.seed,
-        tuple(
-            (r.iteration, r.global_best, r.leaders, r.best_so_far)
-            for r in trace.records
-        ),
-        trace.best_fitness,
-        trace.best_position,
-        trace.n_evaluations,
-        trace.termination,
-    )
-
-
 def small_lab_trace(seed=0):
     problem = build_problem("F10")
     config = LabConfig(num_groups=2, group_size=3, max_iterations=6, seed=seed)
@@ -53,7 +36,7 @@ def test_trace_round_trip_preserves_every_double(tmp_path):
     trace = small_lab_trace()
     path = write_trace(trace, tmp_path / "t.csv")
     back = read_trace(path)
-    assert strip_timing(back) == strip_timing(trace)
+    assert back == trace
     assert back.runtime_seconds == 0.0
 
 
@@ -74,7 +57,7 @@ def test_baseline_trace_has_no_leader_columns(tmp_path):
         l for l in path.read_text().splitlines() if l.startswith("iteration,")
     ][0]
     assert header == "iteration,global_best,best_so_far"
-    assert strip_timing(read_trace(path)) == strip_timing(trace)
+    assert read_trace(path) == trace
 
 
 def test_awkward_floats_survive(tmp_path):
