@@ -1,4 +1,4 @@
-"""Time one-seed LAB and baseline runs and the grid oracle of two revisions in one process, in alternating pairs.
+"""Time one-seed runs and the grid oracle of two revisions in one process, in alternating pairs.
 
     python3 bench/one_seed.py --parent HEAD~1 --change HEAD --tag my-change \\
         --workdir /tmp/one-seed --seeds 0-19
