@@ -4,22 +4,34 @@
         --workdir /tmp/one-seed --seeds 0-19
 
 ``labopt run`` defaults to one seed, which the stacked runs of
-``perfbench``'s ``lab-study`` (two seeds a problem) do not show.  This
+``perfbench``'s workloads do not show, and the stacked runs are too
+small a share of a workload for ``bench/pairs.py`` to resolve.  This
 script makes ``git archive`` copies of both revisions, as
 ``bench/pairs.py`` does, and imports each copy's ``labopt`` under its own
 package name, so both run in one interpreter.  One pair per seed ``s``
-makes four passes over every catalog problem (the 23 machining models,
-then the 27 benchmark functions built for seed ``s``), each on fresh
-problems: a LAB pass with ``engine.run(problem, LabConfig(seed=s))``,
-and an SA, a random-search and a PSO pass with ``run_baseline`` at
-``labopt run``'s default budget of 2,020 evaluations.  A fifth pass
-runs ``grid_oracle(spec, 51)``, as ``labopt oracle`` does, on each of
-the 23 machining models; it does not depend on the seed.  In each pass
-both sides run back to back problem by problem, the first side
-alternating, so a drift in machine speed falls on both sides alike.  A
-pass's time per side is the sum of its runs; both sides' traces, or
-oracle values and points, must be equal.  An unrecorded pair warms
-both sides up first.
+makes nine passes, each on fresh problems:
+
+* one-seed passes over every catalog problem (the 23 machining models,
+  then the 27 benchmark functions built for seed ``s``): LAB with
+  ``engine.run(problem, LabConfig(seed=s))``, and SA, random search and
+  PSO with ``run_baseline`` at ``labopt run``'s default budget of 2,020
+  evaluations;
+* ``grid_oracle(spec, 51)``, as ``labopt oracle`` does, on each of the
+  23 machining models; it does not depend on the seed;
+* stacked passes that mirror the two perfbench workloads: LAB as 2-seed
+  ``run_seeds`` stacks over both catalogs (``lab-study``), and SA,
+  random search and PSO as 5-seed ``run_baseline_seeds`` stacks at
+  budget 400 over the 23 machining models (``baselines-oracle``).  Each
+  stack's problems are built per seed, as ``labopt run --runs`` builds
+  them.
+
+In each pass both sides run back to back problem by problem, the first
+side alternating, so a drift in machine speed falls on both sides alike.
+A pass's time per side is the sum of its runs; both sides' traces, or
+oracle values and points, must be equal by value.  An unrecorded pair
+warms both sides up first.  With the same revision on both sides
+(``--tag <tag>-aa``), the passes' medians and IQRs measure the method's
+own spread, against which an A/B set's ratios are read.
 
 Writes ``BENCH_<tag>-one-seed.json`` at the repository root, with one
 section per pass: both sides' pass times, medians, quartiles and IQR,
@@ -47,6 +59,11 @@ from pairs import LIMITS, ROOT, SIDES, export, parse_seeds, quartiles
 BASELINE_BUDGET = 2020
 # labopt oracle's default grid.
 ORACLE_POINTS = 51
+# The stacks of perfbench's full-size workloads: lab-study runs two seeds
+# a problem, baselines-oracle five at a budget of 400.
+LAB_STACK_SEEDS = 2
+BASELINE_STACK_SEEDS = 5
+BASELINE_STACK_BUDGET = 400
 
 
 def load(root: Path, name: str, packages: Path) -> tuple:
@@ -90,17 +107,54 @@ def models(modules: tuple, seed: int) -> list:
     return modules[1].machining_registry()
 
 
+def stacks(runs: int, benchmarks_too: bool):
+    """Catalog problems as stacks of ``runs`` per-seed problems."""
+
+    def items(modules: tuple, seed: int) -> list:
+        _, machining, benchmarks, _ = modules
+        out = [[spec.problem for _ in range(runs)] for spec in machining.machining_registry()]
+        if benchmarks_too:
+            out += [[benchmarks.build_problem(spec.id, None, seed + k) for k in range(runs)]
+                    for spec in benchmarks.registry()]
+        return out
+
+    return items
+
+
+def run_lab_stack(modules: tuple, problems: list, seed: int) -> list:
+    engine = modules[0]
+    return list(engine.run_seeds(problems, engine.LabConfig(seed=seed)))
+
+
+def baseline_stack_pass(algorithm: str):
+    """A pass that runs ``algorithm`` on one stack of one problem's seeds."""
+
+    def run_stack(modules: tuple, problems: list, seed: int) -> list:
+        baselines = modules[3]
+        config = baselines.BaselineConfig(algorithm, BASELINE_STACK_BUDGET, seed)
+        return list(baselines.run_baseline_seeds(problems, config))
+
+    return run_stack
+
+
+BASELINES = ("sa", "random_search", "pso")
 # Each pass: what it runs on, built afresh per pair, and one run.
 PASSES = {
     "lab": (catalog, run_lab),
-    **{name: (catalog, baseline_pass(name)) for name in ("sa", "random_search", "pso")},
+    **{name: (catalog, baseline_pass(name)) for name in BASELINES},
     "oracle": (models, run_oracle),
+    f"lab_{LAB_STACK_SEEDS}_seeds": (stacks(LAB_STACK_SEEDS, True), run_lab_stack),
+    **{f"{name}_{BASELINE_STACK_SEEDS}_seeds": (stacks(BASELINE_STACK_SEEDS, False),
+                                                baseline_stack_pass(name))
+       for name in BASELINES},
 }
 
 
-def fingerprint(result) -> tuple:
-    """A trace's content, or an oracle's value and point, comparable
-    across the two packages' classes."""
+def fingerprint(result):
+    """A trace's content, a stack's traces, or an oracle's value and point,
+    comparable across the two packages' classes."""
+    if isinstance(result, list):  # a stack's traces, in seed order
+        return [fingerprint(trace) for trace in result]
     if isinstance(result, tuple):  # grid_oracle's (value, point)
         value, point = result
         return value, point.tolist()
@@ -189,11 +243,14 @@ def main(argv: list[str] | None = None) -> int:
             "one interpreter, both revisions imported; per seed s, four passes over fresh "
             "catalog problems, one with engine.run(problem, LabConfig(seed=s)) and one "
             f"with run_baseline(problem, BaselineConfig(algorithm, {BASELINE_BUDGET}, s)) "
-            "for each of sa, random_search and pso, and one with "
-            f"grid_oracle(spec, {ORACLE_POINTS}) over the 23 machining models, each on "
-            "both sides back to back, the first side alternating by problem and pair; "
-            "a pass's time per side is the sum of its runs; traces_equal also covers "
-            "the oracle's values and points"
+            "for each of sa, random_search and pso, one with "
+            f"grid_oracle(spec, {ORACLE_POINTS}) over the 23 machining models, one with "
+            f"run_seeds on {LAB_STACK_SEEDS}-seed stacks over both catalogs, and one with "
+            f"run_baseline_seeds on {BASELINE_STACK_SEEDS}-seed stacks at budget "
+            f"{BASELINE_STACK_BUDGET} over the 23 machining models for each baseline, "
+            "each on both sides back to back, the first side alternating by problem and "
+            "pair; a pass's time per side is the sum of its runs; traces_equal also "
+            "covers the oracle's values and points"
         ),
         "seeds": args.seeds,
         "traces_equal": all(equal.values()),

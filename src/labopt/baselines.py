@@ -95,21 +95,23 @@ def _random_search(stack, positions, fitnesses, sizes):
 
 def _sa(stack, positions, fitnesses, sizes):
     # The first batch calibrates: each seed starts from its best point at
-    # a tenth of its fitness spread (1.0 if its batch is flat).
+    # a tenth of its fitness spread (1.0 if its batch is flat).  The
+    # moves work in oriented values (minimize-space): negation is exact
+    # and rounding symmetric in sign, so every comparison and gap has the
+    # bits it has in the problem's own sense.
     problem = stack.problems[0]
     sense, rngs = problem.sense, stack.rngs
     step = SA_STEP_FRACTION * (problem.upper - problem.lower)
     current = np.array(stack.best_position)
-    current_fit = stack.best_fitness[:]
+    current_fit = [oriented(fit, sense) for fit in stack.best_fitness]
     fitnesses = fitnesses.reshape(len(current), -1)
     spread = (fitnesses.max(axis=1) - fitnesses.min(axis=1)).tolist()
     temperature = [0.1 * s if s > 0 else 1.0 for s in spread]
     noise = np.empty_like(current)
 
     for size in sizes:
-        # The stage's row is its first best move.  oriented(inf) is the
-        # worst value in either sense, so the first move replaces it.
-        best_fit = [oriented(np.inf, sense)] * len(current)
+        # The stage's row is its first best move; the first move replaces inf.
+        best_fit = [np.inf] * len(current)
         best_pos = [None] * len(current)
         for _ in range(size):
             # Each seed's row, scaled once: the bits and the stream of
@@ -118,20 +120,19 @@ def _sa(stack, positions, fitnesses, sizes):
                 rng.standard_normal(out=row)
             noise *= step
             proposals = (current + noise).clip(problem.lower, problem.upper)
-            fits = stack.evaluate(proposals).tolist()
+            fits = oriented(stack.evaluate(proposals), sense).tolist()
             if len(fits) < len(current):  # a failing seed left with those above it
                 current, noise = current[: len(fits)], noise[: len(fits)]
             for j, fit in enumerate(fits):
-                if is_better(fit, best_fit[j], sense):
+                if fit < best_fit[j]:
                     best_pos[j], best_fit[j] = proposals[j], fit
-                # Oriented gap: below zero is downhill in either sense.
-                delta = oriented(fit - current_fit[j], sense)
+                delta = fit - current_fit[j]  # below zero is downhill
                 if delta < 0 or rngs[j].random() < np.exp(-delta / temperature[j]):
                     current[j] = proposals[j]
                     current_fit[j] = fit
         # A seed that failed in the stage left the stack but not best_fit.
         for j in range(len(stack.seeds)):
-            stack.observe(j, best_fit[j], best_pos[j])
+            stack.observe(j, oriented(best_fit[j], sense), best_pos[j])
         temperature = [t * SA_COOLING for t in temperature]
 
 

@@ -160,8 +160,10 @@ class Stack:
     first observation replaces it.  The rules of every stack:
 
     * The shared call.  ``evaluate`` scores a batch of every live seed
-      in one objective call when their objectives compare equal;
-      otherwise each seed's share is its own call, in seed order.  A
+      in one objective call when the seeds' objectives compare equal;
+      otherwise each seed's share is its own call, in seed order.  This
+      is decided once, when the stack is built: ``keep`` only takes
+      subsets, and a subset of equal objectives stays equal.  A
       seed's trace equals its lone run's whenever its objective sees the
       batches a lone run gives it: always when every seed has its own
       objective, and in the shared call only when the objective is pure
@@ -200,6 +202,7 @@ class Stack:
         self.best_position: list[np.ndarray | None] = [None] * len(problems)
         self.seeds = list(range(len(problems)))
         self.seed = seed
+        self._shared = all(p.objective == problems[0].objective for p in problems[1:])
         self.failed: EvaluationError | None = None
         self.seconds = 0.0
         self._since = time.perf_counter()
@@ -245,7 +248,7 @@ class Stack:
         problems = self.problems
         values: list[np.ndarray] = []
         try:
-            if all(p.objective == problems[0].objective for p in problems[1:]):
+            if self._shared:
                 try:
                     return problems[0].evaluate_batch(X)
                 except EvaluationError:

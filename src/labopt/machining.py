@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .problem import ConfigError, Problem, Sense, is_better, oriented
+from .problem import ConfigError, Problem, Sense, is_better
 
 Term = tuple[float, tuple[float, ...]]
 
@@ -77,15 +77,25 @@ class MachiningSpec:
 
         Each term multiplies its factors left to right: exponent 1 passes
         the column through, any other exponent is an array ``**``.  The
-        terms are added one after another in table order.
+        terms are added one after another in table order, from ``0.0``:
+        out of place, at their own broadcast shape, until the total has
+        ``shape``, then in place.  So a slab of the grid oracle pays no
+        full-size pass for the terms that leave out a slab axis, and the
+        sum equals ``np.zeros(shape)`` plus each term bit for bit (a sum
+        that starts from ``+0.0`` is never ``-0.0``).  A total that never
+        reaches ``shape`` is broadcast to it at the end.
         """
-        out = np.zeros(shape)
+        total, full = 0.0, False
         for coef, factors in self._plan:
             term = coef
             for i, e in factors:
                 term = term * (columns[i] if e == 1 else columns[i] ** e)
-            out += term
-        return out
+            if full:
+                total += term
+            else:
+                total = total + term
+                full = isinstance(total, np.ndarray) and total.shape == shape
+        return total if full else np.full(shape, total)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the model at every row of an ``(m, dim)`` batch.
@@ -100,7 +110,7 @@ class MachiningSpec:
                 f"{self.key} expects {self.dim} variables, got shape {x.shape}"
             )
         lo, hi = self._box
-        if (x < lo).any() or (x > hi).any():
+        if ((x < lo) | (x > hi)).any():  # NaN passes; evaluate_batch rejects its value
             raise ValueError(f"input outside the {self.key} variable box")
         return self._sum_terms([x[..., i] for i in range(self.dim)], x.shape[:-1])
 
@@ -417,7 +427,12 @@ def grid_oracle(
     The cross product is summed one slab per value of the first axis:
     the other axes broadcast against each other, so a slab holds about
     ``points_per_axis ** (dim - 1)`` floats and no grid of points or
-    table of powers is built.  The first axis's value enters as a 0-d
+    table of powers is built.  Only one slab is alive at a time: each is
+    freed before the next is summed, the terms that leave out a slab axis
+    are summed at their own smaller shape (see ``_sum_terms``), and a
+    maximized model takes ``argmax`` of the slab itself rather than
+    ``argmin`` of a negated copy (both give the first extreme in ``ij``
+    order, or the first NaN).  The first axis's value enters as a 0-d
     array, not a numpy scalar, so its powers take the same array ``**``
     as ``evaluate``'s columns (the scalar ``**`` differs in the last bit
     for some values).  The values equal ``evaluate`` on the same points
@@ -434,13 +449,15 @@ def grid_oracle(
     # the slab; axis 0 gives each slab one value, as a 0-d array.
     rest = np.ix_(*axes[1:])
     best_value, best_point = None, None
+    maximize = spec.sense is Sense.MAXIMIZE
     for k, first in enumerate(axes[0]):
         values = spec._sum_terms([axes[0][k, ...], *rest], shape)
-        idx = np.unravel_index(np.argmin(oriented(values, spec.sense)), shape)
+        idx = np.unravel_index(values.argmax() if maximize else values.argmin(), shape)
         value = float(values[idx])
         if best_value is None or is_better(value, best_value, spec.sense):
             best_value = value
             best_point = np.array([first, *(axis[i] for axis, i in zip(axes[1:], idx))])
+        del values  # one live slab: the next is summed after this one is freed
     return best_value, best_point
 
 

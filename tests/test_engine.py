@@ -1032,6 +1032,38 @@ def test_a_failing_shared_call_is_evaluated_again_only_up_to_the_failing_seed():
     assert np.array_equal(lone.value.position, X[config.population + 4])
 
 
+def test_the_shared_call_is_decided_when_the_stack_is_built():
+    # One call per evaluate for shared objectives, also after keep; one
+    # per live seed for distinct ones; no objective compared per call.
+    rows, compared = [], []
+
+    class Objective:
+        def __call__(self, x):
+            rows.append(len(x))
+            return sphere(x)
+
+        def __eq__(self, other):
+            compared.append(1)
+            return self is other
+
+        __hash__ = object.__hash__
+
+    X = np.zeros((9, 2))
+    shared = box_problem(objective=Objective())
+    distinct = [box_problem(objective=Objective()) for _ in range(3)]
+    for problems, calls, kept in (([shared] * 3, [9], [6]), (distinct, [3] * 3, [3] * 2)):
+        stack = Stack(problems, 0)
+        built = len(compared)
+        rows.clear()
+        stack.evaluate(X)
+        assert rows == calls
+        stack.keep([0, 2])
+        rows.clear()
+        stack.evaluate(X[:6])
+        assert rows == kept
+        assert len(compared) == built
+
+
 def test_stack_observe_keeps_each_seeds_rows_and_first_strict_best():
     # All values are negative under maximization, so a best that did not
     # start at the worst value would never take the first observation.

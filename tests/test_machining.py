@@ -1,13 +1,14 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from labopt import machining
 from labopt.machining import grid_oracle, machining_registry
-from labopt.problem import ConfigError, Sense
+from labopt.problem import ConfigError, EvaluationError, Sense
 
 # Independent transcription of every regression model, kept separate
 # from the implementation on purpose: the catalog must match this
@@ -331,6 +332,34 @@ POWER_AT_BOUND = machining.MachiningSpec(
 )
 
 
+# Tables whose terms never reach a slab's full shape, in both senses: a
+# constant alone (-0.0 when maximized, which a sum from +0.0 makes +0.0),
+# and a second variable with only zero exponents, whose exact ties along
+# it pin the first best in ij order.
+PARTIAL_SPECS = [
+    machining.MachiningSpec(
+        "synthetic", name, sense.value, sense, (("s1", "mm"), ("s2", "mm")),
+        (0.5, 1.0), (3.0, 2.0), tuple((sign * c, exps) for c, exps in terms),
+    )
+    for name, terms in (
+        ("const", ((0.0, (0, 0)),)),
+        ("flat", ((1.0, (0, 0)), (-3.1, (1, 0)), (1.0, (2, 0)))),
+    )
+    for sign, sense in ((1.0, Sense.MINIMIZE), (-1.0, Sense.MAXIMIZE))
+]
+
+
+@pytest.mark.parametrize("spec", PARTIAL_SPECS, ids=lambda spec: spec.key)
+def test_evaluate_fills_the_batch_when_no_term_reaches_it(spec):
+    rng = np.random.default_rng(3)
+    lo, hi = np.array(spec.lower), np.array(spec.upper)
+    for shape in ((1,), (6,), (4, 5)):
+        x = lo + (hi - lo) * rng.random((*shape, spec.dim))
+        got = spec.evaluate(x)
+        assert got.shape == shape
+        assert got.tobytes() == loop_reference(spec, x).tobytes()
+
+
 @pytest.mark.parametrize("k", (2, 5, 9, 51))
 def test_grid_oracle_equals_exhaustive_evaluate(k, monkeypatch):
     # Every slab the oracle sums equals evaluate over the same ij-ordered
@@ -344,11 +373,12 @@ def test_grid_oracle_equals_exhaustive_evaluate(k, monkeypatch):
         return slabs[-1]
 
     monkeypatch.setattr(machining.MachiningSpec, "_sum_terms", recording)
-    specs = machining_registry() + ONE_VARIABLE_SPECS + [POWER_AT_BOUND]
+    specs = machining_registry() + ONE_VARIABLE_SPECS + [POWER_AT_BOUND] + PARTIAL_SPECS
     for spec in [spec for spec in specs if k < 51 or spec.dim <= 3]:
         axes = [np.linspace(lo, hi, k) for lo, hi in zip(spec.lower, spec.upper)]
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, spec.dim)
         values = spec.evaluate(grid)
+        assert values.shape == (len(grid),), spec.key
         slabs.clear()
         gv, gp = grid_oracle(spec, k)
         assert len(slabs) == k, spec.key
@@ -357,6 +387,35 @@ def test_grid_oracle_equals_exhaustive_evaluate(k, monkeypatch):
         idx = int(pick(values))
         assert gv == values[idx], spec.key
         assert gp.tolist() == grid[idx].tolist(), spec.key
+
+
+def test_grid_oracle_holds_one_slab_at_a_time():
+    # A 51-point slab of a 4-variable model is 8 * 51**3 bytes.  Summing
+    # the next slab while the last is alive, or negating a slab to pick a
+    # maximum, peaks at about two slabs.
+    slab = 8 * 51**3
+    for spec in [spec for spec in machining_registry() if spec.dim == 4]:
+        grid_oracle(spec, 51)  # warm-up: first-call allocations are not the oracle's
+        tracemalloc.start()
+        try:
+            grid_oracle(spec, 51)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * slab, (spec.key, peak / slab)
+
+
+def test_nan_passes_the_box_check_and_evaluate_batch_names_its_row():
+    # NaN is neither below nor above a bound, so evaluate lets it through
+    # as a NaN value, and the Problem rejects that value by its row.
+    spec = machining.get("edm:Ra")
+    x = np.tile((np.array(spec.lower) + np.array(spec.upper)) / 2.0, (3, 1))
+    x[1, 2] = np.nan
+    values = spec.evaluate(x)
+    assert np.isnan(values[1]) and np.isfinite(values[[0, 2]]).all()
+    with pytest.raises(EvaluationError, match=r"\(batch row 1\)") as err:
+        spec.problem.evaluate_batch(x)
+    assert np.array_equal(err.value.position, x[1], equal_nan=True)
 
 
 def test_grid_oracle_pinned_values():
