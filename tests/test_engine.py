@@ -1046,8 +1046,6 @@ def test_the_shared_call_is_decided_when_the_stack_is_built():
             compared.append(1)
             return self is other
 
-        __hash__ = object.__hash__
-
     X = np.zeros((9, 2))
     shared = box_problem(objective=Objective())
     distinct = [box_problem(objective=Objective()) for _ in range(3)]
