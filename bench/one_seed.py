@@ -23,7 +23,8 @@ makes nine passes, each on fresh problems:
   random search and PSO as 5-seed ``run_baseline_seeds`` stacks at
   budget 400 over the 23 machining models (``baselines-oracle``).  Each
   stack's problems are built per seed, as ``labopt run --runs`` builds
-  them.
+  them.  Random search's stacks take about 0.02 s a side, too short to
+  time alone, so its pass runs each stack five times.
 
 In each pass both sides run back to back problem by problem, the first
 side alternating, so a drift in machine speed falls on both sides alike.
@@ -64,6 +65,9 @@ ORACLE_POINTS = 51
 LAB_STACK_SEEDS = 2
 BASELINE_STACK_SEEDS = 5
 BASELINE_STACK_BUDGET = 400
+# Random search's stacks are cheap: its stacked pass runs each stack
+# this many times, to take about 0.1 s a side.
+RANDOM_SEARCH_STACK_REPEATS = 5
 
 
 def load(root: Path, name: str, packages: Path) -> tuple:
@@ -127,12 +131,16 @@ def run_lab_stack(modules: tuple, problems: list, seed: int) -> list:
 
 
 def baseline_stack_pass(algorithm: str):
-    """A pass that runs ``algorithm`` on one stack of one problem's seeds."""
+    """A pass that runs ``algorithm`` on one stack of one problem's seeds:
+    once, or ``RANDOM_SEARCH_STACK_REPEATS`` times for random search, every
+    run's traces counting."""
+    repeats = RANDOM_SEARCH_STACK_REPEATS if algorithm == "random_search" else 1
 
     def run_stack(modules: tuple, problems: list, seed: int) -> list:
         baselines = modules[3]
         config = baselines.BaselineConfig(algorithm, BASELINE_STACK_BUDGET, seed)
-        return list(baselines.run_baseline_seeds(problems, config))
+        return [trace for _ in range(repeats)
+                for trace in baselines.run_baseline_seeds(problems, config)]
 
     return run_stack
 
@@ -247,7 +255,8 @@ def main(argv: list[str] | None = None) -> int:
             f"grid_oracle(spec, {ORACLE_POINTS}) over the 23 machining models, one with "
             f"run_seeds on {LAB_STACK_SEEDS}-seed stacks over both catalogs, and one with "
             f"run_baseline_seeds on {BASELINE_STACK_SEEDS}-seed stacks at budget "
-            f"{BASELINE_STACK_BUDGET} over the 23 machining models for each baseline, "
+            f"{BASELINE_STACK_BUDGET} over the 23 machining models for each baseline "
+            f"(random search running each stack {RANDOM_SEARCH_STACK_REPEATS} times), "
             "each on both sides back to back, the first side alternating by problem and "
             "pair; a pass's time per side is the sum of its runs; traces_equal also "
             "covers the oracle's values and points"

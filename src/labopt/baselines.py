@@ -15,11 +15,13 @@ temperature stage of single moves, that is the stage's first best move,
 kept as the stage runs.
 
 The seeds of one problem run as one ``engine.Stack``, as the main
-optimizer's do, under the same rules: each seed keeps its own generator,
-one objective call scores a batch of every seed (random search's draws,
-a swarm step, or one SA move of each seed) when the seeds share an
-objective, and the lowest failing seed's error is raised in place of
-its trace.  ``run_baseline`` is the one-seed stack.
+optimizer's do, under the same rules: the stack hands out every value
+in minimize-space, so every rule minimizes and none reads the problem's
+sense; each seed keeps its own generator; one objective call scores a
+batch of every seed (random search's draws, a swarm step, or one SA
+move of each seed) when the seeds share an objective; and the lowest
+failing seed's error is raised in place of its trace.  ``run_baseline``
+is the one-seed stack.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ import numpy as np
 from .engine import (
     TERMINATION_BUDGET, RunTrace, Stack, _random_blocks, draw_uniform, stackable,
 )
-from .problem import ConfigError, Problem, is_better, oriented
+from .problem import ConfigError, Problem
 
 ALGORITHM_RANDOM = "random_search"
 ALGORITHM_SA = "sa"
@@ -71,10 +73,10 @@ def observe_batch(stack: Stack, positions: np.ndarray, fitnesses: np.ndarray) ->
     """Record one batch of every live seed by its first best point.
 
     ``positions[j]`` holds live seed ``j``'s points and ``fitnesses`` the
-    live seeds' values, one seed's batch after another.
+    live seeds' minimize-space values, one seed's batch after another.
     """
     fitnesses = fitnesses.reshape(len(stack.seeds), -1)
-    best = oriented(fitnesses, stack.problems[0].sense).argmin(axis=1).tolist()
+    best = fitnesses.argmin(axis=1).tolist()
     for j, (seed_fit, seed_pos, i) in enumerate(zip(fitnesses.tolist(), positions, best)):
         stack.observe(j, seed_fit[i], seed_pos[i])
 
@@ -95,15 +97,12 @@ def _random_search(stack, positions, fitnesses, sizes):
 
 def _sa(stack, positions, fitnesses, sizes):
     # The first batch calibrates: each seed starts from its best point at
-    # a tenth of its fitness spread (1.0 if its batch is flat).  The
-    # moves work in oriented values (minimize-space): negation is exact
-    # and rounding symmetric in sign, so every comparison and gap has the
-    # bits it has in the problem's own sense.
+    # a tenth of its fitness spread (1.0 if its batch is flat).
     problem = stack.problems[0]
-    sense, rngs = problem.sense, stack.rngs
+    rngs = stack.rngs
     step = SA_STEP_FRACTION * (problem.upper - problem.lower)
     current = np.array(stack.best_position)
-    current_fit = [oriented(fit, sense) for fit in stack.best_fitness]
+    current_fit = list(stack.best_fitness)
     fitnesses = fitnesses.reshape(len(current), -1)
     spread = (fitnesses.max(axis=1) - fitnesses.min(axis=1)).tolist()
     temperature = [0.1 * s if s > 0 else 1.0 for s in spread]
@@ -120,7 +119,7 @@ def _sa(stack, positions, fitnesses, sizes):
                 rng.standard_normal(out=row)
             noise *= step
             proposals = (current + noise).clip(problem.lower, problem.upper)
-            fits = oriented(stack.evaluate(proposals), sense).tolist()
+            fits = stack.evaluate(proposals).tolist()
             if len(fits) < len(current):  # a failing seed left with those above it
                 current, noise = current[: len(fits)], noise[: len(fits)]
             for j, fit in enumerate(fits):
@@ -132,7 +131,7 @@ def _sa(stack, positions, fitnesses, sizes):
                     current_fit[j] = fit
         # A seed that failed in the stage left the stack but not best_fit.
         for j in range(len(stack.seeds)):
-            stack.observe(j, oriented(best_fit[j], sense), best_pos[j])
+            stack.observe(j, best_fit[j], best_pos[j])
         temperature = [t * SA_COOLING for t in temperature]
 
 
@@ -145,7 +144,7 @@ def _pso(stack, positions, fitnesses, sizes):
     pbest_pos, pbest_fit = positions.copy(), fitnesses.copy()
 
     for count in sizes:
-        better = is_better(fitnesses, pbest_fit, problem.sense)
+        better = fitnesses < pbest_fit
         np.copyto(pbest_fit, fitnesses, where=better)
         np.copyto(pbest_pos, positions, where=better[..., None])
         gbest = np.array(stack.best_position)

@@ -49,7 +49,7 @@ def _slug(name: str) -> str:
 
 
 def _out_root(arg: str | None) -> Path:
-    return Path(arg or os.environ.get("LABOPT_OUT", "out"))
+    return Path(arg or os.environ.get("LABOPT_OUT") or "out")
 
 
 def _resolve_selector(selector: str) -> list[tuple[str, Callable[[int], Problem]]]:

@@ -26,8 +26,10 @@ seed keeps its own generator, ranking and stopping rule, so a seed
 runs as it would alone as long as the objective gives it the same
 values.  ``run`` is the one-seed stack.  A ``Stack`` holds the live
 seeds of LAB and of the baselines alike: their generators, trace rows
-and best points, the shared objective call, the failure rule, the
-seed-order yield of the traces and each seed's cost.
+and best points, the orientation, the shared objective call, the
+failure rule, the seed-order yield of the traces and each seed's cost.
+It is the only code that reads a problem's sense: it hands out every
+value in minimize-space, so every algorithm minimizes.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import ConfigError, EvaluationError, Problem, Sense, is_better, oriented
+from .problem import ConfigError, EvaluationError, Problem, Sense, oriented
 
 # Weight sums are checked against this; normalization error is a few ulp.
 _WEIGHT_SUM_TOL = 1e-12
@@ -49,8 +51,9 @@ class State:
 
     Individual ``i`` of stack seed ``k`` has id ``k * population + i``.
     ``pos`` has shape ``(seeds * population, dim)`` and ``fit`` shape
-    ``(seeds * population,)``, both indexed by id; ids never change and
-    break fitness ties.  ``order`` covers the live seeds of ``stack``
+    ``(seeds * population,)``, both indexed by id; ``fit`` holds the
+    minimize-space values ``Stack.evaluate`` returns.  Ids never change
+    and break fitness ties.  ``order`` covers the live seeds of ``stack``
     only, in its order: it has shape ``(live, num_groups, group_size)``,
     and ``order[j, g]`` holds the ids of live seed ``j``'s ``g``-th
     ranked group, leader first, then advocate, then believers, so
@@ -155,10 +158,16 @@ class Stack:
     ``best_fitness`` and ``best_position`` (each seed's best value so far
     and a copy of its point, both kept by ``observe``) and ``seeds``
     (stack indices) cover the live seeds, lowest first, and ``keep``
-    filters them together.  A seed's best value starts at
-    ``oriented(inf, sense)``, the worst value in either sense, so its
-    first observation replaces it.  The rules of every stack:
+    filters them together.  The rules of every stack:
 
+    * The orientation.  The stack is the only code that reads a
+      problem's sense.  ``evaluate`` returns minimize-space values, a
+      maximized problem's negated, and ``observe`` takes them, so every
+      algorithm minimizes.  Negation is exact, so every comparison, tie
+      and gap has the bits it has in the problem's own sense.  A seed's
+      best value starts at ``inf``, so its first observation replaces
+      it; the trace rows and ``RunTrace.best_fitness`` are in the
+      user's sense.
     * The shared call.  ``evaluate`` scores a batch of every live seed
       in one objective call when the seeds' objectives compare equal;
       otherwise each seed's share is its own call, in seed order.  This
@@ -198,7 +207,7 @@ class Stack:
         self.problems = list(problems)
         self.rngs = [np.random.default_rng(seed + k) for k in range(len(problems))]
         self.records: list[list[IterationRecord]] = [[] for _ in problems]
-        self.best_fitness = [oriented(np.inf, p.sense) for p in self.problems]
+        self.best_fitness = [np.inf] * len(problems)
         self.best_position: list[np.ndarray | None] = [None] * len(problems)
         self.seeds = list(range(len(problems)))
         self.seed = seed
@@ -226,38 +235,43 @@ class Stack:
         """Record one step of live seed ``j``, whose best point is ``position``.
 
         ``fitness`` is the point's value and ``leaders`` the step's leader
-        values, if any.  The seed's best point changes only on a strict
+        values, if any, all in minimize-space; the row holds them in the
+        user's sense.  The seed's best point changes only on a strict
         improvement, to a copy of ``position``.
         """
         records = self.records[j]
         best = self.best_fitness[j]
-        if is_better(fitness, best, self.problems[j].sense):
+        if fitness < best:
             best = self.best_fitness[j] = fitness
             self.best_position[j] = np.array(position, dtype=float)
+        if self.problems[j].sense is Sense.MAXIMIZE:
+            fitness, best, leaders = -fitness, -best, [-v for v in leaders]
         records.append(IterationRecord(len(records), fitness, tuple(leaders), best))
 
     def evaluate(self, X: np.ndarray, iteration: int | None = None) -> np.ndarray:
         """The values of ``X``, live seed ``j``'s equal share of its rows in turn.
 
-        By the shared-call and failure rules: a failing seed's error,
-        given ``iteration``, replaces ``failed`` (any earlier one came
-        from a higher seed), and the values of the seeds below it are
-        returned.  With none below, the error is raised at once; every
-        lower seed has been yielded by then.
+        By the orientation, shared-call and failure rules: the values are
+        in minimize-space, and a failing seed's error, given
+        ``iteration``, replaces ``failed`` (any earlier one came from a
+        higher seed), and the values of the seeds below it are returned.
+        With none below, the error is raised at once; every lower seed
+        has been yielded by then.
         """
         problems = self.problems
         values: list[np.ndarray] = []
         try:
             if self._shared:
                 try:
-                    return problems[0].evaluate_batch(X)
+                    return oriented(problems[0].evaluate_batch(X), problems[0].sense)
                 except EvaluationError:
                     if len(problems) == 1:
                         raise
                     # found again below, with the failing seed's own share
             size = len(X) // len(problems)
             for j, problem in enumerate(problems):
-                values.append(problem.evaluate_batch(X[j * size : (j + 1) * size]))
+                share = problem.evaluate_batch(X[j * size : (j + 1) * size])
+                values.append(oriented(share, problem.sense))
         except EvaluationError as failed:
             failed.iteration = iteration
             if not values:
@@ -290,7 +304,7 @@ class Stack:
                     sense=problem.sense,
                     seed=self.seed + k,
                     records=tuple(records),
-                    best_fitness=fitness,
+                    best_fitness=oriented(fitness, problem.sense),
                     best_position=tuple(position.tolist()),
                     n_evaluations=evaluations,
                     termination=termination,
@@ -373,17 +387,15 @@ def draw_weights(
                 rng.random(out=seed_block)
 
 
-def rank(state: State, sense: Sense) -> None:
+def rank(state: State) -> None:
     """Rebuild each live seed's ``order``: members best-first, then groups.
 
-    Members sort by (oriented fitness, id) and groups by their leader's
-    (oriented fitness, id).  The sorts are plain Python: at these sizes
-    numpy's argsort or lexsort gains nothing, and their first call
-    loads sort kernels that raise the process's peak memory.
+    Members sort by (fitness, id) and groups by their leader's (fitness,
+    id).  The sorts are plain Python: at these sizes numpy's argsort or
+    lexsort gains nothing, and their first call loads sort kernels that
+    raise the process's peak memory.
     """
     key = state.fit.tolist()
-    if sense is Sense.MAXIMIZE:
-        key = [-v for v in key]
     stacks = []
     for groups in state.order.tolist():
         rows = [sorted(row, key=lambda i: (key[i], i)) for row in groups]
@@ -430,7 +442,7 @@ def init(problems: Sequence[Problem], config: LabConfig) -> State:
         iteration=0,
     )
     state.fit[: fit.size] = fit
-    rank(state, first.sense)
+    rank(state)
     return state
 
 
@@ -478,8 +490,8 @@ def propose(
 def step(state: State, config: LabConfig) -> State:
     """Advance every live seed of ``state.stack`` by one synchronous iteration.
 
-    The stack's problems share a box and sense, so the first one's are
-    every seed's.  All candidate positions are computed from the current
+    The stack's problems share a box, so the first one's is every
+    seed's.  All candidate positions are computed from the current
     (unmutated) state, then evaluated and applied.  With greedy
     acceptance an individual keeps its old position unless the candidate
     is strictly better; otherwise candidates replace unconditionally.
@@ -500,19 +512,19 @@ def step(state: State, config: LabConfig) -> State:
         proposals = proposals[: len(fit)]
     ids = state.order.ravel()
     if config.greedy_acceptance:
-        keep = is_better(fit, state.fit[ids], problem.sense)
+        keep = fit < state.fit[ids]
         ids, proposals, fit = ids[keep], proposals[keep], fit[keep]
     state.pos[ids] = proposals
     state.fit[ids] = fit
-    rank(state, problem.sense)
+    rank(state)
     return state
 
 
 def _stalled(history: list[list[float]], window: int, epsilon: float) -> bool:
-    # history rows hold each rank slot's oriented best leader so far,
-    # one row per iteration, row 0 being the initial population.  The
-    # window is only compared against post-step iterations so
-    # initialization luck does not count.
+    # history rows hold each rank slot's best leader so far, in
+    # minimize-space, one row per iteration, row 0 being the initial
+    # population.  The window is only compared against post-step
+    # iterations so initialization luck does not count.
     t = len(history) - 1
     if t - window < 1:
         return False
@@ -576,21 +588,17 @@ def stackable(problems: Sequence[Problem]) -> list[Problem]:
 
 
 def _run_stack(problems: list[Problem], config: LabConfig) -> Iterator[RunTrace]:
-    sense = problems[0].sense
     histories: list[list[list[float]]] = [[] for _ in problems]
     state = init(problems, config)
     stack = state.stack
     while True:
         heads = state.order[..., 0]
-        fit = state.fit[heads]
-        bests = zip(
-            stack.seeds, fit.tolist(), oriented(fit, sense).tolist(), heads[:, 0].tolist()
-        )
+        bests = zip(stack.seeds, state.fit[heads].tolist(), heads[:, 0].tolist())
         stay, done = [], {}
-        for j, (k, leaders, current, best) in enumerate(bests):
+        for j, (k, leaders, best) in enumerate(bests):
             stack.observe(j, leaders[0], state.pos[best], leaders)
             history = histories[k]
-            history.append(list(map(min, history[-1], current)) if history else current)
+            history.append(list(map(min, history[-1], leaders)) if history else leaders)
             if state.iteration == config.max_iterations:
                 done[j] = TERMINATION_MAX_ITERATIONS
             elif _stalled(history, config.stall_window, config.stall_epsilon):

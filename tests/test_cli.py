@@ -110,6 +110,12 @@ def test_out_root_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("LABOPT_OUT", str(tmp_path / "envroot"))
     assert run_cli(["run", "--problem", "F25", "--iters", "5"]) == 0
     assert (tmp_path / "envroot" / "F25__lab" / "summary.json").exists()
+    # An empty value means unset, as an empty --out does: ./out, not ./
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("LABOPT_OUT", "")
+    assert run_cli(["run", "--problem", "F25", "--iters", "5"]) == 0
+    assert (tmp_path / "out" / "F25__lab" / "summary.json").exists()
+    assert not (tmp_path / "F25__lab").exists()
 
 
 def test_baseline_budget_defaults_to_population_spend(tmp_path):

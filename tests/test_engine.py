@@ -185,17 +185,18 @@ def leader_fits(state, j=0):
 def test_rank_group_orders_by_fitness():
     p = one_d_problem()
     state = make_state([[[3.0], [1.0], [2.0]]], p)
-    rank(state, Sense.MINIMIZE)
+    rank(state)
     assert state.fit[state.order[0, 0]].tolist() == [1.0, 4.0, 9.0]
-    rank(state, Sense.MAXIMIZE)
-    assert state.fit[best(state)] == 9.0
+    state.fit = -state.fit  # the values of the maximized objective, in minimize-space
+    rank(state)
+    assert state.fit[best(state)] == -9.0
 
 
 def test_rank_group_breaks_ties_by_lower_id():
     p = box_problem(dim=1, half=10.0, objective=lambda x: np.full(np.shape(x)[:-1], 1.0))
     state = make_state([[[0.0]] * 10 + [[3.0], [1.0], [2.0]]], p)
     state.order = np.array([[[12, 10, 11]]])
-    rank(state, Sense.MINIMIZE)
+    rank(state)
     assert state.order[0, 0].tolist() == [10, 11, 12]
 
 
@@ -204,7 +205,7 @@ def test_rank_global_orders_groups_and_reindexes():
     state = make_state(
         [[[5.0], [6.0], [7.0]], [[2.0], [6.0], [7.0]], [[7.0], [8.0], [9.0]]], p
     )
-    rank(state, Sense.MINIMIZE)
+    rank(state)
     assert leader_fits(state) == [4.0, 25.0, 49.0]
     # row g of order is the group ranked g + 1
     assert state.order[0].tolist() == [[3, 4, 5], [0, 1, 2], [6, 7, 8]]
@@ -429,7 +430,7 @@ def test_collapsed_society_is_a_fixed_point():
     spot = np.array([1.5, -2.5])
     state.pos[:] = spot
     state.fit[:] = p.evaluate(spot)
-    rank(state, p.sense)
+    rank(state)
     step(state, cfg)
     # exact in real arithmetic; each w1*x + w2*x + w3*x re-rounds in floats
     for position in state.pos:
@@ -655,7 +656,7 @@ def assert_state_invariants(state, problem, config, rows):
     assert rows == [len(state.stack.seeds) * pop] * (state.iteration + 1)
     assert np.array_equal(state.pos.clip(problem.lower, problem.upper), state.pos)
     assert all(in_box(problem, x) for x in state.pos)
-    key = oriented(state.fit, problem.sense).tolist()
+    key = state.fit.tolist()  # minimize-space
     for k, groups in zip(state.stack.seeds, state.order.tolist()):
         ids = [i for row in groups for i in row]
         assert sorted(ids) == list(range(k * pop, (k + 1) * pop))
@@ -777,6 +778,58 @@ def test_every_catalog_entry_stacked_yields_each_seeds_lone_trace(algorithm):
         for k, trace in enumerate(stacked):
             (alone,) = run_stack([make(2 + k)], dataclasses.replace(config, seed=2 + k))
             assert trace == alone, (name, k)
+
+
+@dataclasses.dataclass(frozen=True)
+class Negated:
+    """The negation of ``objective``; equal when the objectives are, so
+    a flipped stack takes the shared call exactly when its original does."""
+
+    objective: object
+
+    def __call__(self, x):
+        return -self.objective(x)
+
+
+def flipped(problem):
+    """``problem`` in the opposite sense, with its objective negated."""
+    sense = Sense.MINIMIZE if problem.sense is Sense.MAXIMIZE else Sense.MAXIMIZE
+    return dataclasses.replace(problem, sense=sense, objective=Negated(problem.objective))
+
+
+def trace_values(trace):
+    """Every fitness value of ``trace``: its best, then each row's, in order."""
+    values = [trace.best_fitness]
+    for record in trace.records:
+        values += [record.global_best, *record.leaders, record.best_so_far]
+    return values
+
+
+def trace_rest(trace):
+    """Everything of ``trace`` but its sense and fitness values."""
+    return (trace.problem, trace.algorithm, trace.seed, trace.best_position,
+            trace.n_evaluations, trace.termination,
+            [(r.iteration, len(r.leaders)) for r in trace.records])
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_every_catalog_entry_run_in_the_opposite_sense_mirrors_its_trace(algorithm):
+    # Every algorithm minimizes the values the stack hands it, so flipping
+    # the sense and negating the objective must negate every trace value
+    # bit for bit (signed zeros too) and change nothing else.  Each run
+    # builds its problems afresh, so F32's seeds each flip their own
+    # problem with a fresh noise stream.
+    config = stack_config(algorithm, 5, budget=157, max_iterations=30)
+    for name, make in CATALOG.items():
+        traces = list(run_stack([make(5 + k) for k in range(3)], config))
+        mirrored = list(run_stack([flipped(make(5 + k)) for k in range(3)], config))
+        assert len(traces) == len(mirrored) == 3, name
+        for trace, mirror in zip(traces, mirrored):
+            assert mirror.sense is not trace.sense, name
+            assert [v.hex() for v in trace_values(trace)] == [
+                (-v).hex() for v in trace_values(mirror)
+            ], (name, trace.seed)
+            assert trace_rest(trace) == trace_rest(mirror), (name, trace.seed)
 
 
 @st.composite
@@ -1063,21 +1116,23 @@ def test_the_shared_call_is_decided_when_the_stack_is_built():
 
 
 def test_stack_observe_keeps_each_seeds_rows_and_first_strict_best():
-    # All values are negative under maximization, so a best that did not
-    # start at the worst value would never take the first observation.
+    # The problem is maximized, so observe takes the negated (minimize-
+    # space) values, and the rows and bests hold them in the user's sense.
+    # All of them are positive, so a best that did not start at inf would
+    # never take the first observation.
     p = box_problem(sense=Sense.MAXIMIZE, objective=lambda x: -1.0 - sphere(x))
     stack = Stack([p, p], 0)
     point = np.array([1.0, 2.0])
-    stack.observe(0, -5.0, point, (-5.0, -6.0))
-    stack.observe(1, -9.0, np.array([3.0, 3.0]))
+    stack.observe(0, 5.0, point, (5.0, 6.0))
+    stack.observe(1, 9.0, np.array([3.0, 3.0]))
     point[:] = 7.0  # the stack holds its own copy
-    stack.observe(0, -5.0, np.array([0.0, 0.0]))  # a tie keeps the first point
-    stack.observe(0, -7.0, np.array([4.0, 4.0]))
+    stack.observe(0, 5.0, np.array([0.0, 0.0]))  # a tie keeps the first point
+    stack.observe(0, 7.0, np.array([4.0, 4.0]))
     first = list(stack.finish({0: "first"}, "algo", 10))
     assert stack.seeds == [1]
-    assert stack.best_fitness == [-9.0] and len(stack.records[0]) == 1
-    stack.observe(0, -2.0, np.array([5.0, 5.0]))  # live seed 0 is seed 1 now
-    stack.observe(0, -3.0, np.array([6.0, 6.0]))
+    assert stack.best_fitness == [9.0] and len(stack.records[0]) == 1
+    stack.observe(0, 2.0, np.array([5.0, 5.0]))  # live seed 0 is seed 1 now
+    stack.observe(0, 3.0, np.array([6.0, 6.0]))
     second = list(stack.finish({0: "second"}, "algo", 20))
     assert stack.seeds == stack.records == stack.best_position == []
 

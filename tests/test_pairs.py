@@ -1,13 +1,29 @@
-"""The verdicts of ``bench/pairs.py``, the parent-versus-change measurement."""
+"""The verdicts of ``bench/pairs.py``, the parent-versus-change measurement,
+and the equality gate of ``bench/one_seed.py``'s in-process pairs."""
+import dataclasses
 import importlib.util
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "bench" / "pairs.py"
-_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
-pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(pairs)
+from labopt import baselines, benchmarks, engine, machining
+
+_BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+pairs = _load("bench_pairs", _BENCH / "pairs.py")
+sys.modules.setdefault("pairs", pairs)  # one_seed.py imports it from bench/
+one_seed = _load("bench_one_seed", _BENCH / "one_seed.py")
 
 WALL = {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}
 RSS = {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.05}
@@ -83,3 +99,77 @@ def test_a_failed_parent_operation_does_not_block_the_change():
     change = [_side(1.5 + 0.01 * i) for i in range(9)] + [_side(1.6, failed=1)]
     verdict = pairs.verdicts(_runs(parent, change), [WALL])["wall_s"]
     assert verdict["verdict"] == "gain"
+
+
+# --- bench/one_seed.py's equality gate ---------------------------------------
+
+MODULES = (engine, machining, benchmarks, baselines)
+FIRST = machining.machining_registry()[5]
+
+
+def _specs(modules, seed):
+    """Three models of 3 and 2 variables, whose 51-point oracles are quick."""
+    return modules[1].machining_registry()[5:8]
+
+
+def _models(modules, seed):
+    return [spec.problem for spec in _specs(modules, seed)]
+
+
+def _stacks(modules, seed):
+    return [[problem] * 2 for problem in _models(modules, seed)]
+
+
+# One-seed, stacked and oracle passes, each over three models.
+GATE_PASSES = {
+    "one seed": (_models, one_seed.baseline_pass("random_search")),
+    "stacked": (_stacks, one_seed.baseline_stack_pass("random_search")),
+    "oracle": (_specs, one_seed.run_oracle),
+}
+
+
+def _nudged(trace):
+    """``trace`` with its last row's best so far one ulp higher."""
+    last = trace.records[-1]
+    row = dataclasses.replace(last, best_so_far=np.nextafter(last.best_so_far, np.inf))
+    return dataclasses.replace(trace, records=(*trace.records[:-1], row))
+
+
+def _changed_side():
+    """Modules whose runs change one recorded value on the first of the
+    three models: its oracle value, its lone trace, or the last trace of
+    its stack."""
+
+    def grid_oracle(spec, points):
+        value, point = machining.grid_oracle(spec, points)
+        return (np.nextafter(value, np.inf) if spec is FIRST else value), point
+
+    def run_baseline(problem, config):
+        trace = baselines.run_baseline(problem, config)
+        return _nudged(trace) if problem.name == FIRST.key else trace
+
+    def run_baseline_seeds(problems, config):
+        traces = list(baselines.run_baseline_seeds(problems, config))
+        if problems[0].name == FIRST.key:
+            traces[-1] = _nudged(traces[-1])
+        return traces
+
+    return (
+        engine,
+        SimpleNamespace(machining_registry=machining.machining_registry,
+                        grid_oracle=grid_oracle),
+        benchmarks,
+        SimpleNamespace(BaselineConfig=baselines.BaselineConfig,
+                        run_baseline=run_baseline, run_baseline_seeds=run_baseline_seeds),
+    )
+
+
+@pytest.mark.parametrize("case", sorted(GATE_PASSES))
+def test_one_seed_pair_is_equal_only_when_every_recorded_value_is(case):
+    items, run_one = GATE_PASSES[case]
+    same = dict.fromkeys(pairs.SIDES, MODULES)
+    changed = {"parent": MODULES, "change": _changed_side()}
+    for flip in (0, 1):
+        total, equal = one_seed.pair(same, 3, flip, items, run_one)
+        assert equal and sorted(total) == sorted(pairs.SIDES)
+        assert not one_seed.pair(changed, 3, flip, items, run_one)[1]
