@@ -23,8 +23,8 @@ makes nine passes, each on fresh problems:
   random search and PSO as 5-seed ``run_baseline_seeds`` stacks at
   budget 400 over the 23 machining models (``baselines-oracle``).  Each
   stack's problems are built per seed, as ``labopt run --runs`` builds
-  them.  Random search's stacks take about 0.02 s a side, too short to
-  time alone, so its pass runs each stack five times.
+  them.  Random search's stacks take about 0.02 s a side, so its pass
+  holds each stack five times in a row, as five items.
 
 In each pass both sides run back to back problem by problem, the first
 side alternating, so a drift in machine speed falls on both sides alike.
@@ -65,7 +65,7 @@ ORACLE_POINTS = 51
 LAB_STACK_SEEDS = 2
 BASELINE_STACK_SEEDS = 5
 BASELINE_STACK_BUDGET = 400
-# Random search's stacks are cheap: its stacked pass runs each stack
+# Random search's stacks are cheap: its stacked pass holds each stack
 # this many times, to take about 0.1 s a side.
 RANDOM_SEARCH_STACK_REPEATS = 5
 
@@ -111,8 +111,10 @@ def models(modules: tuple, seed: int) -> list:
     return modules[1].machining_registry()
 
 
-def stacks(runs: int, benchmarks_too: bool):
-    """Catalog problems as stacks of ``runs`` per-seed problems."""
+def stacks(runs: int, benchmarks_too: bool, repeats: int = 1):
+    """Catalog problems as stacks of ``runs`` per-seed problems, each
+    stack ``repeats`` times in a row, so the first side alternates on
+    every repeat."""
 
     def items(modules: tuple, seed: int) -> list:
         _, machining, benchmarks, _ = modules
@@ -120,7 +122,7 @@ def stacks(runs: int, benchmarks_too: bool):
         if benchmarks_too:
             out += [[benchmarks.build_problem(spec.id, None, seed + k) for k in range(runs)]
                     for spec in benchmarks.registry()]
-        return out
+        return [stack for stack in out for _ in range(repeats)]
 
     return items
 
@@ -131,16 +133,12 @@ def run_lab_stack(modules: tuple, problems: list, seed: int) -> list:
 
 
 def baseline_stack_pass(algorithm: str):
-    """A pass that runs ``algorithm`` on one stack of one problem's seeds:
-    once, or ``RANDOM_SEARCH_STACK_REPEATS`` times for random search, every
-    run's traces counting."""
-    repeats = RANDOM_SEARCH_STACK_REPEATS if algorithm == "random_search" else 1
+    """A pass that runs ``algorithm`` on one stack of one problem's seeds."""
 
     def run_stack(modules: tuple, problems: list, seed: int) -> list:
         baselines = modules[3]
         config = baselines.BaselineConfig(algorithm, BASELINE_STACK_BUDGET, seed)
-        return [trace for _ in range(repeats)
-                for trace in baselines.run_baseline_seeds(problems, config)]
+        return list(baselines.run_baseline_seeds(problems, config))
 
     return run_stack
 
@@ -152,8 +150,10 @@ PASSES = {
     **{name: (catalog, baseline_pass(name)) for name in BASELINES},
     "oracle": (models, run_oracle),
     f"lab_{LAB_STACK_SEEDS}_seeds": (stacks(LAB_STACK_SEEDS, True), run_lab_stack),
-    **{f"{name}_{BASELINE_STACK_SEEDS}_seeds": (stacks(BASELINE_STACK_SEEDS, False),
-                                                baseline_stack_pass(name))
+    **{f"{name}_{BASELINE_STACK_SEEDS}_seeds": (
+        stacks(BASELINE_STACK_SEEDS, False,
+               RANDOM_SEARCH_STACK_REPEATS if name == "random_search" else 1),
+        baseline_stack_pass(name))
        for name in BASELINES},
 }
 
@@ -256,7 +256,8 @@ def main(argv: list[str] | None = None) -> int:
             f"run_seeds on {LAB_STACK_SEEDS}-seed stacks over both catalogs, and one with "
             f"run_baseline_seeds on {BASELINE_STACK_SEEDS}-seed stacks at budget "
             f"{BASELINE_STACK_BUDGET} over the 23 machining models for each baseline "
-            f"(random search running each stack {RANDOM_SEARCH_STACK_REPEATS} times), "
+            f"(random search holding each stack {RANDOM_SEARCH_STACK_REPEATS} times in a "
+            "row, each its own item), "
             "each on both sides back to back, the first side alternating by problem and "
             "pair; a pass's time per side is the sum of its runs; traces_equal also "
             "covers the oracle's values and points"

@@ -15,13 +15,9 @@ temperature stage of single moves, that is the stage's first best move,
 kept as the stage runs.
 
 The seeds of one problem run as one ``engine.Stack``, as the main
-optimizer's do, under the same rules: the stack hands out every value
-in minimize-space, so every rule minimizes and none reads the problem's
-sense; each seed keeps its own generator; one objective call scores a
-batch of every seed (random search's draws, a swarm step, or one SA
-move of each seed) when the seeds share an objective; and the lowest
-failing seed's error is raised in place of its trace.  ``run_baseline``
-is the one-seed stack.
+optimizer's do, under the rules its docstring states; a batch is
+random search's draws, a swarm step, or one SA move of each seed.
+``run_baseline`` is the one-seed stack.
 """
 from __future__ import annotations
 
@@ -191,14 +187,10 @@ def run_baseline_seeds(
     ``default_rng(config.seed + k)``; the problems must share name,
     dimension, box and sense.  Every seed starts from the same uniform
     batch its generator gives ``engine.init``, recorded as the first
-    trace row, and its rule then spends the remaining batches.  The
-    ``engine.Stack`` rules hold as for ``engine.run_seeds``, a batch
-    being a step: one objective call scores a batch of every seed that
-    shares an objective, the traces come in seed order, once every seed
-    has spent its budget, each with its seed's share of the batches as
-    its cost, and the lowest failing seed's ``EvaluationError`` (the one
-    its lone run raises, with no ``iteration``) is raised in place of
-    its trace.
+    trace row, and its rule then spends the remaining batches, under the
+    rules of ``engine.Stack``.  Every seed spends the same budget, so
+    the seeds finish together, and a failing seed's ``EvaluationError``
+    carries no ``iteration``.
 
     Raises
     ------

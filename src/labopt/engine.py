@@ -17,19 +17,12 @@ iteration.  All moves are computed from the iteration-start snapshot
 and applied synchronously, after which both rankings are rebuilt.
 
 The seeds of one problem run as one stack: the populations of all
-seeds share three arrays indexed by individual id, ``pos`` (positions),
-``fit`` (fitness) and ``order``, whose ``[j, g]`` row lists the member
-ids of live seed ``j``'s ``g``-th ranked group best-first.  One step
-draws every seed's weights, builds every proposal by broadcasting and
-evaluates them in one batch when the seeds share an objective; each
-seed keeps its own generator, ranking and stopping rule, so a seed
-runs as it would alone as long as the objective gives it the same
-values.  ``run`` is the one-seed stack.  A ``Stack`` holds the live
-seeds of LAB and of the baselines alike: their generators, trace rows
-and best points, the orientation, the shared objective call, the
-failure rule, the seed-order yield of the traces and each seed's cost.
-It is the only code that reads a problem's sense: it hands out every
-value in minimize-space, so every algorithm minimizes.
+seeds share one ``State``.  One step draws every seed's weights, builds
+every proposal by broadcasting and evaluates them with one
+``Stack.evaluate``; each seed keeps its own generator, ranking and
+stopping rule.  ``run`` is the one-seed stack.  A ``Stack`` holds the
+live seeds of LAB and of the baselines alike, and its docstring states
+the rules every stack keeps.
 """
 from __future__ import annotations
 
@@ -50,11 +43,12 @@ class State:
     """The stacked populations of a problem's seeds and their ``Stack``.
 
     Individual ``i`` of stack seed ``k`` has id ``k * population + i``.
-    ``pos`` has shape ``(seeds * population, dim)`` and ``fit`` shape
-    ``(seeds * population,)``, both indexed by id; ``fit`` holds the
-    minimize-space values ``Stack.evaluate`` returns.  Ids never change
-    and break fitness ties.  ``order`` covers the live seeds of ``stack``
-    only, in its order: it has shape ``(live, num_groups, group_size)``,
+    ``pos`` (positions, shape ``(ids, dim)``) and ``fit`` (shape
+    ``(ids,)``) are indexed by id and cover the seeds that survived
+    initialization; ``fit`` holds the minimize-space values
+    ``Stack.evaluate`` returned.  Ids never change and break fitness
+    ties.  ``order`` covers the live seeds of ``stack`` only, in its
+    order: it has shape ``(live, num_groups, group_size)``,
     and ``order[j, g]`` holds the ids of live seed ``j``'s ``g``-th
     ranked group, leader first, then advocate, then believers, so
     ``order[j, 0, 0]`` is its global leader.  Live seeds have all taken
@@ -427,21 +421,22 @@ def init(problems: Sequence[Problem], config: LabConfig) -> State:
     The seeds are a ``Stack(problems, config.seed)``.  Each seed's
     individuals are drawn uniformly over the box and dealt into
     ``num_groups`` groups of ``group_size`` by id; both ranking passes
-    are applied before the state is returned.
+    are applied before the state is returned.  A seed whose first batch
+    fails leaves with every seed above it, as ``Stack.evaluate`` says,
+    so the state holds only the seeds below it.
     """
     first = problems[0]
     stack = Stack(problems, config.seed)
     pos = draw_uniform(stack.rngs, first, config.population).reshape(-1, first.dim)
-    fit = stack.evaluate(pos, 0)
-    order = np.arange(len(pos)).reshape(-1, config.num_groups, config.group_size)
+    fit = np.array(stack.evaluate(pos, 0))  # step writes into it
+    order = np.arange(fit.size).reshape(-1, config.num_groups, config.group_size)
     state = State(
-        pos=pos,
-        fit=np.full(len(pos), np.nan),
-        order=order[: len(stack.seeds)],
+        pos=pos[: fit.size],
+        fit=fit,
+        order=order,
         stack=stack,
         iteration=0,
     )
-    state.fit[: fit.size] = fit
     rank(state)
     return state
 
@@ -456,22 +451,17 @@ def believer_mean(state: State) -> np.ndarray:
     return state.pos[believers].sum(axis=-2) / believers.shape[-1]
 
 
-def propose(
-    state: State, problem: Problem, leader_w: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    """Every member's clamped candidate position, in ``order.ravel()`` order.
+def propose(state: State, leader_w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Every member's candidate position, in ``order.ravel()`` order.
 
-    ``leader_w`` and ``u`` are laid out as ``draw_weights`` returns
-    them.  The first-ranked group's leader is the global leader, so its
-    move anchors on its own position.
+    ``leader_w`` and ``u`` are laid out as ``draw_weights`` returns them
+    for ``state.order``'s shape.  The candidates are clamped to the box
+    of the stack's problems, which share one.  The first-ranked group's
+    leader is the global leader, so its move anchors on its own
+    position.
     """
+    problem = state.stack.problems[0]
     pos, order = state.pos, state.order
-    if leader_w.shape != (*order.shape[:-1], 3) or u.shape != (
-        *order.shape[:-1], order.shape[-1] - 1
-    ):
-        raise ConfigError(
-            "need three leader weights and group_size - 1 values of u per group"
-        )
     lead = pos[order[..., 0]]
     adv = pos[order[..., 1]]
     bmean = believer_mean(state)
@@ -487,24 +477,20 @@ def propose(
     return mix.clip(problem.lower, problem.upper).reshape(-1, problem.dim)
 
 
-def step(state: State, config: LabConfig) -> State:
-    """Advance every live seed of ``state.stack`` by one synchronous iteration.
+def step(state: State, config: LabConfig) -> None:
+    """Advance every live seed of ``state`` by one synchronous iteration, in place.
 
-    The stack's problems share a box, so the first one's is every
-    seed's.  All candidate positions are computed from the current
-    (unmutated) state, then evaluated and applied.  With greedy
-    acceptance an individual keeps its old position unless the candidate
-    is strictly better; otherwise candidates replace unconditionally.
-    Every individual is re-evaluated each iteration, whatever the
-    acceptance.  A seed whose evaluation fails leaves the stack as
-    ``Stack.evaluate`` says; when it was the only one, its error is
-    raised.
+    All candidate positions are computed from the current (unmutated)
+    state, then evaluated and applied.  With greedy acceptance an
+    individual keeps its old position unless the candidate is strictly
+    better; otherwise candidates replace unconditionally.  Every
+    individual is re-evaluated each iteration, whatever the acceptance.
+    A seed whose evaluation fails leaves ``order`` with every seed above
+    it, as ``Stack.evaluate`` says; when it was the lowest live seed, its
+    error is raised.
     """
-    problem = state.stack.problems[0]
     _, num_groups, group_size = state.order.shape
-    proposals = propose(
-        state, problem, *draw_weights(state.stack.rngs, num_groups, group_size)
-    )
+    proposals = propose(state, *draw_weights(state.stack.rngs, num_groups, group_size))
     state.iteration += 1
     fit = state.stack.evaluate(proposals, state.iteration)
     if len(fit) < len(proposals):  # a failing seed left with every seed above it
@@ -517,7 +503,6 @@ def step(state: State, config: LabConfig) -> State:
     state.pos[ids] = proposals
     state.fit[ids] = fit
     rank(state)
-    return state
 
 
 def _stalled(history: list[list[float]], window: int, epsilon: float) -> bool:
@@ -538,13 +523,9 @@ def run_seeds(
 
     Seed ``k`` runs on ``problems[k]`` with seed ``config.seed + k``.  The
     problems must share name, dimension, box and sense.  Each seed keeps
-    its own weights, ranking and stopping, and the stack's rules hold:
-    one objective call scores a step of every seed that shares an
-    objective, so a seed's trace equals the one ``run`` returns for it
-    alone when the objective is pure; traces come in seed order, each
-    with its seed's share of the steps it took as its cost; and the
-    lowest failing seed's ``EvaluationError``, with its ``iteration``,
-    is raised in place of its trace.
+    its own weights, ranking and stopping, under the rules of ``Stack``,
+    a step being a batch; a failing seed's ``EvaluationError`` carries
+    the ``iteration`` it failed in.
 
     Each seed stops at ``max_iterations``, or earlier when no rank
     slot's best leader has improved by at least ``stall_epsilon`` over
@@ -594,7 +575,7 @@ def _run_stack(problems: list[Problem], config: LabConfig) -> Iterator[RunTrace]
     while True:
         heads = state.order[..., 0]
         bests = zip(stack.seeds, state.fit[heads].tolist(), heads[:, 0].tolist())
-        stay, done = [], {}
+        done = {}
         for j, (k, leaders, best) in enumerate(bests):
             stack.observe(j, leaders[0], state.pos[best], leaders)
             history = histories[k]
@@ -603,14 +584,12 @@ def _run_stack(problems: list[Problem], config: LabConfig) -> Iterator[RunTrace]
                 done[j] = TERMINATION_MAX_ITERATIONS
             elif _stalled(history, config.stall_window, config.stall_epsilon):
                 done[j] = TERMINATION_STALLED
-            else:
-                stay.append(j)
         evaluations = config.population * (state.iteration + 1)
         yield from stack.finish(done, ALGORITHM_LAB, evaluations)
         if not stack.seeds:
             return
         if done:
-            state.order = state.order[stay]
+            state.order = np.delete(state.order, list(done), axis=0)
         step(state, config)
 
 

@@ -6,7 +6,6 @@ to.  Failure messages carry the full per-row measurements so a red
 run documents exactly what was achieved.
 """
 import dataclasses
-import itertools
 import json
 import math
 
@@ -22,7 +21,7 @@ from labopt.persist import read_summary, read_trace
 from labopt.problem import Sense, is_better
 from labopt.stats import METHOD_EXACT, wilcoxon_two_sided
 
-from conftest import in_box
+from conftest import in_box, reference_exact_p
 
 SEEDS = range(30)
 
@@ -219,26 +218,6 @@ def test_machining_grid_oracle_equivalence():
 
 
 # --- 4. signed-rank test is exact where it claims to be --------------------
-
-def reference_doubled_ranks(abs_diffs):
-    out = []
-    for d in abs_diffs:
-        lt = sum(1 for e in abs_diffs if e < d)
-        eq = sum(1 for e in abs_diffs if e == d)
-        out.append(2 * lt + eq + 1)
-    return out
-
-
-def reference_exact_p(diffs):
-    ranks = reference_doubled_ranks([abs(d) for d in diffs])
-    observed = sum(r for r, d in zip(ranks, diffs) if d > 0)
-    c_le = c_ge = 0
-    for signs in itertools.product((0, 1), repeat=len(ranks)):
-        w = sum(r for r, s in zip(ranks, signs) if s)
-        c_le += w <= observed
-        c_ge += w >= observed
-    return min(1.0, 2.0 * min(c_le, c_ge) / 2 ** len(ranks))
-
 
 def test_signed_rank_exactness():
     rng = np.random.default_rng(777)

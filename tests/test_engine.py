@@ -82,12 +82,12 @@ def make_state(groups, problem):
     )
 
 
-def proposals_of(state, problem, leader_w, u):
+def proposals_of(state, leader_w, u):
     """propose() of a one-seed state reshaped to (group, member, dim)."""
     _, num_groups, group_size = state.order.shape
     return propose(
-        state, problem, np.array([leader_w], dtype=float), np.array([u], dtype=float)
-    ).reshape(num_groups, group_size, problem.dim)
+        state, np.array([leader_w], dtype=float), np.array([u], dtype=float)
+    ).reshape(num_groups, group_size, state.pos.shape[1])
 
 
 def best(state, j=0):
@@ -134,28 +134,21 @@ def test_leader_update_hand_value():
     p = one_d_problem()
     # group 0 holds the global leader at 0; group 1 is leader, advocate, believer
     state = make_state([[[0.0], [9.0], [9.0]], [[5.0], [1.0], [2.0]]], p)
-    new = proposals_of(state, p, [LEADER_W, [0.5, 0.3, 0.2]], [[0.7, 0.7]] * 2)
+    new = proposals_of(state, [LEADER_W, [0.5, 0.3, 0.2]], [[0.7, 0.7]] * 2)
     assert new[1, 0, 0] == pytest.approx(0.7, abs=1e-15)
-
-
-def test_leader_update_requires_three_weights():
-    p = one_d_problem()
-    state = make_state([[[5.0], [1.0], [2.0]], [[5.0], [1.0], [2.0]]], p)
-    with pytest.raises(ConfigError):
-        proposals_of(state, p, [[0.7, 0.3]] * 2, [[0.7, 0.7]] * 2)
 
 
 def test_advocate_update_hand_value():
     p = one_d_problem()
     state = make_state([[[10.0], [7.0], [0.0]], [[10.0], [7.0], [0.0]]], p)
-    new = proposals_of(state, p, [LEADER_W] * 2, [[0.8, 0.7]] * 2)
+    new = proposals_of(state, [LEADER_W] * 2, [[0.8, 0.7]] * 2)
     assert new[1, 1, 0] == pytest.approx(8.0, abs=1e-15)
 
 
 def test_believer_update_hand_value():
     p = one_d_problem()
     state = make_state([[[2.0], [4.0], [9.0]], [[2.0], [4.0], [9.0]]], p)
-    new = proposals_of(state, p, [LEADER_W] * 2, [[0.7, 0.75]] * 2)
+    new = proposals_of(state, [LEADER_W] * 2, [[0.7, 0.75]] * 2)
     assert new[1, 2, 0] == pytest.approx(2.5, abs=1e-15)
 
 
@@ -172,7 +165,7 @@ def test_updates_clamp_to_box():
     p = box_problem(dim=1, half=1.0)
     # the global leader sits outside the box; anchors are normally feasible
     state = make_state([[[5.0], [1.0], [1.0]], [[1.0], [1.0], [1.0]]], p)
-    new = proposals_of(state, p, [[0.9, 0.06, 0.04]] * 2, [[0.7, 0.7]] * 2)
+    new = proposals_of(state, [[0.9, 0.06, 0.04]] * 2, [[0.7, 0.7]] * 2)
     assert new[1, 0, 0] == 1.0
 
 
@@ -241,6 +234,23 @@ def test_initialize_is_deterministic_per_seed():
     assert np.array_equal(a.pos, b.pos)
     c = init([p], LabConfig(seed=6))
     assert not all(np.array_equal(pa, pc) for pa, pc in zip(a.pos, c.pos))
+
+
+def test_initialize_keeps_only_the_seeds_below_a_first_batch_failure():
+    # Seed 1's own objective fails on its first batch: seeds 1 and 2
+    # leave, and the state holds seed 0's population alone.
+    problems = [
+        box_problem(objective=counting(sphere, [])),
+        box_problem(objective=nan_from_call(1)),
+        box_problem(objective=counting(sphere, [])),
+    ]
+    cfg = LabConfig(seed=2)
+    state = init(problems, cfg)
+    assert state.stack.seeds == [0]
+    assert state.order.shape[0] == 1
+    assert state.pos.shape == (cfg.population, 2)
+    assert state.fit.shape == (cfg.population,)
+    assert np.isfinite(state.fit).all()
 
 
 # --- step semantics --------------------------------------------------------

@@ -22,29 +22,7 @@ from labopt.stats import (
     wilcoxon_two_sided,
 )
 
-
-# --- independent reference implementation ---------------------------------
-
-def reference_doubled_ranks(abs_diffs):
-    # doubled midrank = 2*(# strictly smaller) + (# equal, self included) + 1
-    out = []
-    for d in abs_diffs:
-        lt = sum(1 for e in abs_diffs if e < d)
-        eq = sum(1 for e in abs_diffs if e == d)
-        out.append(2 * lt + eq + 1)
-    return out
-
-
-def reference_exact_p(diffs):
-    """All 2^n sign assignments, pure integers throughout."""
-    ranks = reference_doubled_ranks([abs(d) for d in diffs])
-    observed = sum(r for r, d in zip(ranks, diffs) if d > 0)
-    c_le = c_ge = 0
-    for signs in itertools.product((0, 1), repeat=len(ranks)):
-        w = sum(r for r, s in zip(ranks, signs) if s)
-        c_le += w <= observed
-        c_ge += w >= observed
-    return min(1.0, 2.0 * min(c_le, c_ge) / 2 ** len(ranks))
+from conftest import reference_doubled_ranks, reference_exact_p
 
 
 # --- wilcoxon_two_sided ----------------------------------------------------
