@@ -24,7 +24,8 @@ makes nine passes, each on fresh problems:
   budget 400 over the 23 machining models (``baselines-oracle``).  Each
   stack's problems are built per seed, as ``labopt run --runs`` builds
   them.  Random search's stacks take about 0.02 s a side, so its pass
-  holds each stack five times in a row, as five items.
+  holds each stack five times in a row, as five items.  Its A/A IQR
+  still reads above 0.05, so it is not used for gains.
 
 In each pass both sides run back to back problem by problem, the first
 side alternating, so a drift in machine speed falls on both sides alike.

@@ -237,8 +237,8 @@ def test_initialize_is_deterministic_per_seed():
 
 
 def test_initialize_keeps_only_the_seeds_below_a_first_batch_failure():
-    # Seed 1's own objective fails on its first batch: seeds 1 and 2
-    # leave, and the state holds seed 0's population alone.
+    # Each seed has its own objective, and seed 1's fails on its first
+    # batch: seeds 1 and 2 leave, and the state holds seed 0's alone.
     problems = [
         box_problem(objective=counting(sphere, [])),
         box_problem(objective=nan_from_call(1)),
