@@ -23,9 +23,10 @@ makes nine passes, each on fresh problems:
   random search and PSO as 5-seed ``run_baseline_seeds`` stacks at
   budget 400 over the 23 machining models (``baselines-oracle``).  Each
   stack's problems are built per seed, as ``labopt run --runs`` builds
-  them.  Random search's stacks take about 0.02 s a side, so its pass
-  holds each stack five times in a row, as five items.  Its A/A IQR
-  still reads above 0.05, so it is not used for gains.
+  them.  Every pass runs each stack once.  Random search's stacks take
+  about 0.02 s a side, and its pass's A/A IQR read about 0.05 or more
+  however it was laid out, so that pass checks equality and is not used
+  for gains.
 
 In each pass both sides run back to back problem by problem, the first
 side alternating, so a drift in machine speed falls on both sides alike.
@@ -66,9 +67,6 @@ ORACLE_POINTS = 51
 LAB_STACK_SEEDS = 2
 BASELINE_STACK_SEEDS = 5
 BASELINE_STACK_BUDGET = 400
-# Random search's stacks are cheap: its stacked pass holds each stack
-# this many times, to take about 0.1 s a side.
-RANDOM_SEARCH_STACK_REPEATS = 5
 
 
 def load(root: Path, name: str, packages: Path) -> tuple:
@@ -112,10 +110,8 @@ def models(modules: tuple, seed: int) -> list:
     return modules[1].machining_registry()
 
 
-def stacks(runs: int, benchmarks_too: bool, repeats: int = 1):
-    """Catalog problems as stacks of ``runs`` per-seed problems, each
-    stack ``repeats`` times in a row, so the first side alternates on
-    every repeat."""
+def stacks(runs: int, benchmarks_too: bool):
+    """Catalog problems as stacks of ``runs`` per-seed problems."""
 
     def items(modules: tuple, seed: int) -> list:
         _, machining, benchmarks, _ = modules
@@ -123,7 +119,7 @@ def stacks(runs: int, benchmarks_too: bool, repeats: int = 1):
         if benchmarks_too:
             out += [[benchmarks.build_problem(spec.id, None, seed + k) for k in range(runs)]
                     for spec in benchmarks.registry()]
-        return [stack for stack in out for _ in range(repeats)]
+        return out
 
     return items
 
@@ -152,9 +148,7 @@ PASSES = {
     "oracle": (models, run_oracle),
     f"lab_{LAB_STACK_SEEDS}_seeds": (stacks(LAB_STACK_SEEDS, True), run_lab_stack),
     **{f"{name}_{BASELINE_STACK_SEEDS}_seeds": (
-        stacks(BASELINE_STACK_SEEDS, False,
-               RANDOM_SEARCH_STACK_REPEATS if name == "random_search" else 1),
-        baseline_stack_pass(name))
+        stacks(BASELINE_STACK_SEEDS, False), baseline_stack_pass(name))
        for name in BASELINES},
 }
 
@@ -256,9 +250,9 @@ def main(argv: list[str] | None = None) -> int:
             f"grid_oracle(spec, {ORACLE_POINTS}) over the 23 machining models, one with "
             f"run_seeds on {LAB_STACK_SEEDS}-seed stacks over both catalogs, and one with "
             f"run_baseline_seeds on {BASELINE_STACK_SEEDS}-seed stacks at budget "
-            f"{BASELINE_STACK_BUDGET} over the 23 machining models for each baseline "
-            f"(random search holding each stack {RANDOM_SEARCH_STACK_REPEATS} times in a "
-            "row, each its own item), "
+            f"{BASELINE_STACK_BUDGET} over the 23 machining models for each baseline, "
+            "each stack run once (the random-search stacks' pass checks equality and is "
+            "not used for gains), "
             "each on both sides back to back, the first side alternating by problem and "
             "pair; a pass's time per side is the sum of its runs; traces_equal also "
             "covers the oracle's values and points"

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .problem import ConfigError, Problem, Sense, is_better
+from .problem import ConfigError, Problem, Sense
 
 Term = tuple[float, tuple[float, ...]]
 
@@ -419,24 +419,26 @@ def grid_oracle(
 
     Every axis is sampled with ``points_per_axis`` equally spaced
     values including both endpoints, and the full cross product is
-    evaluated.  Returns the best value under the spec's sense and the
-    first grid point, in ``ij`` order, attaining it.  Intended as an
-    independent ground truth for small dimensions (all catalog entries
-    have dim <= 4).
+    evaluated.  Returns the value and point that ``argmin`` (``argmax``
+    for a maximized model) picks over the whole grid in ``ij`` order:
+    the first grid point attaining the best value, or the first NaN if
+    the grid holds one.  Intended as an independent ground truth for
+    small dimensions (all catalog entries have dim <= 4).
 
     The cross product is summed one slab per value of the first axis:
     the other axes broadcast against each other, so a slab holds about
     ``points_per_axis ** (dim - 1)`` floats and no grid of points or
-    table of powers is built.  Only one slab is alive at a time: each is
-    freed before the next is summed, the terms that leave out a slab axis
-    are summed at their own smaller shape (see ``_sum_terms``), and a
-    maximized model takes ``argmax`` of the slab itself rather than
-    ``argmin`` of a negated copy (both give the first extreme in ``ij``
-    order, or the first NaN).  The first axis's value enters as a 0-d
-    array, not a numpy scalar, so its powers take the same array ``**``
-    as ``evaluate``'s columns (the scalar ``**`` differs in the last bit
-    for some values).  The values equal ``evaluate`` on the same points
-    bit for bit.
+    table of powers is built.  One rule picks at both levels: each
+    slab's first extreme (its value and flat index) is kept, and the
+    same ``argmin``/``argmax`` picks among those.  Only one slab is
+    alive at a time: each is freed before the next is summed, the terms
+    that leave out a slab axis are summed at their own smaller shape
+    (see ``_sum_terms``), and a maximized model takes ``argmax`` of the
+    slab itself rather than ``argmin`` of a negated copy.  The first
+    axis's value enters as a 0-d array, not a numpy scalar, so its
+    powers take the same array ``**`` as ``evaluate``'s columns (the
+    scalar ``**`` differs in the last bit for some values).  The values
+    equal ``evaluate`` on the same points bit for bit.
 
     Refining the grid can only improve the result: every grid with
     ``2k - 1`` points per axis contains the ``k``-point grid.
@@ -448,17 +450,17 @@ def grid_oracle(
     # Axis j >= 1 runs along slab dimension j - 1 and broadcasts over
     # the slab; axis 0 gives each slab one value, as a 0-d array.
     rest = np.ix_(*axes[1:])
-    best_value, best_point = None, None
-    maximize = spec.sense is Sense.MAXIMIZE
-    for k, first in enumerate(axes[0]):
+    pick = np.argmax if spec.sense is Sense.MAXIMIZE else np.argmin
+    extremes = []  # each slab's first extreme: (value, flat index)
+    for k in range(points_per_axis):
         values = spec._sum_terms([axes[0][k, ...], *rest], shape)
-        idx = np.unravel_index(values.argmax() if maximize else values.argmin(), shape)
-        value = float(values[idx])
-        if best_value is None or is_better(value, best_value, spec.sense):
-            best_value = value
-            best_point = np.array([first, *(axis[i] for axis, i in zip(axes[1:], idx))])
+        i = pick(values)
+        extremes.append((values.flat[i], i))
         del values  # one live slab: the next is summed after this one is freed
-    return best_value, best_point
+    k = int(pick([value for value, _ in extremes]))
+    value, i = extremes[k]
+    idx = np.unravel_index(i, shape)
+    return float(value), np.array([axes[0][k], *(axis[j] for axis, j in zip(axes[1:], idx))])
 
 
 def catalog() -> list[dict]:

@@ -138,8 +138,3 @@ def oriented(value: float, sense: Sense) -> float:
     Works elementwise on arrays.
     """
     return value if sense is Sense.MINIMIZE else -value
-
-
-def is_better(a: float, b: float, sense: Sense) -> bool:
-    """Strictly better under the problem's sense (elementwise on arrays)."""
-    return a < b if sense is Sense.MINIMIZE else a > b

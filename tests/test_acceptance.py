@@ -18,7 +18,7 @@ from labopt.benchmarks import build_problem, get as get_benchmark
 from labopt.engine import LabConfig, draw_weights, init, run_seeds, step
 from labopt.machining import grid_oracle, machining_registry
 from labopt.persist import read_summary, read_trace
-from labopt.problem import Sense, is_better
+from labopt.problem import Sense, oriented
 from labopt.stats import METHOD_EXACT, wilcoxon_two_sided
 
 from conftest import in_box, reference_exact_p
@@ -188,7 +188,9 @@ def test_machining_grid_oracle_equivalence():
         best_fit = None
         best_pos = None
         for trace in run_seeds([problem] * len(SEEDS), LabConfig(seed=SEEDS[0])):
-            if best_fit is None or is_better(trace.best_fitness, best_fit, spec.sense):
+            if best_fit is None or (
+                oriented(trace.best_fitness, spec.sense) < oriented(best_fit, spec.sense)
+            ):
                 best_fit = trace.best_fitness
                 best_pos = np.array(trace.best_position)
         tol = 1e-3 * abs(value)

@@ -12,6 +12,10 @@ from labopt.baselines import (
     ALGORITHM_SA,
     BASELINE_ALGORITHMS,
     BATCH,
+    PSO_COGNITIVE,
+    PSO_INERTIA,
+    PSO_SOCIAL,
+    SA_STEP_FRACTION,
     BaselineConfig,
     run_baseline,
     run_baseline_seeds,
@@ -295,6 +299,66 @@ def test_sa_flat_calibration_falls_back_to_unit_temperature():
     # a flat first batch has no spread; T0 falls back to 1.0 instead of 0
     trace = run_baseline(flat, BaselineConfig(algorithm=ALGORITHM_SA, budget=90, seed=4))
     assert trace.best_fitness == 7.0
+
+
+def recording_constant() -> tuple[Problem, list[np.ndarray]]:
+    """A flat objective that keeps a copy of every batch it is given."""
+    batches = []
+
+    def objective(x):
+        batches.append(x.copy())
+        return np.full(len(x), 3.0)
+
+    problem = Problem(
+        name="flat",
+        dim=2,
+        lower=np.array([-1.0, 0.0]),
+        upper=np.array([1.0, 4.0]),
+        sense=Sense.MINIMIZE,
+        objective=objective,
+    )
+    return problem, batches
+
+
+def test_sa_draws_its_acceptance_uniform_on_a_tie():
+    # On a flat objective every move has delta == 0.  It is not downhill,
+    # so SA draws its acceptance uniform, and exp(0) = 1 accepts the move.
+    problem, batches = recording_constant()
+    run_baseline(problem, BaselineConfig(algorithm=ALGORITHM_SA, budget=BATCH + 6, seed=9))
+    rng = np.random.default_rng(9)
+    current = rng.uniform(problem.lower, problem.upper, (BATCH, 2))[0]  # the first best
+    step = SA_STEP_FRACTION * (problem.upper - problem.lower)
+    moves = []
+    for _ in range(6):
+        current = (current + rng.standard_normal(2) * step).clip(problem.lower, problem.upper)
+        moves.append(current)
+        rng.random()  # the acceptance draw
+    assert [len(b) for b in batches] == [BATCH] + [1] * 6
+    assert np.concatenate(batches[1:]).tobytes() == np.array(moves).tobytes()
+
+
+def test_pso_keeps_a_particles_first_position_as_its_best_on_a_tie():
+    # On a flat objective no position is strictly better, so each
+    # particle's best stays its first position, as does the swarm's best
+    # (particle 0's), and the first batch fixes the second step's points.
+    problem, batches = recording_constant()
+    run_baseline(problem, BaselineConfig(algorithm=ALGORITHM_PSO, budget=3 * BATCH, seed=9))
+    rng = np.random.default_rng(9)
+    lower, upper = problem.lower, problem.upper
+    pulls = np.array([PSO_COGNITIVE, PSO_SOCIAL])[:, None, None]
+    first = rng.uniform(lower, upper, (BATCH, 2))
+    best = first[0]
+    velocity, position = np.zeros_like(first), first
+    for _ in range(2):
+        pull = rng.random((2, BATCH, 2)) * pulls
+        velocity = (
+            PSO_INERTIA * velocity
+            + pull[0] * (first - position)
+            + pull[1] * (best - position)
+        )
+        position = (position + velocity).clip(lower, upper)
+    assert [len(b) for b in batches] == [BATCH] * 3
+    assert batches[2].tobytes() == position.tobytes()
 
 
 def test_pso_polishes_a_smooth_bowl():

@@ -109,6 +109,9 @@ def test_role_weights_validation():
     assert not weights_valid(np.array([[0.5, 0.3, 0.2]]), np.array([[0.5]]))
     # leader triple sum != 1
     assert not weights_valid(np.array([[0.6, 0.3, 0.2]]), np.array([[0.7]]))
+    # ... even by 1e-10, while a sum 5 ulp off 1 is rounding
+    assert not weights_valid(np.array([[0.5, 0.3, 0.2 + 1e-10]]), np.array([[0.7]]))
+    assert weights_valid(np.array([[0.5, 0.3, 0.2 + 1e-15]]), np.array([[0.7]]))
     # u = 1.2 gives (1.2, -0.2): outside (0, 1)
     assert not weights_valid(np.array([[0.5, 0.3, 0.2]]), np.array([[1.2]]))
 

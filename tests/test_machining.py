@@ -351,11 +351,25 @@ POWER_AT_BOUND = machining.MachiningSpec(
 )
 
 
+# x0**-1 - x0**-1 is inf - inf = NaN at x0 = 0 only, an inner value of
+# the first axis at an odd number of points, so the grid's first NaN
+# lies past slab 0 and an oracle must pick it in both senses.
+NAN_PAST_SLAB_0 = [
+    machining.MachiningSpec(
+        "synthetic", "nan", sense.value, sense, (("s1", "mm"), ("s2", "mm")),
+        (-1.0, 0.0), (1.0, 1.0),
+        ((sign * 1.0, (-1, 0)), (sign * -1.0, (-1, 0)), (sign * 1.0, (0, 1))),
+    )
+    for sign, sense in ((1.0, Sense.MINIMIZE), (-1.0, Sense.MAXIMIZE))
+]
+
+
 @pytest.mark.parametrize("k", (2, 5, 9, 51))
 def test_grid_oracle_equals_exhaustive_evaluate(k, monkeypatch):
     # Every slab the oracle sums equals evaluate over the same ij-ordered
-    # cross product, bit for bit, and the oracle's best is the first best
-    # there.  At 51 points only the 2- and 3-variable models run.
+    # cross product, bit for bit, and the oracle's best is argmin's (or
+    # argmax's) pick there: the first best, or the first NaN.  At 51
+    # points only the 2- and 3-variable models run.
     slabs = []
     sum_terms = machining.MachiningSpec._sum_terms
 
@@ -364,19 +378,21 @@ def test_grid_oracle_equals_exhaustive_evaluate(k, monkeypatch):
         return slabs[-1]
 
     monkeypatch.setattr(machining.MachiningSpec, "_sum_terms", recording)
-    specs = machining_registry() + ONE_VARIABLE_SPECS + [POWER_AT_BOUND] + PARTIAL_SPECS
+    specs = (machining_registry() + ONE_VARIABLE_SPECS + [POWER_AT_BOUND] + PARTIAL_SPECS
+             + NAN_PAST_SLAB_0)
     for spec in [spec for spec in specs if k < 51 or spec.dim <= 3]:
         axes = [np.linspace(lo, hi, k) for lo, hi in zip(spec.lower, spec.upper)]
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, spec.dim)
-        values = spec.evaluate(grid)
+        with np.errstate(divide="ignore", invalid="ignore"):  # NAN_PAST_SLAB_0's 1 / 0
+            values = spec.evaluate(grid)
+            slabs.clear()
+            gv, gp = grid_oracle(spec, k)
         assert values.shape == (len(grid),), spec.key
-        slabs.clear()
-        gv, gp = grid_oracle(spec, k)
         assert len(slabs) == k, spec.key
         assert np.stack(slabs).tobytes() == values.tobytes(), spec.key
         pick = np.argmax if spec.sense is Sense.MAXIMIZE else np.argmin
         idx = int(pick(values))
-        assert gv == values[idx], spec.key
+        assert np.array_equal(gv, values[idx], equal_nan=True), spec.key
         assert gp.tolist() == grid[idx].tolist(), spec.key
 
 

@@ -6,7 +6,6 @@ from labopt.problem import (
     EvaluationError,
     Problem,
     Sense,
-    is_better,
     oriented,
 )
 
@@ -153,11 +152,3 @@ def test_evaluate_batch_rejects_a_result_of_the_wrong_shape(objective):
 def test_oriented_negates_only_maximization():
     assert oriented(3.5, Sense.MINIMIZE) == 3.5
     assert oriented(3.5, Sense.MAXIMIZE) == -3.5
-
-
-def test_is_better_is_strict_in_both_senses():
-    assert is_better(1.0, 2.0, Sense.MINIMIZE)
-    assert not is_better(2.0, 1.0, Sense.MINIMIZE)
-    assert not is_better(1.0, 1.0, Sense.MINIMIZE)
-    assert is_better(2.0, 1.0, Sense.MAXIMIZE)
-    assert not is_better(1.0, 1.0, Sense.MAXIMIZE)
