@@ -9,7 +9,7 @@ small a share of a workload for ``bench/pairs.py`` to resolve.  This
 script makes ``git archive`` copies of both revisions, as
 ``bench/pairs.py`` does, and imports each copy's ``labopt`` under its own
 package name, so both run in one interpreter.  One pair per seed ``s``
-makes nine passes, each on fresh problems:
+makes ten passes, each on fresh problems:
 
 * one-seed passes over every catalog problem (the 23 machining models,
   then the 27 benchmark functions built for seed ``s``): LAB with
@@ -26,7 +26,14 @@ makes nine passes, each on fresh problems:
   them.  Every pass runs each stack once.  Random search's stacks take
   about 0.02 s a side, and its pass's A/A IQR read about 0.05 or more
   however it was laid out, so that pass checks equality and is not used
-  for gains.
+  for gains;
+* ``lab_study``: ``lab-study``'s two commands as ``labopt run`` runs
+  them, ``cli.main(["run", "--problem", sel, "--runs", "2", "--seed", s,
+  "--out", tmp])`` for ``all-machining`` and ``all-benchmarks``, so it
+  sees how the CLI stacks problems, which the per-problem stacks of
+  ``lab_2_seeds`` cannot.  Only the call is timed; the artifacts are
+  compared by bytes, with the summary timings dropped as
+  ``perfbench/workloads.artifact_bytes`` drops them.
 
 In each pass both sides run back to back problem by problem, the first
 side alternating, so a drift in machine speed falls on both sides alike.
@@ -44,18 +51,22 @@ and whether the traces agreed; and the measurement limits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
+import io
 import json
 import os
 import platform
 import shutil
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy
 
 from pairs import LIMITS, ROOT, SIDES, export, parse_seeds, quartiles
+from perfbench.workloads import artifact_bytes, artifacts
 
 
 # labopt run's default baseline budget: a population of 20 over 1 + 100 iterations.
@@ -70,11 +81,11 @@ BASELINE_STACK_BUDGET = 400
 
 
 def load(root: Path, name: str, packages: Path) -> tuple:
-    """Import ``root``'s ``labopt`` as package ``name``: engine, catalogs, baselines."""
+    """Import ``root``'s ``labopt`` as package ``name``: engine, catalogs, baselines, cli."""
     shutil.copytree(root / "src" / "labopt", packages / name)
     return tuple(
         importlib.import_module(f"{name}.{module}")
-        for module in ("engine", "machining", "benchmarks", "baselines")
+        for module in ("engine", "machining", "benchmarks", "baselines", "cli")
     )
 
 
@@ -99,7 +110,7 @@ def run_oracle(modules: tuple, spec, seed: int) -> tuple:
 
 
 def catalog(modules: tuple, seed: int) -> list:
-    _, machining, benchmarks, _ = modules
+    _, machining, benchmarks, _, _ = modules
     problems = [spec.problem for spec in machining.machining_registry()]
     return problems + [
         benchmarks.build_problem(spec.id, None, seed) for spec in benchmarks.registry()
@@ -114,7 +125,7 @@ def stacks(runs: int, benchmarks_too: bool):
     """Catalog problems as stacks of ``runs`` per-seed problems."""
 
     def items(modules: tuple, seed: int) -> list:
-        _, machining, benchmarks, _ = modules
+        _, machining, benchmarks, _, _ = modules
         out = [[spec.problem for _ in range(runs)] for spec in machining.machining_registry()]
         if benchmarks_too:
             out += [[benchmarks.build_problem(spec.id, None, seed + k) for k in range(runs)]
@@ -140,6 +151,22 @@ def baseline_stack_pass(algorithm: str):
     return run_stack
 
 
+def selectors(modules: tuple, seed: int) -> list:
+    return ["all-machining", "all-benchmarks"]
+
+
+def run_cli(modules: tuple, selector: str, seed: int) -> Path:
+    """``labopt run`` over ``selector`` as ``lab-study`` runs it; its output root."""
+    out = Path(tempfile.mkdtemp(prefix="one-seed-"))
+    argv = ["run", "--problem", selector, "--runs", str(LAB_STACK_SEEDS), "--seed", str(seed),
+            "--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = modules[4].main(argv)
+    if code != 0:
+        raise RuntimeError(f"labopt {' '.join(argv)} exited with {code}")
+    return out
+
+
 BASELINES = ("sa", "random_search", "pso")
 # Each pass: what it runs on, built afresh per pair, and one run.
 PASSES = {
@@ -150,12 +177,17 @@ PASSES = {
     **{f"{name}_{BASELINE_STACK_SEEDS}_seeds": (
         stacks(BASELINE_STACK_SEEDS, False), baseline_stack_pass(name))
        for name in BASELINES},
+    "lab_study": (selectors, run_cli),
 }
 
 
 def fingerprint(result):
-    """A trace's content, a stack's traces, or an oracle's value and point,
-    comparable across the two packages' classes."""
+    """A trace's content, a stack's traces, an oracle's value and point, or
+    a CLI run's artifacts, comparable across the two packages' classes."""
+    if isinstance(result, Path):  # a CLI run's output root, removed once read
+        files = {rel: artifact_bytes(result / rel) for rel in artifacts(result)}
+        shutil.rmtree(result)
+        return files
     if isinstance(result, list):  # a stack's traces, in seed order
         return [fingerprint(trace) for trace in result]
     if isinstance(result, tuple):  # grid_oracle's (value, point)
@@ -252,7 +284,10 @@ def main(argv: list[str] | None = None) -> int:
             f"run_baseline_seeds on {BASELINE_STACK_SEEDS}-seed stacks at budget "
             f"{BASELINE_STACK_BUDGET} over the 23 machining models for each baseline, "
             "each stack run once (the random-search stacks' pass checks equality and is "
-            "not used for gains), "
+            "not used for gains), and one with cli.main(['run', '--problem', sel, '--runs', "
+            f"'{LAB_STACK_SEEDS}', '--seed', s, '--out', tmp]) for sel in all-machining and "
+            "all-benchmarks, timing the call only and comparing the artifacts by bytes with "
+            "the summary timings dropped, "
             "each on both sides back to back, the first side alternating by problem and "
             "pair; a pass's time per side is the sum of its runs; traces_equal also "
             "covers the oracle's values and points"

@@ -203,7 +203,7 @@ def run_baseline_seeds(
 
 
 def _run_stack(problems: list[Problem], config: BaselineConfig) -> Iterator[RunTrace]:
-    stack = Stack(problems, config.seed)
+    stack = Stack(problems, [config.seed + k for k in range(len(problems))])
     sizes = _batch_sizes(config.budget)
     positions = draw_uniform(stack.rngs, problems[0], sizes[0])
     fitnesses = stack.evaluate(positions.reshape(-1, problems[0].dim))

@@ -43,6 +43,13 @@ ALGORITHMS = (ALGORITHM_LAB, *BASELINE_ALGORITHMS)
 
 _DEFAULTS = LabConfig()
 
+# LAB stacks the seeds of consecutive problems, whole problems only, up
+# to this many seeds.  A seed costs less in a wider stack, but a stack
+# holds every seed's rows until its trace is yielded and pads its
+# arrays to its widest problem.  A problem is never split, so --runs 16
+# or more stacks one problem at a time.
+_STACK_SEEDS = 16
+
 
 def _slug(name: str) -> str:
     return name.replace(":", "-").replace("/", "-")
@@ -122,10 +129,10 @@ def cmd_list_problems(args: argparse.Namespace) -> int:
 
 def _stack(
     args: argparse.Namespace,
-) -> tuple[Callable[..., Iterator[RunTrace]], LabConfig | BaselineConfig]:
-    """``--algo``'s stacked run and the config it takes from the options."""
+) -> tuple[Callable[[list[Problem], list[int]], Iterator[RunTrace]], int]:
+    """``--algo``'s stacked run of ``(problems, seeds)`` and how many problems a stack holds."""
     if args.algo == ALGORITHM_LAB:
-        return run_seeds, LabConfig(
+        config = LabConfig(
             num_groups=args.groups,
             group_size=args.group_size,
             max_iterations=args.iters,
@@ -134,11 +141,14 @@ def _stack(
             greedy_acceptance=args.greedy,
             seed=args.seed,
         )
+        return lambda problems, seeds: run_seeds(problems, config, seeds), max(
+            1, _STACK_SEEDS // args.runs
+        )
     # Same spend as a full-length population run by default.
     budget = args.budget or args.groups * args.group_size * (args.iters + 1)
-    return run_baseline_seeds, BaselineConfig(
-        algorithm=args.algo, budget=budget, seed=args.seed
-    )
+    config = BaselineConfig(algorithm=args.algo, budget=budget, seed=args.seed)
+    # A baseline stacks one problem, seeded config.seed + k as seeds[k] is.
+    return lambda problems, seeds: run_baseline_seeds(problems, config), 1
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -148,35 +158,51 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     problems = _resolve_selector(args.problem)
     out_root = _out_root(args.out)
-    run_stack, config = _stack(args)
-    seeds = range(args.seed, args.seed + args.runs)
-    for name, build in problems:
-        run_dir = out_root / f"{_slug(name)}__{args.algo}"
-        traces = []
+    run_stack, per_stack = _stack(args)
+    seeds = list(range(args.seed, args.seed + args.runs))
+    for first in range(0, len(problems), per_stack):
+        group = problems[first : first + per_stack]
+        done = 0  # traces yielded by this stack
+        traces: list[RunTrace] = []  # the current problem's
         try:
-            # The seeds of a problem run as one stack, yielded in seed order.
-            for trace in run_stack([build(seed) for seed in seeds], config):
+            # The seeds of consecutive problems run as one stack, yielded
+            # in (problem, seed) order.
+            stack = run_stack(
+                [build(seed) for _, build in group for seed in seeds], seeds * len(group)
+            )
+            for trace in stack:
+                name = group[done // args.runs][0]
+                run_dir = out_root / f"{_slug(name)}__{args.algo}"
                 # Written as it is yielded, so a later failure keeps it.
                 write_trace(trace, run_dir / f"trace_seed{trace.seed}.csv")
                 traces.append(trace)
+                done += 1
+                if len(traces) == args.runs:
+                    _report(name, args.algo, traces, run_dir)
+                    traces = []
         except EvaluationError as exc:
-            # Traces come in seed order, so the failing seed is the next one.
+            # Traces come in stack order, so the failing seed is the next one.
+            name = group[done // args.runs][0]
             where = "" if exc.iteration is None else f"iteration {exc.iteration}: "
             raise EvaluationError(
-                f"{name} [{args.algo}] seed {args.seed + len(traces)}: {where}{exc}",
+                f"{name} [{args.algo}] seed {args.seed + done % args.runs}: {where}{exc}",
                 exc.position,
                 exc.iteration,
             ) from exc
-        summary = summarize(traces)
-        write_summary(summary, run_dir / "summary.json")
-        write_convergence(traces, run_dir / "convergence.csv")
-        print(
-            f"{name} [{args.algo}] runs={summary.num_runs} "
-            f"best={summary.best:.6g} mean={summary.mean:.6g} "
-            f"std={summary.std_dev:.6g} evals={summary.mean_function_evaluations:g} "
-            f"-> {run_dir}"
-        )
     return 0
+
+
+def _report(name: str, algo: str, traces: list[RunTrace], run_dir: Path) -> None:
+    """Write and print a problem's summary and convergence table, after its last seed."""
+    summary = summarize(traces)
+    write_summary(summary, run_dir / "summary.json")
+    write_convergence(traces, run_dir / "convergence.csv")
+    print(
+        f"{name} [{algo}] runs={summary.num_runs} "
+        f"best={summary.best:.6g} mean={summary.mean:.6g} "
+        f"std={summary.std_dev:.6g} evals={summary.mean_function_evaluations:g} "
+        f"-> {run_dir}"
+    )
 
 
 def cmd_compare(args: argparse.Namespace) -> int:

@@ -16,19 +16,21 @@ Weights are redrawn independently for every individual on every
 iteration.  All moves are computed from the iteration-start snapshot
 and applied synchronously, after which both rankings are rebuilt.
 
-The seeds of one problem run as one stack: the populations of all
-seeds share one ``State``.  One step draws every seed's weights, builds
-every proposal by broadcasting and evaluates them with one
-``Stack.evaluate``; each seed keeps its own generator, ranking and
-stopping rule.  ``run`` is the one-seed stack.  A ``Stack`` holds the
+The seeds of one problem, or of several, run as one stack: the
+populations of all seeds share one ``State``.  One step draws every
+seed's weights, builds every proposal by broadcasting and evaluates them
+with one ``Stack.evaluate``; each seed keeps its own generator, box,
+ranking and stopping rule.  ``run`` is the one-seed stack.  A ``Stack`` holds the
 live seeds of LAB and of the baselines alike, and its docstring states
 the rules every stack keeps.
 """
 from __future__ import annotations
 
 import time
+from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,10 +42,11 @@ _WEIGHT_SUM_TOL = 1e-12
 
 @dataclass
 class State:
-    """The stacked populations of a problem's seeds and their ``Stack``.
+    """The stacked populations of a stack's seeds and their ``Stack``.
 
     Individual ``i`` of stack seed ``k`` has id ``k * population + i``.
-    ``pos`` (positions, shape ``(ids, dim)``) and ``fit`` (shape
+    ``pos`` (positions, shape ``(ids, width)``, padded as ``Stack``
+    says) and ``fit`` (shape
     ``(ids,)``) are indexed by id and cover the seeds that survived
     initialization; ``fit`` holds the minimize-space values
     ``Stack.evaluate`` returned.  Ids never change and break fitness
@@ -119,12 +122,15 @@ class RunTrace:
     leader and may regress when ``greedy_acceptance`` is off;
     ``best_so_far`` never regresses.  Fitness values are reported in
     the user's sense (maximization values are not negated).
-    ``runtime_seconds`` is the run's cost in wall seconds: the wall
-    time of each step it took (initialization being step 0), split
-    evenly among the seeds of its stack that took that step.  A lone
-    run's cost is its wall time, and the costs of a stack's seeds add
-    up to the stack's.  It is not persisted and takes no part in
-    equality.
+    ``runtime_seconds`` is the run's cost in wall seconds, summed over
+    each step it took (initialization being step 0): the time of the
+    objective call that scored its batch, split evenly among the seeds
+    that call scored, plus an even share, among the seeds of its stack
+    that took the step, of the rest of the step's wall time.  So a seed
+    of a dear problem pays for its own calls, not for a cheap problem's.
+    A lone run's cost is its wall time, and the costs of a stack's
+    seeds add up to the stack's.  It is not persisted and takes no part
+    in equality.
     """
 
     problem: str
@@ -144,15 +150,17 @@ class RunTrace:
 
 
 class Stack:
-    """The live seeds of one problem's stack, for every algorithm.
+    """The live seeds of a stack, for every algorithm.
 
-    Stack seed ``k`` runs ``problems[k]`` with the generator
-    ``default_rng(seed + k)``.  The lists ``problems``, ``rngs``,
-    ``records`` (each seed's ``IterationRecord`` rows so far),
-    ``best_fitness`` and ``best_position`` (each seed's best value so far
-    and a copy of its point, both kept by ``observe``) and ``seeds``
-    (stack indices) cover the live seeds, lowest first, and ``keep``
-    filters them together.  The rules of every stack:
+    Stack entry ``k`` runs ``problems[k]`` with the generator
+    ``default_rng(seeds[k])``, and its trace carries ``seeds[k]``.  The
+    lists ``problems``, ``rngs``, ``records`` (each seed's
+    ``IterationRecord`` rows so far), ``best_fitness`` and ``best_position``
+    (each seed's best value so far and a copy of its point, both kept by
+    ``observe``), ``costs`` (each seed's objective-call time so far) and
+    ``seeds`` (stack indices), and ``boxes``, once read, cover the live
+    seeds, lowest first, and ``keep`` filters them together.  ``width``
+    is the stack's largest dimension.  The rules of every stack:
 
     * The orientation.  The stack is the only code that reads a
       problem's sense.  ``evaluate`` returns minimize-space values, a
@@ -162,66 +170,116 @@ class Stack:
       best value starts at ``inf``, so its first observation replaces
       it; the trace rows and ``RunTrace.best_fitness`` are in the
       user's sense.
-    * The shared call.  ``evaluate`` scores a batch of every live seed
-      in one objective call when the seeds' objectives compare equal;
-      otherwise each seed's share is its own call, in seed order.  This
-      is decided once, when the stack is built: ``keep`` only takes
-      subsets, and a subset of equal objectives stays equal.  A
+    * The padding.  A LAB position has ``width`` coordinates; a seed's
+      coordinates past its own dimension sit in the box ``[0, 0]``, so
+      they stay zero, ``evaluate`` hands each objective only its own
+      columns and a trace's best point keeps only them.  Every update is
+      elementwise, so a seed's own columns have the bits of its lone
+      run; the one exception is a 1-D seed with 8 or more believers in a
+      wider stack, whose believer sum numpy orders differently once
+      padded.
+    * The shared call.  ``evaluate`` scores each run of consecutive live
+      seeds whose problems have equal objectives, dimension and sense in
+      one objective call, in seed order.  The runs are found when the
+      stack is built and relabelled by ``keep``, which only takes
+      subsets, never per call; one problem's stack is one run.  A
       seed's trace equals its lone run's whenever its objective sees the
       batches a lone run gives it: always when every seed has its own
-      objective, and in the shared call only when the objective is pure
+      objective, and in a shared call only when the objective is pure
       and gives each row the same bits at any batch size, as every
       catalog objective does (each noisy Quartic of the catalog has its
       own, so its seeds go one at a time).  A stateful shared objective
-      sees the whole stack's batch, so give each seed its own objective,
+      sees the whole run's batch, so give each seed its own objective,
       or run it alone.
     * The failure rule.  When an objective returns a non-finite value,
-      the lowest failing seed leaves with every seed above it, and its
-      ``EvaluationError`` (the one its lone run raises) is raised in
-      place of its trace, after the traces of the seeds below it.
-      ``failed`` holds it until then.  When the shared call meets that
-      value, the batch is evaluated again one seed at a time to find the
-      seed, so the batches of that seed and of the seeds below it are
-      evaluated twice.
+      the lowest failing seed leaves with every seed above it, of its
+      problem and of every later one, and its ``EvaluationError`` (the
+      one its lone run raises) is raised in place of its trace, after
+      the traces of the seeds below it.  ``failed`` holds it until then.
+      When a shared call meets that value, its run is evaluated again
+      one seed at a time to find the seed, so the batches of that seed
+      and of the run's seeds below it are evaluated twice.
     * The seed-order yield.  A seed leaves when it finishes, and
       ``finish`` yields trace ``k`` once seeds ``0..k`` have all
       finished.
     * The per-seed cost.  A trace's ``runtime_seconds`` is its seed's
-      share of the wall time of each step it took (see ``RunTrace``).
-      The live seeds have all taken the steps since the first, so they
-      share one cost so far, ``seconds``; the share of a step only
+      cost (see ``RunTrace``): the time of its run's objective calls,
+      split evenly among the run's seeds, plus an even share of the rest
+      of each step it took.  Each seed's call time so far is in
+      ``costs``.  The live seeds have all taken the steps since the
+      first, so they share one rest so far, ``seconds``; that share only
       changes when the stack does, so ``keep`` reads the clock and
-      splits the time since the last reading evenly among the seeds
-      that took it.  A failing seed leaves without a trace, and its
-      share with it.  The time the caller holds a yielded trace is no
-      seed's cost.
+      splits the time since the last reading, less the calls charged in
+      it, evenly among the seeds that took it.  A stack that is one run
+      as wide as itself times none of its calls, which would split like
+      the rest.  A failing seed
+      leaves without a trace, and its cost with it.  The time the
+      caller holds a yielded trace is no seed's cost.
     """
 
-    def __init__(self, problems: Sequence[Problem], seed: int) -> None:
+    def __init__(self, problems: Sequence[Problem], seeds: Sequence[int]) -> None:
         self.problems = list(problems)
-        self.rngs = [np.random.default_rng(seed + k) for k in range(len(problems))]
+        self.rngs = [np.random.default_rng(seed) for seed in seeds]
         self.records: list[list[IterationRecord]] = [[] for _ in problems]
         self.best_fitness = [np.inf] * len(problems)
         self.best_position: list[np.ndarray | None] = [None] * len(problems)
         self.seeds = list(range(len(problems)))
-        self.seed = seed
-        self._shared = all(p.objective == problems[0].objective for p in problems[1:])
+        self.costs = [0.0] * len(problems)
+        self.width = max((p.dim for p in problems), default=0)
+        # Seed j's run label: the index of the first seed of its run.
+        self._labels = [0] * len(problems)
+        for j in range(1, len(problems)):
+            p, q = problems[j - 1], problems[j]
+            same = q is p or (
+                p.objective == q.objective and (p.dim, p.sense) == (q.dim, q.sense)
+            )
+            self._labels[j] = self._labels[j - 1] if same else j
+        self._find_runs()
+        self._entry_seeds = list(seeds)
         self.failed: EvaluationError | None = None
         self.seconds = 0.0
+        self._charged = 0.0
         self._since = time.perf_counter()
         self._finished: dict[int, RunTrace] = {}
         self._reported = 0
 
+    def _find_runs(self) -> None:
+        labels = self._labels
+        starts = [j for j in range(len(labels)) if j == 0 or labels[j] != labels[j - 1]]
+        self._runs = list(zip(starts, starts[1:] + [len(labels)]))
+        # One run as wide as the stack takes the whole batch as it is.
+        self._whole = len(self._runs) == 1 and self.problems[0].dim == self.width
+
+    @cached_property
+    def boxes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each live seed's lower and upper bounds, padded with ``[0, 0]`` to ``width``.
+
+        Two arrays of shape ``(live, 1, 1, width)``, to broadcast over a
+        LAB seed's groups and members; built when first read, since only
+        LAB's proposals read them.
+        """
+        boxes = np.zeros((len(self.problems), 2, self.width))
+        for problem, box in zip(self.problems, boxes):
+            box[:, : problem.dim] = problem.lower, problem.upper
+        return boxes[:, :1, None], boxes[:, 1:, None]
+
     def keep(self, rows: Sequence[int]) -> None:
         """Keep only the live seeds in ``rows`` (positions in ``seeds``), charging first."""
         now = time.perf_counter()
-        self.seconds += (now - self._since) / len(self.seeds)
+        self.seconds += (now - self._since - self._charged) / len(self.seeds)
         self._since = now
+        self._charged = 0.0
+        rows = list(rows)
         for live in (
             self.problems, self.rngs, self.records, self.best_fitness,
-            self.best_position, self.seeds,
+            self.best_position, self.seeds, self.costs, self._labels,
         ):
             live[:] = [live[j] for j in rows]
+        if not rows:  # an empty stack reads no box and calls no objective
+            return
+        if "boxes" in vars(self):  # read, so filtered with the seeds
+            self.boxes = tuple(box[rows] for box in self.boxes)
+        self._find_runs()
 
     def observe(
         self, j: int, fitness: float, position: np.ndarray, leaders: Sequence[float] = ()
@@ -231,7 +289,8 @@ class Stack:
         ``fitness`` is the point's value and ``leaders`` the step's leader
         values, if any, all in minimize-space; the row holds them in the
         user's sense.  The seed's best point changes only on a strict
-        improvement, to a copy of ``position``.
+        improvement, to a copy of ``position``, padding included; its trace
+        keeps the seed's own coordinates.
         """
         records = self.records[j]
         best = self.best_fitness[j]
@@ -245,34 +304,57 @@ class Stack:
     def evaluate(self, X: np.ndarray, iteration: int | None = None) -> np.ndarray:
         """The values of ``X``, live seed ``j``'s equal share of its rows in turn.
 
-        By the orientation, shared-call and failure rules: the values are
-        in minimize-space, and a failing seed's error, given
+        By the orientation, padding, shared-call and failure rules: the
+        values are in minimize-space, and a failing seed's error, given
         ``iteration``, replaces ``failed`` (any earlier one came from a
         higher seed), and the values of the seeds below it are returned.
         With none below, the error is raised at once; every lower seed
         has been yielded by then.
         """
         problems = self.problems
+        runs = self._runs
+        if self._whole:  # one call for the whole stack, timed by no one
+            try:
+                return oriented(problems[0].evaluate_batch(X), problems[0].sense)
+            except EvaluationError as failed:
+                if len(problems) == 1:
+                    failed.iteration = iteration
+                    raise
+            runs = [(j, j + 1) for j in range(len(problems))]  # found again, seed by seed
+        size = len(X) // len(problems)
         values: list[np.ndarray] = []
+        ready = 0  # the seeds whose values are in
+        clock, costs = time.perf_counter, self.costs
         try:
-            if self._shared:
+            for start, stop in runs:
+                problem = problems[start]
+                began = clock()
                 try:
-                    return oriented(problems[0].evaluate_batch(X), problems[0].sense)
+                    share = problem.evaluate_batch(X[start * size : stop * size, : problem.dim])
                 except EvaluationError:
-                    if len(problems) == 1:
+                    if stop - start == 1:
                         raise
-                    # found again below, with the failing seed's own share
-            size = len(X) // len(problems)
-            for j, problem in enumerate(problems):
-                share = problem.evaluate_batch(X[j * size : (j + 1) * size])
+                    share = None  # found again below, with the failing seed's own share
+                if share is None:
+                    for j in range(start, stop):
+                        own = problems[j].evaluate_batch(X[j * size : (j + 1) * size, : problem.dim])
+                        values.append(oriented(own, problem.sense))
+                        ready += 1
+                    continue
+                took = clock() - began
+                self._charged += took
+                took /= stop - start
+                for j in range(start, stop):
+                    costs[j] += took
                 values.append(oriented(share, problem.sense))
+                ready = stop
         except EvaluationError as failed:
             failed.iteration = iteration
-            if not values:
+            if not ready:
                 raise
             self.failed = failed
-            self.keep(range(len(values)))
-        return np.ravel(values)
+            self.keep(range(ready))
+        return np.concatenate(values)
 
     def finish(
         self, done: dict[int, str], algorithm: str, evaluations: int
@@ -287,22 +369,22 @@ class Stack:
         if done:
             leaving = [
                 (self.seeds[j], self.problems[j], self.records[j], self.best_fitness[j],
-                 self.best_position[j], termination)
+                 self.best_position[j], self.costs[j], termination)
                 for j, termination in done.items()
             ]
             self.keep([j for j in range(len(self.seeds)) if j not in done])
-            for k, problem, records, fitness, position, termination in leaving:
+            for k, problem, records, fitness, position, cost, termination in leaving:
                 self._finished[k] = RunTrace(
                     problem=problem.name,
                     algorithm=algorithm,
                     sense=problem.sense,
-                    seed=self.seed + k,
+                    seed=self._entry_seeds[k],
                     records=tuple(records),
                     best_fitness=oriented(fitness, problem.sense),
-                    best_position=tuple(position.tolist()),
+                    best_position=tuple(position.tolist()[: problem.dim]),
                     n_evaluations=evaluations,
                     termination=termination,
-                    runtime_seconds=self.seconds,
+                    runtime_seconds=self.seconds + cost,
                 )
         while self._reported in self._finished:
             yield self._finished.pop(self._reported)
@@ -415,19 +497,27 @@ def draw_uniform(
     return block
 
 
-def init(problems: Sequence[Problem], config: LabConfig) -> State:
+def init(
+    problems: Sequence[Problem], config: LabConfig, seeds: Sequence[int] | None = None
+) -> State:
     """Sample, evaluate, and rank the initial population of every seed.
 
-    The seeds are a ``Stack(problems, config.seed)``.  Each seed's
-    individuals are drawn uniformly over the box and dealt into
-    ``num_groups`` groups of ``group_size`` by id; both ranking passes
-    are applied before the state is returned.  A seed whose first batch
-    fails leaves with every seed above it, as ``Stack.evaluate`` says,
-    so the state holds only the seeds below it.
+    The seeds are a ``Stack(problems, seeds)``, ``seeds`` defaulting to
+    ``config.seed + k`` for entry ``k``.  Each seed's individuals are
+    drawn uniformly over its own box, in its own dimension, padded with
+    zeros to the stack's width, and dealt into ``num_groups`` groups of
+    ``group_size`` by id; both ranking passes are applied before the
+    state is returned.  A seed whose first batch fails leaves with every
+    seed above it, as ``Stack.evaluate`` says, so the state holds only
+    the seeds below it.
     """
-    first = problems[0]
-    stack = Stack(problems, config.seed)
-    pos = draw_uniform(stack.rngs, first, config.population).reshape(-1, first.dim)
+    if seeds is None:
+        seeds = [config.seed + k for k in range(len(problems))]
+    stack = Stack(problems, seeds)
+    pos = np.zeros((len(problems), config.population, stack.width))
+    for rng, problem, block in zip(stack.rngs, problems, pos):
+        block[:, : problem.dim] = draw_uniform([rng], problem, config.population)[0]
+    pos = pos.reshape(-1, pos.shape[-1])
     fit = np.array(stack.evaluate(pos, 0))  # step writes into it
     order = np.arange(fit.size).reshape(-1, config.num_groups, config.group_size)
     state = State(
@@ -455,17 +545,16 @@ def propose(state: State, leader_w: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Every member's candidate position, in ``order.ravel()`` order.
 
     ``leader_w`` and ``u`` are laid out as ``draw_weights`` returns them
-    for ``state.order``'s shape.  The candidates are clamped to the box
-    of the stack's problems, which share one.  The first-ranked group's
-    leader is the global leader, so its move anchors on its own
-    position.
+    for ``state.order``'s shape.  Each seed's candidates are clamped to
+    its own padded box, ``Stack.boxes``.  The
+    first-ranked group's leader is the global leader, so its move
+    anchors on its own position.
     """
-    problem = state.stack.problems[0]
     pos, order = state.pos, state.order
     lead = pos[order[..., 0]]
     adv = pos[order[..., 1]]
     bmean = believer_mean(state)
-    mix = np.empty((*order.shape, problem.dim))
+    mix = np.empty((*order.shape, pos.shape[1]))
     mix[..., 0, :] = (
         leader_w[..., 0:1] * lead[..., :1, :]
         + leader_w[..., 1:2] * adv
@@ -474,7 +563,7 @@ def propose(state: State, leader_w: np.ndarray, u: np.ndarray) -> np.ndarray:
     mix[..., 1, :] = u[..., 0:1] * lead + (1.0 - u[..., 0:1]) * bmean
     ub = u[..., 1:, None]
     mix[..., 2:, :] = ub * lead[..., None, :] + (1.0 - ub) * adv[..., None, :]
-    return mix.clip(problem.lower, problem.upper).reshape(-1, problem.dim)
+    return mix.clip(*state.stack.boxes).reshape(-1, pos.shape[1])
 
 
 def step(state: State, config: LabConfig) -> None:
@@ -505,27 +594,30 @@ def step(state: State, config: LabConfig) -> None:
     rank(state)
 
 
-def _stalled(history: list[list[float]], window: int, epsilon: float) -> bool:
+def _stalled(history: deque[list[float]], window: int, epsilon: float) -> bool:
     # history rows hold each rank slot's best leader so far, in
     # minimize-space, one row per iteration, row 0 being the initial
-    # population.  The window is only compared against post-step
-    # iterations so initialization luck does not count.
-    t = len(history) - 1
-    if t - window < 1:
+    # population; only the last window + 2 are kept.  The window is only
+    # compared against post-step iterations, so the check waits for
+    # window + 2 rows and initialization luck does not count.
+    if len(history) < window + 2:
         return False
-    return all(a - b < epsilon for a, b in zip(history[t - window], history[t]))
+    return all(a - b < epsilon for a, b in zip(history[-window - 1], history[-1]))
 
 
 def run_seeds(
-    problems: Sequence[Problem], config: LabConfig | None = None
+    problems: Sequence[Problem],
+    config: LabConfig | None = None,
+    seeds: Sequence[int] | None = None,
 ) -> Iterator[RunTrace]:
-    """Run LAB on every seed of one problem as one ``Stack``; yield the traces.
+    """Run LAB on every entry of ``problems`` as one ``Stack``; yield the traces.
 
-    Seed ``k`` runs on ``problems[k]`` with seed ``config.seed + k``.  The
-    problems must share name, dimension, box and sense.  Each seed keeps
-    its own weights, ranking and stopping, under the rules of ``Stack``,
-    a step being a batch; a failing seed's ``EvaluationError`` carries
-    the ``iteration`` it failed in.
+    Entry ``k`` runs on ``problems[k]`` with seed ``seeds[k]``, by default
+    ``config.seed + k``.  The problems may differ in name, dimension, box
+    and sense, so one stack can hold the seeds of several problems.  Each
+    seed keeps its own weights, ranking and stopping, under the rules of
+    ``Stack``, a step being a batch; a failing seed's ``EvaluationError``
+    carries the ``iteration`` it failed in.
 
     Each seed stops at ``max_iterations``, or earlier when no rank
     slot's best leader has improved by at least ``stall_epsilon`` over
@@ -536,17 +628,25 @@ def run_seeds(
     Raises
     ------
     ConfigError
-        At the call, for an invalid config, no problems, or problems
-        that differ in name, dimension, box or sense.
+        At the call, for an invalid config, no problems, or a ``seeds``
+        whose length differs from ``problems``'.
     """
     if config is None:
         config = LabConfig()
     config.validate()
-    return _run_stack(stackable(problems), config)
+    if not problems:
+        raise ConfigError("stacked seeds need at least one problem")
+    if seeds is None:
+        seeds = [config.seed + k for k in range(len(problems))]
+    if len(seeds) != len(problems):
+        raise ConfigError(f"{len(seeds)} seeds for {len(problems)} stacked problems")
+    return _run_stack(list(problems), config, list(seeds))
 
 
 def stackable(problems: Sequence[Problem]) -> list[Problem]:
     """``problems`` as a list, checked to be one problem, one per seed.
+
+    The baselines stack one problem's seeds; LAB's stacks need no check.
 
     Raises ``ConfigError`` for no problems, or for problems that differ
     in name, dimension, box or sense.
@@ -568,27 +668,31 @@ def stackable(problems: Sequence[Problem]) -> list[Problem]:
     return list(problems)
 
 
-def _run_stack(problems: list[Problem], config: LabConfig) -> Iterator[RunTrace]:
-    histories: list[list[list[float]]] = [[] for _ in problems]
-    state = init(problems, config)
+def _run_stack(
+    problems: list[Problem], config: LabConfig, seeds: list[int]
+) -> Iterator[RunTrace]:
+    window, epsilon = config.stall_window, config.stall_epsilon
+    histories = [deque(maxlen=window + 2) for _ in problems]
+    state = init(problems, config, seeds)
     stack = state.stack
     while True:
         heads = state.order[..., 0]
         bests = zip(stack.seeds, state.fit[heads].tolist(), heads[:, 0].tolist())
+        last = state.iteration == config.max_iterations
         done = {}
         for j, (k, leaders, best) in enumerate(bests):
             stack.observe(j, leaders[0], state.pos[best], leaders)
             history = histories[k]
             history.append(list(map(min, history[-1], leaders)) if history else leaders)
-            if state.iteration == config.max_iterations:
+            if last:
                 done[j] = TERMINATION_MAX_ITERATIONS
-            elif _stalled(history, config.stall_window, config.stall_epsilon):
+            elif _stalled(history, window, epsilon):
                 done[j] = TERMINATION_STALLED
-        evaluations = config.population * (state.iteration + 1)
-        yield from stack.finish(done, ALGORITHM_LAB, evaluations)
-        if not stack.seeds:
-            return
-        if done:
+        if done:  # only a leaving seed can make a trace ready
+            evaluations = config.population * (state.iteration + 1)
+            yield from stack.finish(done, ALGORITHM_LAB, evaluations)
+            if not stack.seeds:
+                return
             state.order = np.delete(state.order, list(done), axis=0)
         step(state, config)
 

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labopt import benchmarks, machining
+from labopt import benchmarks, engine, machining
 from labopt.baselines import (
     ALGORITHM_PSO,
     ALGORITHM_RANDOM,
     ALGORITHM_SA,
+    BASELINE_ALGORITHMS,
     BATCH,
     BaselineConfig,
     run_baseline_seeds,
@@ -17,6 +18,7 @@ from labopt.baselines import (
 from labopt.benchmarks import build_problem
 from labopt.engine import (
     ALGORITHM_LAB,
+    IterationRecord,
     LabConfig,
     Stack,
     State,
@@ -77,7 +79,7 @@ def make_state(groups, problem):
         pos=pos,
         fit=problem.evaluate_batch(pos),
         order=order,
-        stack=Stack([problem], 0),
+        stack=Stack([problem], [0]),
         iteration=0,
     )
 
@@ -793,6 +795,25 @@ def test_every_catalog_entry_stacked_yields_each_seeds_lone_trace(algorithm):
             assert trace == alone, (name, k)
 
 
+@pytest.mark.parametrize("runs", [1, 2])
+def test_the_whole_catalog_as_one_lab_stack_yields_each_seeds_lone_trace(runs):
+    # All 50 entries in one stack, in (problem, seed) order as `labopt
+    # run` stacks them, and again in reverse order: 2-D and 30-D seeds
+    # padded to one width, maximized and minimized, shared calls and
+    # F32's per-seed ones.  Every problem is built afresh per run, so
+    # F32's noise stream starts anew.
+    config = LabConfig(max_iterations=40, seed=11)
+    entries = [(make, 11 + k) for make in CATALOG.values() for k in range(runs)]
+    alone = [run(make(seed), dataclasses.replace(config, seed=seed)) for make, seed in entries]
+    for order in (1, -1):
+        stack = run_seeds(
+            [make(seed) for make, seed in entries[::order]],
+            config,
+            seeds=[seed for _, seed in entries[::order]],
+        )
+        assert list(stack) == alone[::order]
+
+
 @dataclasses.dataclass(frozen=True)
 class Negated:
     """The negation of ``objective``; equal when the objectives are, so
@@ -847,35 +868,53 @@ def test_every_catalog_entry_run_in_the_opposite_sense_mirrors_its_trace(algorit
 
 @st.composite
 def stacks(draw, algorithm):
-    """A maker of seed ``k``'s problem, with a random box and sense; a
-    count of 2-5 seeds (one seed is its own lone run); and ``algorithm``'s
-    config.
+    """A maker of entry ``k``'s problem; a count of 2-5 entries (one entry
+    is its own lone run); and ``algorithm``'s config.
 
-    A baseline's budget is below one batch, whole batches, or ends on a
-    partial batch.  The seeds share one objective or each get their
-    own, so both the shared and the per-seed call are taken.  Any
-    objective may be NaN in a band of its first coordinate.  A seed's
-    own objective may also add noise from a stream seeded by its seed
-    index, as the noisy Quartic does, and may turn its last row NaN from
-    a drawn call on; a shared one does neither, since it would see the
-    whole stack's batch.  The maker builds each seed's own objective
-    afresh, so a lone run sees what the stacked seed saw.
+    A baseline stacks one problem, with a random box and sense.  A LAB
+    stack holds 1-3 problems, each a run of consecutive entries as
+    ``labopt run`` stacks them, and each with its own dimension, box and
+    sense.  A baseline's budget is below one batch, whole batches, or
+    ends on a partial batch.  The entries share one objective or each
+    get their own, so both the shared and the per-seed call are taken;
+    a shared one reads no box, so consecutive problems of equal
+    dimension and sense share its call.  Any objective may be NaN in a
+    band of its first coordinate.  An entry's own objective may also add
+    noise from a stream seeded by its index, as the noisy Quartic does,
+    and may turn its last row NaN from a drawn call on; a shared one
+    does neither, since it would see the whole run's batch.  The maker
+    builds each entry's own objective afresh, so a lone run sees what
+    the stacked seed saw.
     """
     seeds = draw(st.integers(2, 5))
     shared, noisy = draw(st.sampled_from(((True, False), (False, False), (False, True))))
-    dim = draw(st.integers(1, 4))
-    lower = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim)))
-    span = 10.0 ** np.array(
-        draw(st.lists(st.floats(-3.0, 3.0), min_size=dim, max_size=dim))
-    )
-    center = draw(st.floats(-3.0, 3.0))
-    # (centre, half-width) of the NaN band, as shares of the first span
-    band = draw(st.none() | st.tuples(st.floats(0.0, 1.0), st.floats(0.0005, 0.02)))
+    count = draw(st.integers(1, min(3, seeds))) if algorithm == ALGORITHM_LAB else 1
+    # entry k runs problem owner[k]; each problem gets at least one entry
+    cuts = sorted(draw(st.lists(st.integers(1, seeds - 1), min_size=count - 1,
+                                max_size=count - 1, unique=True)))
+    owner = [sum(k >= cut for cut in cuts) for k in range(seeds)]
     nan_from = [None] * seeds
     if not shared:
         nan_from = draw(st.lists(st.none() | st.integers(2, 5), min_size=seeds, max_size=seeds))
 
-    def objective(k):
+    def box():
+        dim = draw(st.integers(1, 4))
+        lower = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim)))
+        span = 10.0 ** np.array(
+            draw(st.lists(st.floats(-3.0, 3.0), min_size=dim, max_size=dim))
+        )
+        return dim, lower, span
+
+    def shape():
+        center = draw(st.floats(-3.0, 3.0))
+        # (centre, half-width) of the NaN band, as shares of the first span
+        band = draw(st.none() | st.tuples(st.floats(0.0, 1.0), st.floats(0.0005, 0.02)))
+        return center, band
+
+    boxes = [box() for _ in range(count)]
+    shapes = [shape() for _ in range(count)]
+
+    def objective(k, lower, span, center, band):
         noise = np.random.default_rng(k)
         calls = [0]
 
@@ -883,7 +922,8 @@ def stacks(draw, algorithm):
             calls[0] += 1
             values = np.sum((4.0 * (x - lower) / span - 2.0 - center) ** 2, axis=-1)
             if band:
-                values[np.abs((x[:, 0] - lower[0]) / span[0] - band[0]) < band[1]] = np.nan
+                first = (x[:, 0] - np.ravel(lower)[0]) / np.ravel(span)[0]
+                values[np.abs(first - band[0]) < band[1]] = np.nan
             if noisy:
                 values += noise.uniform(0.0, 1.0, len(x))
             if nan_from[k] is not None and calls[0] >= nan_from[k]:
@@ -892,17 +932,28 @@ def stacks(draw, algorithm):
 
         return f
 
-    problem = Problem(
-        name="random",
-        dim=dim,
-        lower=lower,
-        upper=lower + span,
-        sense=draw(st.sampled_from(Sense)),
-        objective=objective(0),
-    )
+    # a shared objective scales every column by the first box's first axis
+    _, lower0, span0 = boxes[0]
+    common = objective(0, lower0[0], span0[0], *shapes[0])
+    problems = [
+        Problem(
+            name=f"random{i}",
+            dim=dim,
+            lower=lower,
+            upper=lower + span,
+            sense=draw(st.sampled_from(Sense)),
+            objective=common,
+        )
+        for i, (dim, lower, span) in enumerate(boxes)
+    ]
 
     def make(k):
-        return problem if shared else dataclasses.replace(problem, objective=objective(k))
+        problem = problems[owner[k]]
+        if shared:
+            return problem
+        _, lower, span = boxes[owner[k]]
+        own = objective(k, lower, span, *shapes[owner[k]])
+        return dataclasses.replace(problem, objective=own)
 
     seed = draw(st.integers(0, 2**32 - 1))
     if algorithm != ALGORITHM_LAB:
@@ -1080,7 +1131,7 @@ def test_a_failing_shared_call_is_evaluated_again_only_up_to_the_failing_seed():
     config = LabConfig(num_groups=2, group_size=3)
     X = np.zeros((3 * config.population, 2))
     X[config.population + 4, 0] = 2.0  # row 4 of seed 1's batch
-    stack = Stack([p] * 3, 0)
+    stack = Stack([p] * 3, [0, 1, 2])
     values = stack.evaluate(X, 5)
     assert sizes == [18, 6, 6]
     assert values.shape == (6,)
@@ -1092,78 +1143,109 @@ def test_a_failing_shared_call_is_evaluated_again_only_up_to_the_failing_seed():
     # a lone seed has none below it: its error is raised at once
     sizes.clear()
     with pytest.raises(EvaluationError) as lone:
-        Stack([p], 0).evaluate(X[6:12])
+        Stack([p], [0]).evaluate(X[6:12])
     assert sizes == [6]
     assert lone.value.iteration is None
     assert np.array_equal(lone.value.position, X[config.population + 4])
 
 
 def test_the_shared_call_is_decided_when_the_stack_is_built():
-    # One call per evaluate for shared objectives, also after keep; one
-    # per live seed for distinct ones; no objective compared per call.
+    # One call per run of consecutive seeds whose problems have equal
+    # objectives, dimension and sense, in seed order; the runs are found
+    # when the stack is built and relabelled by keep, so no objective is
+    # compared per call, nor by keep.  Runs split where a seed's
+    # objective, dimension or sense differs, and do not merge when keep
+    # drops the seeds between two of them.
     rows, compared = [], []
 
     class Objective:
+        def __init__(self, name):
+            self.name = name
+
         def __call__(self, x):
-            rows.append(len(x))
+            rows.append((self.name, x.shape))
             return sphere(x)
 
         def __eq__(self, other):
             compared.append(1)
             return self is other
 
-    X = np.zeros((9, 2))
-    shared = box_problem(objective=Objective())
-    distinct = [box_problem(objective=Objective()) for _ in range(3)]
-    for problems, calls, kept in (([shared] * 3, [9], [6]), (distinct, [3] * 3, [3] * 2)):
-        stack = Stack(problems, 0)
-        built = len(compared)
+    a, b = Objective("a"), Objective("b")
+    problems = [
+        box_problem(objective=a), box_problem(objective=a, half=3.0),  # one run, two boxes
+        box_problem(objective=b), box_problem(objective=b, sense=Sense.MAXIMIZE),
+        box_problem(objective=b, dim=3), box_problem(objective=a),
+    ]
+    X = np.zeros((6 * 3, 3))  # three rows a seed, padded to the widest dimension
+    stack = Stack(problems, range(6))
+    built = len(compared)
+    stack.evaluate(X)
+    assert rows == [("a", (6, 2)), ("b", (3, 2)), ("b", (3, 2)), ("b", (3, 3)), ("a", (3, 2))]
+    for kept, calls in (
+        ([0, 1, 2, 5], [("a", (6, 2)), ("b", (3, 2)), ("a", (3, 2))]),
+        ([0, 3], [("a", (3, 2)), ("a", (3, 2))]),  # seeds 0 and 5: two runs still
+    ):
+        stack.keep(kept)
         rows.clear()
-        stack.evaluate(X)
+        stack.evaluate(X[: 3 * len(kept)])
         assert rows == calls
-        stack.keep([0, 2])
-        rows.clear()
-        stack.evaluate(X[:6])
-        assert rows == kept
-        assert len(compared) == built
+    assert len(compared) == built
+
+    # A stack of one problem is one run, one call, also after keep.
+    stack = Stack([problems[0]] * 3, [0, 1, 2])
+    rows.clear()
+    stack.evaluate(X[:9, :2])
+    stack.keep([0, 2])
+    stack.evaluate(X[:6, :2])
+    assert rows == [("a", (9, 2)), ("a", (6, 2))]
 
 
 def test_stack_observe_keeps_each_seeds_rows_and_first_strict_best():
     # The problem is maximized, so observe takes the negated (minimize-
     # space) values, and the rows and bests hold them in the user's sense.
     # All of them are positive, so a best that did not start at inf would
-    # never take the first observation.
+    # never take the first observation.  The stack holds seeds of two
+    # dimensions; a seed's best point keeps its own dimension.
     p = box_problem(sense=Sense.MAXIMIZE, objective=lambda x: -1.0 - sphere(x))
-    stack = Stack([p, p], 0)
+    wide = box_problem(dim=3, sense=Sense.MAXIMIZE, objective=p.objective)
+    stack = Stack([p, wide], [4, 9])
     point = np.array([1.0, 2.0])
     stack.observe(0, 5.0, point, (5.0, 6.0))
-    stack.observe(1, 9.0, np.array([3.0, 3.0]))
+    stack.observe(1, 9.0, np.array([3.0, 3.0, 0.0]), (9.0, 9.5))
     point[:] = 7.0  # the stack holds its own copy
-    stack.observe(0, 5.0, np.array([0.0, 0.0]))  # a tie keeps the first point
-    stack.observe(0, 7.0, np.array([4.0, 4.0]))
+    stack.observe(0, 5.0, np.array([0.0, 0.0, 0.0]), (5.0, 8.0))  # a tie keeps the first point
+    stack.observe(0, 7.0, np.array([4.0, 4.0, 0.0]), (7.0, 7.5))
     first = list(stack.finish({0: "first"}, "algo", 10))
     assert stack.seeds == [1]
     assert stack.best_fitness == [9.0] and len(stack.records[0]) == 1
-    stack.observe(0, 2.0, np.array([5.0, 5.0]))  # live seed 0 is seed 1 now
-    stack.observe(0, 3.0, np.array([6.0, 6.0]))
+    stack.observe(0, 2.0, np.array([5.0, 5.0, 5.0]), (2.0, 4.0))  # live seed 0 is seed 1 now
+    stack.observe(0, 3.0, np.array([6.0, 6.0, 6.0]), (3.0, 4.0))
     second = list(stack.finish({0: "second"}, "algo", 20))
     assert stack.seeds == stack.records == stack.best_position == []
 
     (first,), (second,) = first, second
     assert (first.problem, first.algorithm, first.sense, first.seed) == (
-        "sq", "algo", Sense.MAXIMIZE, 0
+        "sq", "algo", Sense.MAXIMIZE, 4
     )
     assert (first.n_evaluations, first.termination) == (10, "first")
     assert first.best_fitness == -5.0 and first.best_position == (1.0, 2.0)
-    assert [(r.iteration, r.global_best, r.best_so_far) for r in first.records] == [
-        (0, -5.0, -5.0), (1, -5.0, -5.0), (2, -7.0, -5.0)
-    ]
-    assert [r.leaders for r in first.records] == [(-5.0, -6.0), (), ()]
-    assert (second.seed, second.n_evaluations, second.termination) == (1, 20, "second")
-    assert second.best_fitness == -2.0 and second.best_position == (5.0, 5.0)
+    assert first.records == (
+        IterationRecord(0, -5.0, (-5.0, -6.0), -5.0),
+        IterationRecord(1, -5.0, (-5.0, -8.0), -5.0),
+        IterationRecord(2, -7.0, (-7.0, -7.5), -5.0),
+    )
+    assert (second.seed, second.n_evaluations, second.termination) == (9, 20, "second")
+    assert second.best_fitness == -2.0 and second.best_position == (5.0, 5.0, 5.0)
     assert [(r.iteration, r.global_best, r.best_so_far) for r in second.records] == [
         (0, -9.0, -9.0), (1, -2.0, -2.0), (2, -3.0, -2.0)
     ]
+
+    # A baseline's rows have no leaders.
+    stack = Stack([p], [0])
+    stack.observe(0, 2.0, np.array([1.0, 1.0]))
+    stack.observe(0, 1.0, np.array([0.5, 0.5]))
+    (trace,) = stack.finish({0: "budget"}, "algo", 2)
+    assert trace.records == (IterationRecord(0, -2.0, (), -2.0), IterationRecord(1, -1.0, (), -1.0))
 
 
 def test_a_seeds_cost_is_its_share_of_each_step_it_took(step_clock):
@@ -1191,17 +1273,66 @@ def test_a_seeds_cost_is_its_share_of_each_step_it_took(step_clock):
         assert costs == [pytest.approx(41.0 / len(seeds))] * len(seeds)
 
 
-def test_run_seeds_rejects_problems_that_differ():
-    p = box_problem()
-    for other in (
+def test_a_dear_problems_seeds_pay_for_their_own_calls(step_clock, monkeypatch, tmp_path):
+    # Two seeds of a cheap 2-D problem (a call takes 1 s) and two of a
+    # dear 3-D one (4 s) in one stack: each problem's seeds share one
+    # call a step, and the rest of a step, 1 s a step in draw_weights,
+    # is split among the four seeds.  All run the same 11 steps.
+    clock = step_clock
+    draw = engine.draw_weights
+
+    def slow_draw(*args):
+        clock.now += 1.0
+        return draw(*args)
+
+    monkeypatch.setattr(engine, "draw_weights", slow_draw)
+    config = LabConfig(num_groups=2, group_size=3, max_iterations=10, stall_epsilon=0.0)
+    cheap = box_problem(objective=clock.ticking(sphere, 1.0))
+    dear = box_problem(dim=3, name="dear", objective=clock.ticking(sphere, 4.0))
+    traces = list(run_seeds([cheap, cheap, dear, dear], config))
+    # cheap: 11 calls * 1 s / 2 + 10 s / 4; dear: 11 calls * 4 s / 2 + 10 s / 4
+    assert [t.runtime_seconds for t in traces] == [8.0, 8.0, 24.5, 24.5]
+    assert sum(t.runtime_seconds for t in traces) == clock.now == 11 * 1.0 + 11 * 4.0 + 10.0
+
+    # The cost takes no part in equality, nor in the trace files the
+    # artifact digests hash (summary timings are dropped before hashing).
+    clock.now = 0.0
+    alone = run(dear, dataclasses.replace(config, seed=2))
+    assert alone.runtime_seconds == 11 * 4.0 + 10.0 != traces[2].runtime_seconds
+    assert alone == traces[2]
+    assert trace_bytes(alone, tmp_path) == trace_bytes(traces[2], tmp_path)
+
+
+def differing_problems():
+    """Problems that differ from ``box_problem()`` in name, dimension, box or sense."""
+    return (
         box_problem(name="other"),
         box_problem(dim=3),
         box_problem(half=5.0),
         box_problem(sense=Sense.MAXIMIZE),
-    ):
-        with pytest.raises(ConfigError):
-            run_seeds([p, other], LabConfig())
+    )
+
+
+def test_run_seeds_stacks_problems_that_differ():
+    p = box_problem()
+    config = LabConfig(max_iterations=30, seed=7)
+    for other in differing_problems():
+        stacked = list(run_seeds([p, other], config, seeds=[7, 3]))
+        assert stacked == [run(p, config), run(other, dataclasses.replace(config, seed=3))]
     with pytest.raises(ConfigError):
         run_seeds([], LabConfig())
     with pytest.raises(ConfigError):
         run_seeds([p], LabConfig(num_groups=1))
+    with pytest.raises(ConfigError):
+        run_seeds([p, p], LabConfig(), seeds=[1])
+
+
+def test_run_baseline_seeds_rejects_problems_that_differ():
+    p = box_problem()
+    for algorithm in BASELINE_ALGORITHMS:
+        config = BaselineConfig(algorithm, budget=40)
+        for other in differing_problems():
+            with pytest.raises(ConfigError):
+                run_baseline_seeds([p, other], config)
+        with pytest.raises(ConfigError):
+            run_baseline_seeds([], config)

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from labopt import baselines, benchmarks, engine, machining
+from labopt import baselines, benchmarks, cli, engine, machining
 
 _BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -173,3 +173,17 @@ def test_one_seed_pair_is_equal_only_when_every_recorded_value_is(case):
         total, equal = one_seed.pair(same, 3, flip, items, run_one)
         assert equal and sorted(total) == sorted(pairs.SIDES)
         assert not one_seed.pair(changed, 3, flip, items, run_one)[1]
+
+
+def test_the_cli_pass_compares_artifacts_without_their_timings():
+    # Two runs of one command differ only in summary.json's timings,
+    # which the fingerprint drops as perfbench's digests do; reading the
+    # artifacts removes the output root.
+    modules = (*MODULES, cli)
+    first, second = (one_seed.run_cli(modules, "F10", 3) for _ in range(2))
+    files = one_seed.fingerprint(first)
+    assert files == one_seed.fingerprint(second)
+    assert not first.exists() and not second.exists()
+    assert sorted(files) == [f"F10__lab/{name}" for name in (
+        "convergence.csv", "summary.json", "trace_seed3.csv", "trace_seed4.csv")]
+    assert b"runtime" not in files["F10__lab/summary.json"]
