@@ -18,10 +18,12 @@ makes ten passes, each on fresh problems:
   evaluations;
 * ``grid_oracle(spec, 51)``, as ``labopt oracle`` does, on each of the
   23 machining models; it does not depend on the seed;
-* stacked passes that mirror the two perfbench workloads: LAB as 2-seed
-  ``run_seeds`` stacks over both catalogs (``lab-study``), and SA,
-  random search and PSO as 5-seed ``run_baseline_seeds`` stacks at
-  budget 400 over the 23 machining models (``baselines-oracle``).  Each
+* stacked passes at the perfbench workloads' seed counts: LAB as 2-seed
+  ``run_seeds`` stacks of one problem each over both catalogs
+  (``lab-study``'s seeds of a problem, which ``labopt run`` now stacks
+  with those of other problems), and SA, random search and PSO as
+  5-seed ``run_baseline_seeds`` stacks at budget 400 over the 23
+  machining models (``baselines-oracle``, as ``labopt run`` runs them).  Each
   stack's problems are built per seed, as ``labopt run --runs`` builds
   them.  Every pass runs each stack once.  Random search's stacks take
   about 0.02 s a side, and its pass's A/A IQR read about 0.05 or more
@@ -73,8 +75,8 @@ from perfbench.workloads import artifact_bytes, artifacts
 BASELINE_BUDGET = 2020
 # labopt oracle's default grid.
 ORACLE_POINTS = 51
-# The stacks of perfbench's full-size workloads: lab-study runs two seeds
-# a problem, baselines-oracle five at a budget of 400.
+# The seeds a problem of perfbench's full-size workloads: lab-study runs
+# two, baselines-oracle five at a budget of 400.
 LAB_STACK_SEEDS = 2
 BASELINE_STACK_SEEDS = 5
 BASELINE_STACK_BUDGET = 400

@@ -20,9 +20,9 @@ The seeds of one problem, or of several, run as one stack: the
 populations of all seeds share one ``State``.  One step draws every
 seed's weights, builds every proposal by broadcasting and evaluates them
 with one ``Stack.evaluate``; each seed keeps its own generator, box,
-ranking and stopping rule.  ``run`` is the one-seed stack.  A ``Stack`` holds the
-live seeds of LAB and of the baselines alike, and its docstring states
-the rules every stack keeps.
+ranking and stopping rule.  ``run`` is the one-seed stack.  A
+``Stack`` holds the live seeds of LAB and of the baselines alike, and
+its docstring states the rules every stack keeps.
 """
 from __future__ import annotations
 
