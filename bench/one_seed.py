@@ -9,7 +9,7 @@ small a share of a workload for ``bench/pairs.py`` to resolve.  This
 script makes ``git archive`` copies of both revisions, as
 ``bench/pairs.py`` does, and imports each copy's ``labopt`` under its own
 package name, so both run in one interpreter.  One pair per seed ``s``
-makes ten passes, each on fresh problems:
+makes eleven passes, each on fresh problems:
 
 * one-seed passes over every catalog problem (the 23 machining models,
   then the 27 benchmark functions built for seed ``s``): LAB with
@@ -18,14 +18,14 @@ makes ten passes, each on fresh problems:
   evaluations;
 * ``grid_oracle(spec, 51)``, as ``labopt oracle`` does, on each of the
   23 machining models; it does not depend on the seed;
-* stacked passes at the perfbench workloads' seed counts: LAB as 2-seed
-  ``run_seeds`` stacks of one problem each over both catalogs
-  (``lab-study``'s seeds of a problem, which ``labopt run`` now stacks
-  with those of other problems), and SA, random search and PSO as
-  5-seed ``run_baseline_seeds`` stacks at budget 400 over the 23
-  machining models (``baselines-oracle``, as ``labopt run`` runs them).  Each
-  stack's problems are built per seed, as ``labopt run --runs`` builds
-  them.  Every pass runs each stack once.  Random search's stacks take
+* stacked passes at the perfbench workloads' seed counts, one problem a
+  stack: LAB as 2-seed ``run_seeds`` stacks over both catalogs
+  (``lab-study``'s seeds of a problem), and SA, random search and PSO
+  as 5-seed ``run_baseline_seeds`` stacks at budget 400 over the 23
+  machining models (``baselines-oracle``'s seeds of a problem).
+  ``labopt run`` stacks these with the seeds of other problems, which
+  the two CLI passes below see.  Each stack's problems are built per
+  seed, as ``labopt run --runs`` builds them.  Every pass runs each stack once.  Random search's stacks take
   about 0.02 s a side, and its pass's A/A IQR read about 0.05 or more
   however it was laid out, so that pass checks equality and is not used
   for gains;
@@ -33,8 +33,13 @@ makes ten passes, each on fresh problems:
   them, ``cli.main(["run", "--problem", sel, "--runs", "2", "--seed", s,
   "--out", tmp])`` for ``all-machining`` and ``all-benchmarks``, so it
   sees how the CLI stacks problems, which the per-problem stacks of
-  ``lab_2_seeds`` cannot.  Only the call is timed; the artifacts are
-  compared by bytes, with the summary timings dropped as
+  ``lab_2_seeds`` cannot;
+* ``baselines_study``: ``baselines-oracle``'s three ``run`` commands,
+  ``cli.main(["run", "--problem", "all-machining", "--algo", algo,
+  "--runs", "5", "--budget", "400", "--seed", s, "--out", tmp])`` for
+  random search, SA and PSO, so it sees the baselines' stacks of
+  several problems.  In both CLI passes only the call is timed; the
+  artifacts are compared by bytes, with the summary timings dropped as
   ``perfbench/workloads.artifact_bytes`` drops them.
 
 In each pass both sides run back to back problem by problem, the first
@@ -153,15 +158,23 @@ def baseline_stack_pass(algorithm: str):
     return run_stack
 
 
-def selectors(modules: tuple, seed: int) -> list:
-    return ["all-machining", "all-benchmarks"]
+def lab_commands(modules: tuple, seed: int) -> list:
+    """``lab-study``'s commands, but for their seed and output root."""
+    return [["run", "--problem", selector, "--runs", str(LAB_STACK_SEEDS)]
+            for selector in ("all-machining", "all-benchmarks")]
 
 
-def run_cli(modules: tuple, selector: str, seed: int) -> Path:
-    """``labopt run`` over ``selector`` as ``lab-study`` runs it; its output root."""
+def baseline_commands(modules: tuple, seed: int) -> list:
+    """``baselines-oracle``'s ``run`` commands, but for their seed and output root."""
+    return [["run", "--problem", "all-machining", "--algo", algo,
+             "--runs", str(BASELINE_STACK_SEEDS), "--budget", str(BASELINE_STACK_BUDGET)]
+            for algo in ("random_search", "sa", "pso")]
+
+
+def run_cli(modules: tuple, command: list, seed: int) -> Path:
+    """``labopt`` ``command`` with seed ``seed``, into a fresh output root, which it returns."""
     out = Path(tempfile.mkdtemp(prefix="one-seed-"))
-    argv = ["run", "--problem", selector, "--runs", str(LAB_STACK_SEEDS), "--seed", str(seed),
-            "--out", str(out)]
+    argv = [*command, "--seed", str(seed), "--out", str(out)]
     with contextlib.redirect_stdout(io.StringIO()):
         code = modules[4].main(argv)
     if code != 0:
@@ -179,7 +192,8 @@ PASSES = {
     **{f"{name}_{BASELINE_STACK_SEEDS}_seeds": (
         stacks(BASELINE_STACK_SEEDS, False), baseline_stack_pass(name))
        for name in BASELINES},
-    "lab_study": (selectors, run_cli),
+    "lab_study": (lab_commands, run_cli),
+    "baselines_study": (baseline_commands, run_cli),
 }
 
 
@@ -286,10 +300,13 @@ def main(argv: list[str] | None = None) -> int:
             f"run_baseline_seeds on {BASELINE_STACK_SEEDS}-seed stacks at budget "
             f"{BASELINE_STACK_BUDGET} over the 23 machining models for each baseline, "
             "each stack run once (the random-search stacks' pass checks equality and is "
-            "not used for gains), and one with cli.main(['run', '--problem', sel, '--runs', "
+            "not used for gains), one with cli.main(['run', '--problem', sel, '--runs', "
             f"'{LAB_STACK_SEEDS}', '--seed', s, '--out', tmp]) for sel in all-machining and "
-            "all-benchmarks, timing the call only and comparing the artifacts by bytes with "
-            "the summary timings dropped, "
+            "all-benchmarks, and one with cli.main(['run', '--problem', 'all-machining', "
+            f"'--algo', algo, '--runs', '{BASELINE_STACK_SEEDS}', '--budget', "
+            f"'{BASELINE_STACK_BUDGET}', '--seed', s, '--out', tmp]) for algo in "
+            "random_search, sa and pso, both CLI passes timing the call only and comparing "
+            "the artifacts by bytes with the summary timings dropped, "
             "each on both sides back to back, the first side alternating by problem and "
             "pair; a pass's time per side is the sum of its runs; traces_equal also "
             "covers the oracle's values and points"

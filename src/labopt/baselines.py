@@ -14,8 +14,9 @@ row is its batch's first best point; for SA, whose batch is one
 temperature stage of single moves, that is the stage's first best move,
 kept as the stage runs.
 
-The seeds of one problem run as one ``engine.Stack``, as the main
-optimizer's do, under the rules its docstring states; a batch is
+The seeds of one problem, or of several, run as one ``engine.Stack``,
+as the main optimizer's do, under the rules its docstring states: each
+seed moves in its own box, padded to the stack's width.  A batch is
 random search's draws, a swarm step, or one SA move of each seed.
 ``run_baseline`` is the one-seed stack.
 """
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
-    TERMINATION_BUDGET, RunTrace, Stack, _random_blocks, draw_uniform, stackable,
+    TERMINATION_BUDGET, RunTrace, Stack, draw_random, draw_uniform, stack_entries,
 )
 from .problem import ConfigError, Problem
 
@@ -46,7 +47,7 @@ SA_STEP_FRACTION = 0.1
 PSO_INERTIA = 0.72
 PSO_COGNITIVE = 1.49
 PSO_SOCIAL = 1.49
-# Scales a seed's (r1, r2) draws, shape (2, swarm, dim), in one product.
+# Scales a seed's (r1, r2) draws, shape (2, swarm, width), in one product.
 _PSO_PULLS = np.array([PSO_COGNITIVE, PSO_SOCIAL])[:, None, None]
 
 
@@ -85,39 +86,43 @@ def _batch_sizes(budget: int) -> list[int]:
 
 
 def _random_search(stack, positions, fitnesses, sizes):
-    problem = stack.problems[0]
     for size in sizes:
-        positions = draw_uniform(stack.rngs, problem, size)
-        observe_batch(stack, positions, stack.evaluate(positions.reshape(-1, problem.dim)))
+        positions = draw_uniform(stack, size)
+        observe_batch(stack, positions, stack.evaluate(positions.reshape(-1, stack.width)))
 
 
 def _sa(stack, positions, fitnesses, sizes):
     # The first batch calibrates: each seed starts from its best point at
     # a tenth of its fitness spread (1.0 if its batch is flat).
-    problem = stack.problems[0]
     rngs = stack.rngs
-    step = SA_STEP_FRACTION * (problem.upper - problem.lower)
+    # Each seed's box and step, one row a seed, as current's are.
+    lower, upper = (bound[:, 0] for bound in stack.boxes)
+    step = SA_STEP_FRACTION * stack.span[:, 0]
     current = np.array(stack.best_position)
     current_fit = list(stack.best_fitness)
     fitnesses = fitnesses.reshape(len(current), -1)
     spread = (fitnesses.max(axis=1) - fitnesses.min(axis=1)).tolist()
     temperature = [0.1 * s if s > 0 else 1.0 for s in spread]
-    noise = np.empty_like(current)
+    noise = np.zeros_like(current)  # its padding stays zero
+    own = [row[: problem.dim] for row, problem in zip(noise, stack.problems)]
 
     for size in sizes:
         # The stage's row is its first best move; the first move replaces inf.
         best_fit = [np.inf] * len(current)
         best_pos = [None] * len(current)
         for _ in range(size):
-            # Each seed's row, scaled once: the bits and the stream of
-            # rng.normal(0.0, step), at a fraction of its cost.
-            for rng, row in zip(rngs, noise):
+            # Each seed's own columns, scaled once: the bits and the
+            # stream of rng.normal(0.0, step), at a fraction of its cost.
+            for rng, row in zip(rngs, own):
                 rng.standard_normal(out=row)
             noise *= step
-            proposals = (current + noise).clip(problem.lower, problem.upper)
+            proposals = (current + noise).clip(lower, upper)
             fits = stack.evaluate(proposals).tolist()
             if len(fits) < len(current):  # a failing seed left with those above it
-                current, noise = current[: len(fits)], noise[: len(fits)]
+                live = len(fits)
+                current, noise, lower, upper, step = (
+                    a[:live] for a in (current, noise, lower, upper, step)
+                )
             for j, fit in enumerate(fits):
                 if fit < best_fit[j]:
                     best_pos[j], best_fit[j] = proposals[j], fit
@@ -133,8 +138,8 @@ def _sa(stack, positions, fitnesses, sizes):
 
 def _pso(stack, positions, fitnesses, sizes):
     # The first batch is the swarm, at rest, and each particle's best.
-    problem = stack.problems[0]
     positions = positions[: len(stack.rngs)]
+    swarm = positions.shape[1]
     fitnesses = fitnesses.reshape(len(positions), -1)
     velocities = np.zeros_like(positions)
     pbest_pos, pbest_fit = positions.copy(), fitnesses.copy()
@@ -145,18 +150,18 @@ def _pso(stack, positions, fitnesses, sizes):
         np.copyto(pbest_pos, positions, where=better[..., None])
         gbest = np.array(stack.best_position)
         # Each seed draws its r1, then its r2, in one call.
-        pull = _random_blocks(stack.rngs, (2, *positions.shape[1:]))
+        pull = draw_random(stack, 2 * swarm).reshape(len(positions), 2, swarm, -1)
         pull *= _PSO_PULLS  # PSO_COGNITIVE * r1 and PSO_SOCIAL * r2
         velocities = (
             PSO_INERTIA * velocities
             + pull[:, 0] * (pbest_pos - positions)
             + pull[:, 1] * (gbest[:, None] - positions)
         )
-        positions = (positions + velocities).clip(problem.lower, problem.upper)
+        positions = (positions + velocities).clip(*stack.boxes)
         # A partial batch, always the last, evaluates a prefix of each
         # swarm only; no step follows to read its particles' bests.
         batch = positions[:, :count]
-        fitnesses = stack.evaluate(batch.reshape(-1, problem.dim))
+        fitnesses = stack.evaluate(batch.reshape(-1, stack.width))
         observe_batch(stack, batch, fitnesses)
         live = len(stack.rngs)
         if live < len(positions):  # a failing seed left with those above it
@@ -166,7 +171,7 @@ def _pso(stack, positions, fitnesses, sizes):
 
 
 # The update rules.  Each continues a stack whose first batch
-# (``positions``, shape ``(seeds, n, dim)``, and their ``fitnesses``, one
+# (``positions``, shape ``(seeds, n, width)``, and their ``fitnesses``, one
 # seed's after another) is drawn and recorded, spending one batch per
 # entry of ``sizes``.
 _RUNNERS = {
@@ -179,34 +184,37 @@ BASELINE_ALGORITHMS = tuple(_RUNNERS)
 
 
 def run_baseline_seeds(
-    problems: Sequence[Problem], config: BaselineConfig
+    problems: Sequence[Problem],
+    config: BaselineConfig,
+    seeds: Sequence[int] | None = None,
 ) -> Iterator[RunTrace]:
-    """Run one reference optimizer on every seed of one problem as one stack.
+    """Run one reference optimizer on every entry of ``problems`` as one ``Stack``.
 
-    Seed ``k`` runs on ``problems[k]`` with the generator
-    ``default_rng(config.seed + k)``; the problems must share name,
-    dimension, box and sense.  Every seed starts from the same uniform
-    batch its generator gives ``engine.init``, recorded as the first
-    trace row, and its rule then spends the remaining batches, under the
-    rules of ``engine.Stack``.  Every seed spends the same budget, so
-    the seeds finish together, and a failing seed's ``EvaluationError``
-    carries no ``iteration``.
+    Entry ``k`` runs on ``problems[k]`` with seed ``seeds[k]``, by default
+    ``config.seed + k``, as in ``engine.run_seeds``; the problems may
+    differ in name, dimension, box and sense.  Every seed starts from the
+    same uniform batch its generator gives ``engine.init``, recorded as
+    the first trace row, and its rule then spends the remaining batches,
+    under the rules of ``engine.Stack``.  Every seed spends the same
+    budget, so the seeds finish together, and a failing seed's
+    ``EvaluationError`` carries no ``iteration``.
 
     Raises
     ------
     ConfigError
-        At the call, for an invalid config, no problems, or problems
-        that differ in name, dimension, box or sense.
+        At the call, for an invalid config, no problems, or a ``seeds``
+        whose length differs from ``problems``'.
     """
-    config.validate()
-    return _run_stack(stackable(problems), config)
+    return _run_stack(*stack_entries(problems, config, seeds), config)
 
 
-def _run_stack(problems: list[Problem], config: BaselineConfig) -> Iterator[RunTrace]:
-    stack = Stack(problems, [config.seed + k for k in range(len(problems))])
+def _run_stack(
+    problems: list[Problem], seeds: list[int], config: BaselineConfig
+) -> Iterator[RunTrace]:
+    stack = Stack(problems, seeds)
     sizes = _batch_sizes(config.budget)
-    positions = draw_uniform(stack.rngs, problems[0], sizes[0])
-    fitnesses = stack.evaluate(positions.reshape(-1, problems[0].dim))
+    positions = draw_uniform(stack, sizes[0])
+    fitnesses = stack.evaluate(positions.reshape(-1, stack.width))
     observe_batch(stack, positions, fitnesses)
     _RUNNERS[config.algorithm](stack, positions, fitnesses, sizes[1:])
     done = dict.fromkeys(range(len(stack.seeds)), TERMINATION_BUDGET)

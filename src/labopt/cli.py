@@ -43,11 +43,11 @@ ALGORITHMS = (ALGORITHM_LAB, *BASELINE_ALGORITHMS)
 
 _DEFAULTS = LabConfig()
 
-# LAB stacks the seeds of consecutive problems, whole problems only, up
-# to this many seeds.  A seed costs less in a wider stack, but a stack
-# holds every seed's rows until its trace is yielded and pads its
-# arrays to its widest problem.  A problem is never split, so --runs 16
-# or more stacks one problem at a time.
+# Every algorithm stacks the seeds of consecutive problems, whole
+# problems only, up to this many seeds.  A seed costs less in a wider
+# stack, but a stack holds every seed's rows until its trace is yielded
+# and pads its arrays to its widest problem.  A problem is never split,
+# so --runs 16 or more stacks one problem at a time.
 _STACK_SEEDS = 16
 
 
@@ -127,10 +127,8 @@ def cmd_list_problems(args: argparse.Namespace) -> int:
     return 0
 
 
-def _stack(
-    args: argparse.Namespace,
-) -> tuple[Callable[[list[Problem], list[int]], Iterator[RunTrace]], int]:
-    """``--algo``'s stacked run of ``(problems, seeds)`` and how many problems a stack holds."""
+def _stack(args: argparse.Namespace) -> Callable[[list[Problem], list[int]], Iterator[RunTrace]]:
+    """``--algo``'s stacked run of ``(problems, seeds)``."""
     if args.algo == ALGORITHM_LAB:
         config = LabConfig(
             num_groups=args.groups,
@@ -141,14 +139,11 @@ def _stack(
             greedy_acceptance=args.greedy,
             seed=args.seed,
         )
-        return lambda problems, seeds: run_seeds(problems, config, seeds), max(
-            1, _STACK_SEEDS // args.runs
-        )
+        return lambda problems, seeds: run_seeds(problems, config, seeds)
     # Same spend as a full-length population run by default.
     budget = args.budget or args.groups * args.group_size * (args.iters + 1)
     config = BaselineConfig(algorithm=args.algo, budget=budget, seed=args.seed)
-    # A baseline stacks one problem, seeded config.seed + k as seeds[k] is.
-    return lambda problems, seeds: run_baseline_seeds(problems, config), 1
+    return lambda problems, seeds: run_baseline_seeds(problems, config, seeds)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -158,7 +153,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     problems = _resolve_selector(args.problem)
     out_root = _out_root(args.out)
-    run_stack, per_stack = _stack(args)
+    run_stack = _stack(args)
+    per_stack = max(1, _STACK_SEEDS // args.runs)
     seeds = list(range(args.seed, args.seed + args.runs))
     for first in range(0, len(problems), per_stack):
         group = problems[first : first + per_stack]

@@ -30,7 +30,6 @@ import time
 from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -158,9 +157,13 @@ class Stack:
     ``IterationRecord`` rows so far), ``best_fitness`` and ``best_position``
     (each seed's best value so far and a copy of its point, both kept by
     ``observe``), ``costs`` (each seed's objective-call time so far) and
-    ``seeds`` (stack indices), and ``boxes``, once read, cover the live
-    seeds, lowest first, and ``keep`` filters them together.  ``width``
-    is the stack's largest dimension.  The rules of every stack:
+    ``seeds`` (stack indices), and the arrays ``boxes`` and ``span``
+    cover the live seeds, lowest first, and ``keep`` filters them
+    together.  ``width`` is the stack's largest dimension.  ``boxes``
+    holds each seed's lower and upper bounds, padded with ``[0, 0]`` to
+    ``width``, as two arrays of shape ``(live, 1, width)`` that
+    broadcast over a seed's batch of rows, and ``span`` is their
+    difference.  The rules of every stack:
 
     * The orientation.  The stack is the only code that reads a
       problem's sense.  ``evaluate`` returns minimize-space values, a
@@ -170,14 +173,14 @@ class Stack:
       best value starts at ``inf``, so its first observation replaces
       it; the trace rows and ``RunTrace.best_fitness`` are in the
       user's sense.
-    * The padding.  A LAB position has ``width`` coordinates; a seed's
-      coordinates past its own dimension sit in the box ``[0, 0]``, so
-      they stay zero, ``evaluate`` hands each objective only its own
-      columns and a trace's best point keeps only them.  Every update is
-      elementwise, so a seed's own columns have the bits of its lone
-      run; the one exception is a 1-D seed with 8 or more believers in a
-      wider stack, whose believer sum numpy orders differently once
-      padded.
+    * The padding.  Every algorithm's positions have ``width``
+      coordinates; a seed's coordinates past its own dimension sit in
+      the box ``[0, 0]``, so they stay zero, ``evaluate`` hands each
+      objective only its own columns and a trace's best point keeps
+      only them.  Every update is elementwise, so a seed's own columns
+      have the bits of its lone run; the one exception is a 1-D LAB
+      seed with 8 or more believers in a wider stack, whose believer
+      sum numpy orders differently once padded.
     * The shared call.  ``evaluate`` scores each run of consecutive live
       seeds whose problems have equal objectives, dimension and sense in
       one objective call, in seed order.  The runs are found when the
@@ -198,7 +201,9 @@ class Stack:
       the traces of the seeds below it.  ``failed`` holds it until then.
       When a shared call meets that value, its run is evaluated again
       one seed at a time to find the seed, so the batches of that seed
-      and of the run's seeds below it are evaluated twice.
+      and of the run's seeds below it are evaluated twice.  The run's
+      seeds share the failed call's time evenly, and each pays for its
+      own second call.
     * The seed-order yield.  A seed leaves when it finishes, and
       ``finish`` yields trace ``k`` once seeds ``0..k`` have all
       finished.
@@ -235,6 +240,12 @@ class Stack:
             )
             self._labels[j] = self._labels[j - 1] if same else j
         self._find_runs()
+        lower, upper = np.zeros((2, len(problems), 1, self.width))
+        for j, problem in enumerate(self.problems):
+            lower[j, 0, : problem.dim] = problem.lower
+            upper[j, 0, : problem.dim] = problem.upper
+        self.boxes = lower, upper
+        self.span = upper - lower
         self._entry_seeds = list(seeds)
         self.failed: EvaluationError | None = None
         self.seconds = 0.0
@@ -250,19 +261,6 @@ class Stack:
         # One run as wide as the stack takes the whole batch as it is.
         self._whole = len(self._runs) == 1 and self.problems[0].dim == self.width
 
-    @cached_property
-    def boxes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each live seed's lower and upper bounds, padded with ``[0, 0]`` to ``width``.
-
-        Two arrays of shape ``(live, 1, 1, width)``, to broadcast over a
-        LAB seed's groups and members; built when first read, since only
-        LAB's proposals read them.
-        """
-        boxes = np.zeros((len(self.problems), 2, self.width))
-        for problem, box in zip(self.problems, boxes):
-            box[:, : problem.dim] = problem.lower, problem.upper
-        return boxes[:, :1, None], boxes[:, 1:, None]
-
     def keep(self, rows: Sequence[int]) -> None:
         """Keep only the live seeds in ``rows`` (positions in ``seeds``), charging first."""
         now = time.perf_counter()
@@ -277,8 +275,8 @@ class Stack:
             live[:] = [live[j] for j in rows]
         if not rows:  # an empty stack reads no box and calls no objective
             return
-        if "boxes" in vars(self):  # read, so filtered with the seeds
-            self.boxes = tuple(box[rows] for box in self.boxes)
+        self.boxes = tuple(bound[rows] for bound in self.boxes)
+        self.span = self.span[rows]
         self._find_runs()
 
     def observe(
@@ -324,29 +322,20 @@ class Stack:
         size = len(X) // len(problems)
         values: list[np.ndarray] = []
         ready = 0  # the seeds whose values are in
-        clock, costs = time.perf_counter, self.costs
         try:
             for start, stop in runs:
-                problem = problems[start]
-                began = clock()
                 try:
-                    share = problem.evaluate_batch(X[start * size : stop * size, : problem.dim])
+                    share = self._call(start, stop, X[start * size : stop * size])
                 except EvaluationError:
                     if stop - start == 1:
                         raise
-                    share = None  # found again below, with the failing seed's own share
-                if share is None:
+                    share = None
+                if share is None:  # found again, seed by seed
                     for j in range(start, stop):
-                        own = problems[j].evaluate_batch(X[j * size : (j + 1) * size, : problem.dim])
-                        values.append(oriented(own, problem.sense))
-                        ready += 1
+                        values.append(self._call(j, j + 1, X[j * size : (j + 1) * size]))
+                        ready = j + 1
                     continue
-                took = clock() - began
-                self._charged += took
-                took /= stop - start
-                for j in range(start, stop):
-                    costs[j] += took
-                values.append(oriented(share, problem.sense))
+                values.append(share)
                 ready = stop
         except EvaluationError as failed:
             failed.iteration = iteration
@@ -355,6 +344,19 @@ class Stack:
             self.failed = failed
             self.keep(range(ready))
         return np.concatenate(values)
+
+    def _call(self, start: int, stop: int, X: np.ndarray) -> np.ndarray:
+        """Live seeds ``start..stop-1``'s values of ``X`` in one call, its time split among them."""
+        problem = self.problems[start]
+        began = time.perf_counter()
+        try:
+            return oriented(problem.evaluate_batch(X[:, : problem.dim]), problem.sense)
+        finally:
+            took = time.perf_counter() - began
+            self._charged += took
+            took /= stop - start
+            for j in range(start, stop):
+                self.costs[j] += took
 
     def finish(
         self, done: dict[int, str], algorithm: str, evaluations: int
@@ -418,16 +420,6 @@ def weights_valid(leader: np.ndarray, u: np.ndarray) -> bool:
     )
 
 
-def _random_blocks(
-    rngs: Sequence[np.random.Generator], shape: tuple[int, ...]
-) -> np.ndarray:
-    """One ``rng.random(shape)`` block from each generator, shape ``(len(rngs), *shape)``."""
-    block = np.empty((len(rngs), *shape))
-    for rng, seed_block in zip(rngs, block):
-        rng.random(out=seed_block)
-    return block
-
-
 def draw_weights(
     rngs: Sequence[np.random.Generator], num_groups: int, group_size: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -451,7 +443,9 @@ def draw_weights(
     after a rejection differs.  A rejection needs an event of about
     2**-53 per draw.
     """
-    block = _random_blocks(rngs, (num_groups, group_size + 2))
+    block = np.empty((len(rngs), num_groups, group_size + 2))
+    for rng, seed_block in zip(rngs, block):
+        rng.random(out=seed_block)
     while True:
         draws = block[..., :3]
         leader = np.sort(draws / draws.sum(axis=-1, keepdims=True), axis=-1)[..., ::-1]
@@ -480,20 +474,37 @@ def rank(state: State) -> None:
     state.order = np.array(stacks)
 
 
-def draw_uniform(
-    rngs: Sequence[np.random.Generator], problem: Problem, size: int
-) -> np.ndarray:
-    """A ``(size, dim)`` batch drawn uniformly over the box from each generator.
+def draw_random(stack: Stack, size: int) -> np.ndarray:
+    """Each live seed's ``rng.random((size, dim))`` block, zero-padded to ``width``.
 
-    Returns shape ``(len(rngs), size, dim)``.  Seed ``j``'s batch is
-    ``rngs[j].uniform(problem.lower, problem.upper, (size, dim))`` bit
-    for bit and draw for draw: numpy computes that as ``lower + (upper -
-    lower) * rng.random((size, dim))``, one draw per element, behind
-    argument checks that cost most of its time at these sizes.
+    Returns shape ``(live, size, width)``.  A seed as wide as the stack
+    draws into its block in place; numpy draws only into contiguous
+    arrays, so a narrower one's block is drawn on its own and copied.
     """
-    block = _random_blocks(rngs, (size, problem.dim))
-    block *= problem.upper - problem.lower
-    block += problem.lower
+    width = stack.width
+    block = np.empty((len(stack.rngs), size, width))
+    for rng, problem, seed_block in zip(stack.rngs, stack.problems, block):
+        if problem.dim == width:
+            rng.random(out=seed_block)
+        else:
+            seed_block[:, : problem.dim] = rng.random((size, problem.dim))
+            seed_block[:, problem.dim :] = 0.0
+    return block
+
+
+def draw_uniform(stack: Stack, size: int) -> np.ndarray:
+    """A batch of ``size`` points drawn uniformly over each live seed's box.
+
+    Returns shape ``(live, size, width)``, padded as ``Stack`` says.
+    Seed ``j``'s own columns are ``rngs[j].uniform(lower, upper, (size,
+    dim))`` bit for bit and draw for draw: numpy computes that as
+    ``lower + (upper - lower) * rng.random((size, dim))``, one draw per
+    element, behind argument checks that cost most of its time at these
+    sizes.
+    """
+    block = draw_random(stack, size)
+    block *= stack.span
+    block += stack.boxes[0]
     return block
 
 
@@ -502,8 +513,8 @@ def init(
 ) -> State:
     """Sample, evaluate, and rank the initial population of every seed.
 
-    The seeds are a ``Stack(problems, seeds)``, ``seeds`` defaulting to
-    ``config.seed + k`` for entry ``k``.  Each seed's individuals are
+    The seeds are a ``Stack(problems, seeds)``, checked and ``seeds``
+    defaulting as ``stack_entries`` says.  Each seed's individuals are
     drawn uniformly over its own box, in its own dimension, padded with
     zeros to the stack's width, and dealt into ``num_groups`` groups of
     ``group_size`` by id; both ranking passes are applied before the
@@ -511,13 +522,8 @@ def init(
     seed above it, as ``Stack.evaluate`` says, so the state holds only
     the seeds below it.
     """
-    if seeds is None:
-        seeds = [config.seed + k for k in range(len(problems))]
-    stack = Stack(problems, seeds)
-    pos = np.zeros((len(problems), config.population, stack.width))
-    for rng, problem, block in zip(stack.rngs, problems, pos):
-        block[:, : problem.dim] = draw_uniform([rng], problem, config.population)[0]
-    pos = pos.reshape(-1, pos.shape[-1])
+    stack = Stack(*stack_entries(problems, config, seeds))
+    pos = draw_uniform(stack, config.population).reshape(-1, stack.width)
     fit = np.array(stack.evaluate(pos, 0))  # step writes into it
     order = np.arange(fit.size).reshape(-1, config.num_groups, config.group_size)
     state = State(
@@ -551,10 +557,11 @@ def propose(state: State, leader_w: np.ndarray, u: np.ndarray) -> np.ndarray:
     anchors on its own position.
     """
     pos, order = state.pos, state.order
+    width = pos.shape[1]
     lead = pos[order[..., 0]]
     adv = pos[order[..., 1]]
     bmean = believer_mean(state)
-    mix = np.empty((*order.shape, pos.shape[1]))
+    mix = np.empty((*order.shape, width))
     mix[..., 0, :] = (
         leader_w[..., 0:1] * lead[..., :1, :]
         + leader_w[..., 1:2] * adv
@@ -563,7 +570,7 @@ def propose(state: State, leader_w: np.ndarray, u: np.ndarray) -> np.ndarray:
     mix[..., 1, :] = u[..., 0:1] * lead + (1.0 - u[..., 0:1]) * bmean
     ub = u[..., 1:, None]
     mix[..., 2:, :] = ub * lead[..., None, :] + (1.0 - ub) * adv[..., None, :]
-    return mix.clip(*state.stack.boxes).reshape(-1, pos.shape[1])
+    return mix.reshape(len(order), -1, width).clip(*state.stack.boxes).reshape(-1, width)
 
 
 def step(state: State, config: LabConfig) -> None:
@@ -633,6 +640,18 @@ def run_seeds(
     """
     if config is None:
         config = LabConfig()
+    return _run_stack(*stack_entries(problems, config, seeds), config)
+
+
+def stack_entries(
+    problems: Sequence[Problem], config, seeds: Sequence[int] | None
+) -> tuple[list[Problem], list[int]]:
+    """A stack's problems and seeds as lists, ``seeds`` by default ``config.seed + k``.
+
+    The entry checks of every algorithm's ``run_*seeds``: ``ConfigError``
+    for an invalid ``config`` (a ``LabConfig`` or a ``BaselineConfig``),
+    no problems, or a ``seeds`` whose length differs from ``problems``'.
+    """
     config.validate()
     if not problems:
         raise ConfigError("stacked seeds need at least one problem")
@@ -640,36 +659,11 @@ def run_seeds(
         seeds = [config.seed + k for k in range(len(problems))]
     if len(seeds) != len(problems):
         raise ConfigError(f"{len(seeds)} seeds for {len(problems)} stacked problems")
-    return _run_stack(list(problems), config, list(seeds))
-
-
-def stackable(problems: Sequence[Problem]) -> list[Problem]:
-    """``problems`` as a list, checked to be one problem, one per seed.
-
-    The baselines stack one problem's seeds; LAB's stacks need no check.
-
-    Raises ``ConfigError`` for no problems, or for problems that differ
-    in name, dimension, box or sense.
-    """
-    if not problems:
-        raise ConfigError("stacked seeds need at least one problem")
-    first = problems[0]
-    for problem in problems[1:]:
-        if (
-            (problem.name, problem.dim, problem.sense)
-            != (first.name, first.dim, first.sense)
-            or not np.array_equal(problem.lower, first.lower)
-            or not np.array_equal(problem.upper, first.upper)
-        ):
-            raise ConfigError(
-                f"stacked seeds need one problem; '{problem.name}' differs from "
-                f"'{first.name}' in name, dimension, box or sense"
-            )
-    return list(problems)
+    return list(problems), list(seeds)
 
 
 def _run_stack(
-    problems: list[Problem], config: LabConfig, seeds: list[int]
+    problems: list[Problem], seeds: list[int], config: LabConfig
 ) -> Iterator[RunTrace]:
     window, epsilon = config.stall_window, config.stall_epsilon
     histories = [deque(maxlen=window + 2) for _ in problems]

@@ -406,14 +406,22 @@ def test_a_baseline_seeds_cost_is_its_share_of_each_step(step_clock, algorithm):
     assert sum(costs) == clock.now
 
 
-def test_stacked_seeds_need_one_problem():
+def test_stacked_seeds_of_problems_that_differ_yield_each_lone_trace():
+    # One stack of five problems that differ in dimension, box, name and
+    # sense, each seed in its own box, padded to the widest.
     p = sphere()
-    config = BaselineConfig(algorithm=ALGORITHM_RANDOM, budget=40)
-    for other in (sphere(dim=3), sphere(half_width=4.0), replace(p, name="other"),
-                  replace(p, sense=Sense.MAXIMIZE)):
-        with pytest.raises(ConfigError):
-            run_baseline_seeds([p, other], config)
+    problems = [p, sphere(dim=3), sphere(half_width=4.0), replace(p, name="other"),
+                replace(p, sense=Sense.MAXIMIZE)]
+    for algorithm in BASELINE_ALGORITHMS:
+        config = BaselineConfig(algorithm=algorithm, budget=2 * BATCH + 3, seed=4)
+        stacked = list(run_baseline_seeds(problems, config))
+        assert stacked == [
+            run_baseline(problem, replace(config, seed=4 + k))
+            for k, problem in enumerate(problems)
+        ], algorithm
     with pytest.raises(ConfigError):
         run_baseline_seeds([], config)
     with pytest.raises(ConfigError):
         run_baseline_seeds([p], replace(config, budget=0))
+    with pytest.raises(ConfigError):
+        run_baseline_seeds([p], config, seeds=[1, 2])

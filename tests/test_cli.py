@@ -676,13 +676,17 @@ def test_value_error_inside_an_objective_gives_a_traceback(tmp_path, monkeypatch
         run_cli(["run", "--problem", "F10", "--out", str(tmp_path)])
 
 
+@pytest.mark.parametrize(
+    "algo, where", [("lab", "iteration 3: "), ("random_search", "")], ids=["lab", "baseline"]
+)
 def test_a_middle_problem_failing_keeps_the_earlier_problems_and_writes_nothing_later(
-    tmp_path, capsys, monkeypatch
+    algo, where, tmp_path, capsys, monkeypatch
 ):
-    # Three problems of two dimensions and both senses; the second's seed
-    # 1 (run seed 6) turns NaN at iteration 3.  The first problem's
-    # artifacts are complete, the second keeps only seed 0's trace and
-    # no summary, and the third writes nothing.
+    # Three problems of two dimensions and both senses in one stack; the
+    # second's seed 1 (run seed 6) turns NaN at its fourth objective call
+    # (LAB's iteration 3).  The first problem's artifacts are complete,
+    # the second keeps only seed 0's trace and no summary, and the third
+    # writes nothing.  A baseline's error names no iteration.
     real_build = cli.benchmarks.build_problem
 
     def second(seed):
@@ -697,30 +701,30 @@ def test_a_middle_problem_failing_keeps_the_earlier_problems_and_writes_nothing_
         ("edm:MRR", lambda seed: machining.get("edm:MRR").problem),
     ]
     monkeypatch.setattr(cli, "_resolve_selector", lambda selector: three)
-    argv = ["run", "--problem", "three", "--runs", "3", "--seed", "5"]
+    argv = ["run", "--problem", "three", "--algo", algo, "--runs", "3", "--seed", "5"]
     assert run_cli([*argv, "--out", str(tmp_path / "failed")]) == 2
     assert capsys.readouterr().err.startswith(
-        "error: F44 [lab] seed 6: iteration 3: objective of 'F44' returned nan "
+        f"error: F44 [{algo}] seed 6: {where}objective of 'F44' returned nan "
         "(batch row 2) at position ("
     )
     failed = tmp_path / "failed"
-    assert sorted(p.name for p in failed.iterdir()) == ["F10__lab", "F44__lab"]
-    assert sorted(p.name for p in (failed / "F44__lab").iterdir()) == ["trace_seed5.csv"]
+    assert sorted(p.name for p in failed.iterdir()) == [f"F10__{algo}", f"F44__{algo}"]
+    assert sorted(p.name for p in (failed / f"F44__{algo}").iterdir()) == ["trace_seed5.csv"]
 
     monkeypatch.setattr(cli, "_resolve_selector", lambda selector: three[:1])
     assert run_cli([*argv, "--out", str(tmp_path / "first")]) == 0
-    first = tmp_path / "first" / "F10__lab"
+    first = tmp_path / "first" / f"F10__{algo}"
     names = sorted(p.name for p in first.iterdir())
     assert names == ["convergence.csv", "summary.json", *(f"trace_seed{s}.csv" for s in (5, 6, 7))]
     for name in names:
         if name != "summary.json":  # its timings differ from run to run
-            assert (failed / "F10__lab" / name).read_bytes() == (first / name).read_bytes()
-    assert read_summary(failed / "F10__lab" / "summary.json").finals == read_summary(
+            assert (failed / f"F10__{algo}" / name).read_bytes() == (first / name).read_bytes()
+    assert read_summary(failed / f"F10__{algo}" / "summary.json").finals == read_summary(
         first / "summary.json"
     ).finals
 
     monkeypatch.setattr(cli, "_resolve_selector", lambda selector: [three[1]])
     assert run_cli([*argv, "--runs", "1", "--out", str(tmp_path / "second")]) == 0
-    assert (failed / "F44__lab" / "trace_seed5.csv").read_bytes() == (
-        tmp_path / "second" / "F44__lab" / "trace_seed5.csv"
+    assert (failed / f"F44__{algo}" / "trace_seed5.csv").read_bytes() == (
+        tmp_path / "second" / f"F44__{algo}" / "trace_seed5.csv"
     ).read_bytes()

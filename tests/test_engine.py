@@ -13,6 +13,7 @@ from labopt.baselines import (
     BASELINE_ALGORITHMS,
     BATCH,
     BaselineConfig,
+    run_baseline,
     run_baseline_seeds,
 )
 from labopt.benchmarks import build_problem
@@ -758,11 +759,11 @@ def test_run_seeds_yields_what_run_returns_for_each_seed(case, tmp_path):
         assert trace_bytes(trace, tmp_path) == trace_bytes(alone, tmp_path), k
 
 
-def run_stack(problems, config):
+def run_stack(problems, config, seeds=None):
     """``problems`` as one stack of ``config``'s algorithm: LAB's or a baseline's."""
     if isinstance(config, LabConfig):
-        return run_seeds(problems, config)
-    return run_baseline_seeds(problems, config)
+        return run_seeds(problems, config, seeds)
+    return run_baseline_seeds(problems, config, seeds)
 
 
 def stack_config(algorithm, seed, budget=400, max_iterations=LabConfig().max_iterations):
@@ -796,17 +797,22 @@ def test_every_catalog_entry_stacked_yields_each_seeds_lone_trace(algorithm):
 
 
 @pytest.mark.parametrize("runs", [1, 2])
-def test_the_whole_catalog_as_one_lab_stack_yields_each_seeds_lone_trace(runs):
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_the_whole_catalog_as_one_stack_yields_each_seeds_lone_trace(algorithm, runs):
     # All 50 entries in one stack, in (problem, seed) order as `labopt
     # run` stacks them, and again in reverse order: 2-D and 30-D seeds
     # padded to one width, maximized and minimized, shared calls and
     # F32's per-seed ones.  Every problem is built afresh per run, so
-    # F32's noise stream starts anew.
-    config = LabConfig(max_iterations=40, seed=11)
+    # F32's noise stream starts anew.  A baseline spends two full
+    # batches and a partial one.
+    config = stack_config(algorithm, 11, budget=2 * BATCH + 17, max_iterations=40)
     entries = [(make, 11 + k) for make in CATALOG.values() for k in range(runs)]
-    alone = [run(make(seed), dataclasses.replace(config, seed=seed)) for make, seed in entries]
+    alone = [
+        next(run_stack([make(seed)], dataclasses.replace(config, seed=seed)))
+        for make, seed in entries
+    ]
     for order in (1, -1):
-        stack = run_seeds(
+        stack = run_stack(
             [make(seed) for make, seed in entries[::order]],
             config,
             seeds=[seed for _, seed in entries[::order]],
@@ -871,8 +877,7 @@ def stacks(draw, algorithm):
     """A maker of entry ``k``'s problem; a count of 2-5 entries (one entry
     is its own lone run); and ``algorithm``'s config.
 
-    A baseline stacks one problem, with a random box and sense.  A LAB
-    stack holds 1-3 problems, each a run of consecutive entries as
+    A stack holds 1-3 problems, each a run of consecutive entries as
     ``labopt run`` stacks them, and each with its own dimension, box and
     sense.  A baseline's budget is below one batch, whole batches, or
     ends on a partial batch.  The entries share one objective or each
@@ -888,7 +893,7 @@ def stacks(draw, algorithm):
     """
     seeds = draw(st.integers(2, 5))
     shared, noisy = draw(st.sampled_from(((True, False), (False, False), (False, True))))
-    count = draw(st.integers(1, min(3, seeds))) if algorithm == ALGORITHM_LAB else 1
+    count = draw(st.integers(1, min(3, seeds)))
     # entry k runs problem owner[k]; each problem gets at least one entry
     cuts = sorted(draw(st.lists(st.integers(1, seeds - 1), min_size=count - 1,
                                 max_size=count - 1, unique=True)))
@@ -1303,6 +1308,44 @@ def test_a_dear_problems_seeds_pay_for_their_own_calls(step_clock, monkeypatch, 
     assert trace_bytes(alone, tmp_path) == trace_bytes(traces[2], tmp_path)
 
 
+def test_a_failed_shared_call_is_charged_to_its_runs_seeds(step_clock):
+    # Two seeds of a cheap problem (a call takes 1 s), then two of a dear
+    # one (4 s) whose objective is NaN where x0 > 1.  Seed 3's batch
+    # meets it, so the dear run's shared call fails and is made again
+    # seed by seed: seed 2's own call passes and seed 3's fails, and
+    # seed 3 leaves.  The dear seeds share the failed call and each pays
+    # for its own; the cheap seeds pay only for theirs.
+    clock = step_clock
+
+    def nan_beyond_one(x):
+        return np.where(x[:, 0] > 1.0, np.nan, sphere(x))
+
+    cheap = box_problem(objective=clock.ticking(sphere, 1.0))
+    dear = box_problem(name="dear", objective=clock.ticking(nan_beyond_one, 4.0))
+    stack = Stack([cheap, cheap, dear, dear], range(4))
+    X = np.zeros((4 * 3, 2))  # three rows a seed
+    X[3 * 3 + 1, 0] = 2.0
+    assert len(stack.evaluate(X, 0)) == 3 * 3
+    assert stack.seeds == [0, 1, 2] and clock.now == 1.0 + 3 * 4.0
+    for j in range(3):
+        stack.observe(j, 0.0, X[0])
+    traces = stack.finish(dict.fromkeys(range(3), "done"), "algo", 3)
+    assert [next(traces).runtime_seconds for _ in range(3)] == [0.5, 0.5, 4.0 / 2 + 4.0]
+    with pytest.raises(EvaluationError) as failed:
+        next(traces)
+    assert failed.value.iteration == 0 and "(batch row 1)" in str(failed.value)
+
+    # A lone seed's failing call leaves with it, not in the others' rest.
+    clock.now = 0.0
+    stack = Stack([cheap, dear], range(2))
+    X = np.zeros((2 * 3, 2))
+    X[3, 0] = 2.0
+    assert len(stack.evaluate(X, 0)) == 3
+    stack.observe(0, 0.0, X[0])
+    traces = stack.finish({0: "done"}, "algo", 3)
+    assert next(traces).runtime_seconds == 1.0 and clock.now == 5.0
+
+
 def differing_problems():
     """Problems that differ from ``box_problem()`` in name, dimension, box or sense."""
     return (
@@ -1327,12 +1370,18 @@ def test_run_seeds_stacks_problems_that_differ():
         run_seeds([p, p], LabConfig(), seeds=[1])
 
 
-def test_run_baseline_seeds_rejects_problems_that_differ():
+@pytest.mark.parametrize("algorithm", BASELINE_ALGORITHMS)
+def test_run_baseline_seeds_stacks_problems_that_differ(algorithm):
     p = box_problem()
-    for algorithm in BASELINE_ALGORITHMS:
-        config = BaselineConfig(algorithm, budget=40)
-        for other in differing_problems():
-            with pytest.raises(ConfigError):
-                run_baseline_seeds([p, other], config)
-        with pytest.raises(ConfigError):
-            run_baseline_seeds([], config)
+    config = BaselineConfig(algorithm, budget=2 * BATCH + 7, seed=7)
+    for other in differing_problems():
+        stacked = list(run_baseline_seeds([p, other], config, seeds=[7, 3]))
+        assert stacked == [
+            run_baseline(p, config), run_baseline(other, dataclasses.replace(config, seed=3))
+        ]
+    with pytest.raises(ConfigError):
+        run_baseline_seeds([], config)
+    with pytest.raises(ConfigError):
+        run_baseline_seeds([p], dataclasses.replace(config, budget=0))
+    with pytest.raises(ConfigError):
+        run_baseline_seeds([p, p], config, seeds=[1])

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from labopt import baselines, benchmarks, cli, engine, machining
+from perfbench.workloads import WORKLOADS
 
 _BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -180,10 +181,47 @@ def test_the_cli_pass_compares_artifacts_without_their_timings():
     # which the fingerprint drops as perfbench's digests do; reading the
     # artifacts removes the output root.
     modules = (*MODULES, cli)
-    first, second = (one_seed.run_cli(modules, "F10", 3) for _ in range(2))
+    command = ["run", "--problem", "F10", "--runs", "2"]
+    first, second = (one_seed.run_cli(modules, command, 3) for _ in range(2))
     files = one_seed.fingerprint(first)
     assert files == one_seed.fingerprint(second)
     assert not first.exists() and not second.exists()
     assert sorted(files) == [f"F10__lab/{name}" for name in (
         "convergence.csv", "summary.json", "trace_seed3.csv", "trace_seed4.csv")]
     assert b"runtime" not in files["F10__lab/summary.json"]
+
+
+def test_the_baselines_study_pass_runs_baselines_oracles_run_commands():
+    ops = WORKLOADS["baselines-oracle"].build(3, "full", Path("out"))
+    # each workload command ends in --seed 3 --out out
+    runs = [list(op.argv[:-4]) for op in ops if op.argv[0] == "run"]
+    assert len(runs) == 3
+    assert one_seed.PASSES["baselines_study"] == (one_seed.baseline_commands, one_seed.run_cli)
+    assert one_seed.baseline_commands(MODULES, 3) == runs
+
+
+def _small_baseline_commands(modules, seed):
+    """The baselines' CLI runs on one model, two seeds at a budget of two batches."""
+    return [["run", "--problem", "edm:MRR", "--algo", algo, "--runs", "2", "--budget", "40"]
+            for algo in one_seed.BASELINES]
+
+
+def _main_with_one_byte_changed(argv):
+    """``cli.main``, then one byte of the first trace it wrote flipped."""
+    code = cli.main(argv)
+    trace = min(Path(argv[argv.index("--out") + 1]).rglob("trace_seed*.csv"))
+    data = bytearray(trace.read_bytes())
+    data[-2] ^= 1  # a digit of the last row
+    trace.write_bytes(bytes(data))
+    return code
+
+
+def test_a_baselines_cli_pair_is_equal_only_when_every_artifact_byte_is():
+    modules = (*MODULES, cli)
+    same = dict.fromkeys(pairs.SIDES, modules)
+    changed = {"parent": modules,
+               "change": (*MODULES, SimpleNamespace(main=_main_with_one_byte_changed))}
+    for flip in (0, 1):
+        assert one_seed.pair(same, 3, flip, _small_baseline_commands, one_seed.run_cli)[1]
+        assert not one_seed.pair(changed, 3, flip, _small_baseline_commands,
+                                 one_seed.run_cli)[1]
