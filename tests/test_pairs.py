@@ -104,7 +104,7 @@ def test_a_failed_parent_operation_does_not_block_the_change():
 
 # --- bench/one_seed.py's equality gate ---------------------------------------
 
-MODULES = (engine, machining, benchmarks, baselines)
+MODULES = (engine, machining, benchmarks, baselines, cli)
 FIRST = machining.machining_registry()[5]
 
 
@@ -121,11 +121,19 @@ def _stacks(modules, seed):
     return [[problem] * 2 for problem in _models(modules, seed)]
 
 
-# One-seed, stacked and oracle passes, each over three models.
+def _commands(modules, seed):
+    """Each baseline's ``labopt run`` of the first model, two seeds at two batches."""
+    key = _specs(modules, seed)[0].key
+    return [["run", "--problem", key, "--algo", algo, "--runs", "2", "--budget", "40"]
+            for algo in one_seed.BASELINES]
+
+
+# One-seed, stacked, oracle and CLI passes, each over three models or commands.
 GATE_PASSES = {
     "one seed": (_models, one_seed.baseline_pass("random_search")),
     "stacked": (_stacks, one_seed.baseline_stack_pass("random_search")),
     "oracle": (_specs, one_seed.run_oracle),
+    "cli": (_commands, one_seed.run_cli),
 }
 
 
@@ -139,7 +147,8 @@ def _nudged(trace):
 def _changed_side():
     """Modules whose runs change one recorded value on the first of the
     three models: its oracle value, its lone trace, or the last trace of
-    its stack."""
+    its stack; and a ``labopt`` whose every ``run`` changes one byte of
+    the first trace it writes."""
 
     def grid_oracle(spec, points):
         value, point = machining.grid_oracle(spec, points)
@@ -155,6 +164,14 @@ def _changed_side():
             traces[-1] = _nudged(traces[-1])
         return traces
 
+    def main(argv):
+        code = cli.main(argv)
+        trace = min(Path(argv[argv.index("--out") + 1]).rglob("trace_seed*.csv"))
+        data = bytearray(trace.read_bytes())
+        data[-2] ^= 1  # a digit of the last row
+        trace.write_bytes(bytes(data))
+        return code
+
     return (
         engine,
         SimpleNamespace(machining_registry=machining.machining_registry,
@@ -162,6 +179,7 @@ def _changed_side():
         benchmarks,
         SimpleNamespace(BaselineConfig=baselines.BaselineConfig,
                         run_baseline=run_baseline, run_baseline_seeds=run_baseline_seeds),
+        SimpleNamespace(main=main),
     )
 
 
@@ -180,9 +198,8 @@ def test_the_cli_pass_compares_artifacts_without_their_timings():
     # Two runs of one command differ only in summary.json's timings,
     # which the fingerprint drops as perfbench's digests do; reading the
     # artifacts removes the output root.
-    modules = (*MODULES, cli)
     command = ["run", "--problem", "F10", "--runs", "2"]
-    first, second = (one_seed.run_cli(modules, command, 3) for _ in range(2))
+    first, second = (one_seed.run_cli(MODULES, command, 3) for _ in range(2))
     files = one_seed.fingerprint(first)
     assert files == one_seed.fingerprint(second)
     assert not first.exists() and not second.exists()
@@ -199,29 +216,3 @@ def test_the_baselines_study_pass_runs_baselines_oracles_run_commands():
     assert one_seed.PASSES["baselines_study"] == (one_seed.baseline_commands, one_seed.run_cli)
     assert one_seed.baseline_commands(MODULES, 3) == runs
 
-
-def _small_baseline_commands(modules, seed):
-    """The baselines' CLI runs on one model, two seeds at a budget of two batches."""
-    return [["run", "--problem", "edm:MRR", "--algo", algo, "--runs", "2", "--budget", "40"]
-            for algo in one_seed.BASELINES]
-
-
-def _main_with_one_byte_changed(argv):
-    """``cli.main``, then one byte of the first trace it wrote flipped."""
-    code = cli.main(argv)
-    trace = min(Path(argv[argv.index("--out") + 1]).rglob("trace_seed*.csv"))
-    data = bytearray(trace.read_bytes())
-    data[-2] ^= 1  # a digit of the last row
-    trace.write_bytes(bytes(data))
-    return code
-
-
-def test_a_baselines_cli_pair_is_equal_only_when_every_artifact_byte_is():
-    modules = (*MODULES, cli)
-    same = dict.fromkeys(pairs.SIDES, modules)
-    changed = {"parent": modules,
-               "change": (*MODULES, SimpleNamespace(main=_main_with_one_byte_changed))}
-    for flip in (0, 1):
-        assert one_seed.pair(same, 3, flip, _small_baseline_commands, one_seed.run_cli)[1]
-        assert not one_seed.pair(changed, 3, flip, _small_baseline_commands,
-                                 one_seed.run_cli)[1]
